@@ -214,10 +214,6 @@ def bipartite_generators(m: int, n: int, k: int) -> list[Permutation]:
     return gens
 
 
-_TAGS = ("WREATH_K2N", "WREATH_K2N_TIMES_Z2", "AUT_KMN", "AUT_KMN_TIMES_Z2",
-         "Z2POW_SEMIDIRECT", "CUBE", "K22_SPECIAL")
-
-
 def aut_complete_bipartite_order(m: int, n: int) -> int:
     """|Aut(K_{m,n})|: m! n!, doubled when the sides can be exchanged."""
     return factorial(m) * factorial(n) * (2 if m == n else 1)

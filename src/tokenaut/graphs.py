@@ -36,15 +36,19 @@ class Graph:
     label: str | None = None
 
     def __post_init__(self):
-        assert self.n >= 1, "graph needs at least one vertex"
-        assert len(self.adj) == self.n, "one adjacency row per vertex"
-        if __debug__:
-            full = (1 << self.n) - 1
-            for u, row in enumerate(self.adj):
-                assert row & ~full == 0, "adjacency bit out of range"
-                assert not (row >> u) & 1, "loops are not allowed"
-                for v in _bits(row):
-                    assert (self.adj[v] >> u) & 1, "adjacency must be symmetric"
+        if self.n < 1:
+            raise ValueError("graph needs at least one vertex")
+        if len(self.adj) != self.n:
+            raise ValueError("one adjacency row per vertex")
+        full = (1 << self.n) - 1
+        for u, row in enumerate(self.adj):
+            if row & ~full:
+                raise ValueError("adjacency bit out of range")
+            if (row >> u) & 1:
+                raise ValueError("loops are not allowed")
+            for v in _bits(row):
+                if not (self.adj[v] >> u) & 1:
+                    raise ValueError("adjacency must be symmetric")
 
     def __repr__(self):
         name = self.label or "Graph"
@@ -71,7 +75,8 @@ class Graph:
 
     def relabel(self, images: Sequence[int]) -> "Graph":
         """Graph with vertex u renamed to images[u] (a bijection on 0..n-1)."""
-        assert sorted(images) == list(range(self.n)), "relabeling must be a bijection"
+        if sorted(images) != list(range(self.n)):
+            raise ValueError("relabeling must be a bijection")
         adj = [0] * self.n
         for u, row in enumerate(self.adj):
             m = 0

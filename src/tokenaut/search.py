@@ -1,10 +1,12 @@
 """Automorphism-group and isomorphism search by individualization-refinement.
 
-The search tree individualizes one vertex of a deterministically chosen
-target cell (first smallest non-singleton) per level and re-refines. Leaves
-are discrete partitions; a later leaf compared position-by-position against
-the first leaf gives a candidate automorphism, which is accepted only after
-an explicit edge-by-edge check. Pruning never drops group elements:
+The search starts from the equitable refinement of the unit partition, whose
+first split is by degree and is recorded in the root trace. The search tree
+individualizes one vertex of a deterministically chosen target cell (first
+smallest non-singleton) per level and re-refines. Leaves are discrete
+partitions; a later leaf compared position-by-position against the first
+leaf gives a candidate automorphism, which is accepted only after an
+explicit edge-by-edge check. Pruning never drops group elements:
 
 * trace pruning removes a branch only when its refinement trace differs
   from the first-leaf trace at the same depth (traces are equivariant, so
@@ -24,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ScaleGuardExceeded
-from .graphs import Graph, _bits, distance_matrix
+from .graphs import Graph, _bits
 from .perms import PermGroup, Permutation, schreier_sims
 from .refinement import make_kernel
 
@@ -64,37 +66,15 @@ def _check_partition(g: Graph, cells) -> OrderedPartition:
     return out
 
 
-def _seed_keys(g: Graph) -> list[tuple]:
-    """Isomorphism-invariant per-vertex key: degree, then distance multiset."""
-    dm = distance_matrix(g)
-    return [(g.adj[v].bit_count(), tuple(sorted(dm[v]))) for v in range(g.n)]
-
-
-def _cells_by_key(keys: list[tuple]) -> tuple[OrderedPartition, list[tuple]]:
-    """Group vertices into cells ordered by ascending key value."""
-    groups: dict[tuple, list[int]] = {}
-    for v, key in enumerate(keys):
-        groups.setdefault(key, []).append(v)
-    ordered = sorted(groups)
-    return [groups[k] for k in ordered], ordered
-
-
 def refine(g: Graph, partition: OrderedPartition | None = None, *,
-           seed: bool = False, backend: str | None = None) -> OrderedPartition:
+           backend: str | None = None) -> OrderedPartition:
     """Coarsest equitable refinement of a partition (default: unit partition).
 
-    With seed=True the partition is first split by the (degree, distance
-    multiset) vertex invariant before equitable refinement.
+    On the unit partition this is the root partition of the automorphism and
+    isomorphism searches.
     """
     cells = _check_partition(g, partition if partition is not None
                              else [list(range(g.n))])
-    if seed:
-        keys = _seed_keys(g)
-        seeded: OrderedPartition = []
-        for cell in cells:
-            sub, _ = _cells_by_key([keys[v] for v in cell])
-            seeded.extend([cell[i] for i in idx] for idx in sub)
-        cells = [sorted(c) for c in seeded]
     kernel = make_kernel(g.n, g.adj, backend)
     refined, _ = kernel.refine(cells, list(range(len(cells))))
     return refined
@@ -124,8 +104,7 @@ class _AutSearch:
         self.gens: list[Permutation] = []
 
     def run(self) -> None:
-        cells, keys = _cells_by_key(_seed_keys(self.g))
-        cells, trace = self.kernel.refine(cells, list(range(len(cells))))
+        cells, trace = self.kernel.refine([list(range(self.n))], [0])
         self.base_traces.append(trace)
         self._node(cells, 0)
 
@@ -230,13 +209,9 @@ class _IsoSearch:
         self.node_count = 0
 
     def run(self) -> list[int] | None:
-        g, h = self.g, self.h
-        cells_g, keys_g = _cells_by_key(_seed_keys(g))
-        cells_h, keys_h = _cells_by_key(_seed_keys(h))
-        if keys_g != keys_h or [len(c) for c in cells_g] != [len(c) for c in cells_h]:
-            return None
-        cells_g, trace_g = self.kg.refine(cells_g, list(range(len(cells_g))))
-        cells_h, trace_h = self.kh.refine(cells_h, list(range(len(cells_h))))
+        unit = [list(range(self.g.n))]
+        cells_g, trace_g = self.kg.refine(unit, [0])
+        cells_h, trace_h = self.kh.refine(unit, [0])
         if trace_g != trace_h:
             return None
         return self._node(cells_g, cells_h)

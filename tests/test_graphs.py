@@ -6,6 +6,7 @@ import pytest
 
 from tokenaut import (
     BipartiteSpec,
+    Graph,
     cartesian_product,
     complete_bipartite,
     complete_graph,
@@ -38,6 +39,20 @@ def test_graph_from_edges_validation():
         graph_from_edges(3, [(1, 1)])
     g = graph_from_edges(3, [(0, 1), (1, 2)])
     assert g.edges() == [(0, 1), (1, 2)]
+
+
+def test_graph_validation_raises_value_error():
+    for n, adj in [(2, (1, 0)),        # asymmetric row
+                   (2, (1, 2)),        # loop at vertex 0
+                   (2, (4, 0)),        # bit past n
+                   (3, (0, 0)),        # row count differs from n
+                   (0, ())]:           # no vertices
+        with pytest.raises(ValueError):
+            Graph(n, adj)
+    with pytest.raises(ValueError):
+        graph_from_edges(-1, [])
+    with pytest.raises(ValueError):
+        path_graph(3).relabel([0, 0, 1])
 
 
 def test_complete_bipartite_layout():

@@ -135,8 +135,6 @@ def test_outputs_are_equitable():
     for name, g in corpus():
         cells = refine(g)
         assert_equitable(g, cells)
-        seeded = refine(g, seed=True)
-        assert_equitable(g, seeded)
 
 
 def test_custom_partition_is_respected():

@@ -8,6 +8,7 @@ from tokenaut import (
     Permutation,
     ScaleGuardExceeded,
     automorphism_group,
+    cartesian_product,
     complete_bipartite,
     complete_graph,
     count_automorphisms_brute,
@@ -17,11 +18,31 @@ from tokenaut import (
     is_automorphism,
     is_isomorphic,
     path_graph,
-    refine,
     star_graph,
     token_graph,
 )
 from tokenaut.refinement import available_backends
+
+
+def shrikhande():
+    """Cayley graph of Z4 x Z4 on +-(0,1), +-(1,0), +-(1,1)."""
+    return graph_from_edges(16, [
+        (4 * a + b, 4 * ((a + da) % 4) + (b + db) % 4)
+        for a in range(4) for b in range(4)
+        for da, db in ((0, 1), (1, 0), (1, 1))])
+
+
+def rook_graph():
+    """K4 box K4: strongly regular (16,6,2,2), like the Shrikhande graph."""
+    return cartesian_product([complete_graph(4), complete_graph(4)])
+
+
+def petersen():
+    """Kneser graph K(5,2): 2-subsets of 0..4, adjacent when disjoint."""
+    pairs = [(a, b) for a in range(5) for b in range(a + 1, 5)]
+    return graph_from_edges(10, [
+        (i, j) for i, p in enumerate(pairs) for j, q in enumerate(pairs)
+        if i < j and not set(p) & set(q)])
 
 
 def fixtures():
@@ -38,6 +59,10 @@ def fixtures():
     out.append(("Q3", hypercube(3)))
     out.append(("F2K23", token_graph(complete_bipartite(2, 3), 2).graph))
     out.append(("F2P4", token_graph(path_graph(4), 2).graph))
+    # regular graphs that equitable refinement cannot split at the root
+    out.append(("Shrikhande", shrikhande()))
+    out.append(("K4xK4", rook_graph()))
+    out.append(("Petersen", petersen()))
     return out
 
 
@@ -106,6 +131,10 @@ def test_is_isomorphic_negatives():
     assert is_isomorphic(cycle_graph(6), two_triangles) is None
     # different sizes
     assert is_isomorphic(cycle_graph(5), cycle_graph(6)) is None
+    # same strongly regular parameters, and their 2-token graphs
+    assert is_isomorphic(shrikhande(), rook_graph()) is None
+    assert is_isomorphic(token_graph(shrikhande(), 2).graph,
+                         token_graph(rook_graph(), 2).graph) is None
 
 
 def test_known_isomorphism_pairs():
@@ -114,12 +143,6 @@ def test_known_isomorphism_pairs():
                          cycle_graph(6)) is not None
     assert is_isomorphic(token_graph(complete_bipartite(2, 2), 2).graph,
                          complete_bipartite(2, 4)) is not None
-
-
-def test_seeded_refine_splits_by_invariant():
-    # path ends and middles have different distance multisets
-    cells = refine(path_graph(4), seed=True)
-    assert sorted(sorted(c) for c in cells) == [[0, 3], [1, 2]]
 
 
 def test_is_automorphism_rejects():
