@@ -88,7 +88,10 @@ class Graph:
     def induced(self, vertices: Sequence[int]) -> "Graph":
         """Induced subgraph; new vertex i is old vertices[i]."""
         index = {v: i for i, v in enumerate(vertices)}
-        assert len(index) == len(vertices), "duplicate vertex in induced set"
+        if len(index) != len(vertices):
+            raise ValueError("duplicate vertex in induced set")
+        if any(not 0 <= v < self.n for v in vertices):
+            raise ValueError(f"induced vertex out of range 0..{self.n - 1}")
         adj = [0] * len(vertices)
         for i, v in enumerate(vertices):
             m = 0
@@ -190,10 +193,12 @@ def star_graph(n: int) -> Graph:
 
 def mixed_radix_encode(coords: Sequence[int], sizes: Sequence[int]) -> int:
     """Encode a coordinate tuple, first factor most significant."""
-    assert len(coords) == len(sizes)
+    if len(coords) != len(sizes):
+        raise ValueError(f"{len(coords)} coordinates for {len(sizes)} sizes")
     code = 0
     for c, s in zip(coords, sizes):
-        assert 0 <= c < s
+        if not 0 <= c < s:
+            raise ValueError(f"coordinate {c} out of range 0..{s - 1}")
         code = code * s + c
     return code
 
@@ -203,7 +208,8 @@ def mixed_radix_decode(code: int, sizes: Sequence[int]) -> tuple[int, ...]:
     for i in range(len(sizes) - 1, -1, -1):
         coords[i] = code % sizes[i]
         code //= sizes[i]
-    assert code == 0, "code out of range"
+    if code != 0:
+        raise ValueError("code out of range")
     return tuple(coords)
 
 

@@ -6,6 +6,17 @@ Python integers. The chain construction is deterministic (no randomized
 filtering): base points are the first moved points of the residues that
 create each level, and two runs on the same generator list produce the
 same base, the same order, and the same membership verdicts.
+
+The chain is the deterministic incremental Schreier-Sims algorithm (Seress,
+*Permutation Group Algorithms*, 2003, section 4.2) run on raw image tuples.
+Each level stores only its inverse transversal, u_x^-1 for every orbit
+point x, which is exactly what sifting multiplies by, so sifting never
+inverts; a level whose base point the element already fixes is skipped.
+Orbits are extended in place as generators arrive, and every (orbit point,
+strong generator) pair of a level is handled exactly once: it either finds
+a new orbit point or its Schreier generator is sifted through the deeper
+levels. That is enough because transversals only grow, so a Schreier
+generator that sifted once keeps sifting.
 """
 
 from __future__ import annotations
@@ -18,6 +29,15 @@ from typing import Iterable, Iterator, Sequence
 @lru_cache(maxsize=None)
 def _id_images(n: int) -> tuple[int, ...]:
     return tuple(range(n))
+
+
+def _invert(images: tuple[int, ...]) -> tuple[int, ...]:
+    # Points come from the cached identity rather than enumerate(), so that
+    # every stored tuple shares one int object per point above 256.
+    inv = [0] * len(images)
+    for i, v in zip(_id_images(len(images)), images):
+        inv[v] = i
+    return tuple(inv)
 
 
 @dataclass(frozen=True)
@@ -71,10 +91,7 @@ class Permutation:
         return Permutation._raw(tuple([s[i] for i in other.images]))
 
     def inverse(self) -> "Permutation":
-        inv = [0] * len(self.images)
-        for i, v in enumerate(self.images):
-            inv[v] = i
-        return Permutation._raw(tuple(inv))
+        return Permutation._raw(_invert(self.images))
 
     def is_identity(self) -> bool:
         return self.images == _id_images(len(self.images))
@@ -136,15 +153,27 @@ def permutation_from_str(s: str) -> Permutation:
 
 
 class _Level:
-    """One stabilizer-chain level: a base point, the strong generators that
-    entered at this level, and the transversal u[x] with u[x](point) = x."""
+    """One stabilizer-chain level.
 
-    __slots__ = ("point", "gens", "transversal")
+    ``point`` is the base point b. ``gens`` holds the image tuples of the
+    strong generators that fix every earlier base point, in insertion
+    order; the list is only ever appended to, so an index names the same
+    generator for the life of the chain. ``orbit`` lists the orbit
+    of b in discovery order and ``inv[x]`` is the image tuple of u_x^-1,
+    where u_x(b) = x. Only these inverse transversal elements are stored.
+    ``done[p]`` counts the generators already paired with ``orbit[p]``:
+    each pair (x, g) either found the new orbit point g(x) or had its
+    Schreier generator u_{g(x)}^-1 g u_x sifted through the deeper levels.
+    """
 
-    def __init__(self, point: int):
+    __slots__ = ("point", "gens", "orbit", "inv", "done")
+
+    def __init__(self, point: int, identity: tuple[int, ...]):
         self.point = point
-        self.gens: list[Permutation] = []
-        self.transversal: dict[int, Permutation] = {}
+        self.gens: list[tuple[int, ...]] = []
+        self.orbit = [point]
+        self.inv = {point: identity}
+        self.done = [0]
 
 
 class PermGroup:
@@ -160,96 +189,89 @@ class PermGroup:
                 gens.append(g)
         self.generators: tuple[Permutation, ...] = tuple(gens)
         self._levels: list[_Level] = []
-        self._identity = Permutation.identity(degree)
+        self._identity = _id_images(degree)
         for g in self.generators:
-            self._add(g)
+            self._add(g.images)
 
     # -- chain construction -----------------------------------------
 
-    def _strong_gens(self, i: int) -> list[Permutation]:
-        """Generators of the i-th stabilizer group (those entered at >= i)."""
-        out = []
-        for lv in self._levels[i:]:
-            out.extend(lv.gens)
-        return out
-
-    def _sift(self, p: Permutation, start: int = 0) -> tuple[Permutation, int]:
+    def _sift(self, p: tuple[int, ...], start: int = 0) -> tuple[tuple[int, ...], int]:
         """Strip p through the chain; returns (residue, failing level)."""
-        for i in range(start, len(self._levels)):
-            lv = self._levels[i]
-            x = p(lv.point)
-            u = lv.transversal.get(x)
-            if u is None:
+        levels = self._levels
+        for i in range(start, len(levels)):
+            lv = levels[i]
+            x = p[lv.point]
+            if x == lv.point:
+                continue
+            v = lv.inv.get(x)
+            if v is None:
                 return p, i
-            p = u.inverse() * p
-        return p, len(self._levels)
+            p = tuple([v[j] for j in p])
+        return p, len(levels)
 
-    def _add(self, p: Permutation) -> None:
-        residue, i = self._sift(p)
-        if residue.is_identity():
-            return
-        if i == len(self._levels):
-            self._levels.append(_Level(residue.min_moved()))
-        self._levels[i].gens.append(residue)
-        self._sweep(i)
+    def _add(self, p: tuple[int, ...]) -> None:
+        """Sift p; if a residue is left, insert it and restore the chain.
 
-    def _rebuild_orbit(self, i: int) -> list[int]:
-        """BFS transversal at level i; returns points in discovery order."""
-        lv = self._levels[i]
-        gens = self._strong_gens(i)
-        lv.transversal = {lv.point: self._identity}
-        found = [lv.point]
-        frontier = [lv.point]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                ux = lv.transversal[x]
-                for g in gens:
-                    y = g(x)
-                    if y not in lv.transversal:
-                        lv.transversal[y] = g * ux
-                        nxt.append(y)
-                        found.append(y)
-            frontier = nxt
-        return found
-
-    def _sweep(self, top: int) -> None:
-        """Re-verify levels 0..top until the chain invariant holds again.
-
-        A residue placed at level j enlarges the generator set of every
-        level <= j and leaves deeper levels untouched, so only those levels
-        are dirtied. Dirty levels are processed deepest first and a pass is
-        restarted whenever it inserts a residue, so each sift runs against
-        a chain that is already verified below the current level. The chain
-        is correct once no Schreier generator of any level fails to sift.
+        An insertion at level j gives levels 0..j a new generator and
+        leaves deeper levels untouched, so the levels with unprocessed
+        pairs are always 0..i. The deepest is processed first, so every
+        sift runs against levels that are already complete; an insertion
+        it causes lies deeper and is completed before the walk resumes.
         """
-        dirty = set(range(top + 1))
-        while dirty:
-            i = max(dirty)
-            lv = self._levels[i]
-            gens = self._strong_gens(i)
-            inserted = -1
-            for x in self._rebuild_orbit(i):
-                ux = lv.transversal[x]
-                for g in gens:
-                    t = g * ux
-                    u = lv.transversal[t.images[lv.point]]  # t(point) = g(x)
-                    if t == u:
-                        continue
-                    residue, j = self._sift(u.inverse() * t, i + 1)
-                    if residue.is_identity():
-                        continue
-                    if j == len(self._levels):
-                        self._levels.append(_Level(residue.min_moved()))
-                    self._levels[j].gens.append(residue)
-                    inserted = j
-                    break
-                if inserted >= 0:
-                    break
-            if inserted >= 0:
-                dirty.update(range(inserted + 1))
-            else:
-                dirty.discard(i)
+        residue, i = self._sift(p)
+        if residue == self._identity:
+            return
+        self._insert(residue, i)
+        while i >= 0:
+            j = self._process(i)
+            i = i - 1 if j is None else j
+
+    def _insert(self, residue: tuple[int, ...], j: int) -> None:
+        """Make a nontrivial residue that sifted to level j a strong
+        generator of levels 0..j, opening level j if it is new."""
+        if j == len(self._levels):
+            point = Permutation._raw(residue).min_moved()
+            self._levels.append(_Level(point, self._identity))
+        for lv in self._levels[:j + 1]:
+            lv.gens.append(residue)
+
+    def _process(self, i: int) -> int | None:
+        """Handle every unprocessed (orbit point, generator) pair of level
+        i; stop at the first whose Schreier generator fails to sift, insert
+        its residue and return the level it went to.
+
+        Each pair is handled once. Transversals only grow, so a Schreier
+        generator that sifted once sifts again later, and one whose
+        residue was inserted sifts once the deeper levels are complete.
+        """
+        lv = self._levels[i]
+        ident = self._identity
+        orbit, inv, done, gens = lv.orbit, lv.inv, lv.done, lv.gens
+        for p, x in enumerate(orbit):  # the orbit grows while it is walked
+            k = done[p]
+            if k == len(gens):
+                continue
+            ux = _invert(inv[x])
+            while k < len(gens):
+                g = gens[k]
+                k += 1
+                y = g[x]
+                vy = inv.get(y)
+                if vy is None:
+                    inv[y] = _invert(tuple([g[j] for j in ux]))  # u_y = g u_x
+                    orbit.append(y)
+                    done.append(0)
+                    continue
+                s = tuple([vy[g[j]] for j in ux])  # u_y^-1 g u_x fixes b
+                if s == ident:
+                    continue
+                residue, j = self._sift(s, i + 1)
+                if residue != ident:
+                    done[p] = k
+                    self._insert(residue, j)
+                    return j
+            done[p] = k
+        return None
 
     # -- queries ------------------------------------------------------
 
@@ -260,27 +282,28 @@ class PermGroup:
     def order(self) -> int:
         total = 1
         for lv in self._levels:
-            total *= len(lv.transversal)
+            total *= len(lv.orbit)
         return total
 
     def contains(self, p: Permutation) -> bool:
         if p.degree != self.degree:
             raise ValueError(f"degree mismatch: {p.degree} vs {self.degree}")
-        residue, _ = self._sift(p)
-        return residue.is_identity()
+        residue, _ = self._sift(p.images)
+        return residue == self._identity
 
     def elements(self) -> Iterator[Permutation]:
         """All group elements (intended for small groups only)."""
+        forward = [[_invert(v) for v in lv.inv.values()] for lv in self._levels]
 
-        def rec(i: int) -> Iterator[Permutation]:
-            if i == len(self._levels):
+        def rec(i: int) -> Iterator[tuple[int, ...]]:
+            if i == len(forward):
                 yield self._identity
                 return
-            for u in self._levels[i].transversal.values():
+            for u in forward[i]:
                 for tail in rec(i + 1):
-                    yield u * tail
+                    yield tuple([u[j] for j in tail])
 
-        return rec(0)
+        return (Permutation._raw(p) for p in rec(0))
 
     def orbit(self, point: int) -> frozenset[int]:
         seen = {point}

@@ -102,6 +102,7 @@ class _AutSearch:
         self.base_traces: list[tuple] = []
         self.first_leaf: list[int] | None = None
         self.gens: list[Permutation] = []
+        self.invs: list[Permutation] = []
 
     def run(self) -> None:
         cells, trace = self.kernel.refine([list(range(self.n))], [0])
@@ -155,6 +156,7 @@ class _AutSearch:
         if p.is_identity() or not is_automorphism(self.g, p):
             return None
         self.gens.append(p)
+        self.invs.append(p.inverse())
         fork = 0
         for a, b in zip(self.path, self.base):
             if a != b:
@@ -167,10 +169,10 @@ class _AutSearch:
         current path prefix pointwise."""
         prefix = self.path
         gens = []
-        for g in self.gens:
+        for g, g_inv in zip(self.gens, self.invs):
             if all(g(b) == b for b in prefix):
                 gens.append(g)
-                gens.append(g.inverse())
+                gens.append(g_inv)
         out = set(seeds)
         frontier = list(seeds)
         while frontier:

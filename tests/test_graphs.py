@@ -53,6 +53,15 @@ def test_graph_validation_raises_value_error():
         graph_from_edges(-1, [])
     with pytest.raises(ValueError):
         path_graph(3).relabel([0, 0, 1])
+    for bad in ([0, 1, 0], [0, 3], [-1, 0]):  # duplicate, past n, negative
+        with pytest.raises(ValueError):
+            path_graph(3).induced(bad)
+    for coords in ((0, 3), (-1, 0), (0,)):  # out of range, negative, short
+        with pytest.raises(ValueError):
+            mixed_radix_encode(coords, (2, 3))
+    for code in (6, -1):
+        with pytest.raises(ValueError):
+            mixed_radix_decode(code, (2, 3))
 
 
 def test_complete_bipartite_layout():

@@ -1,5 +1,6 @@
 """Permutation arithmetic and the deterministic stabilizer chain."""
 
+import random
 from itertools import permutations
 from math import factorial
 
@@ -8,12 +9,18 @@ import pytest
 from tokenaut import (
     PermGroup,
     Permutation,
+    automorphism_group,
+    bipartite_generators,
+    complete_graph,
     compose,
+    hypercube,
     inverse,
     is_subgroup,
     permutation_from_str,
     permutation_to_str,
+    product_subgroup_generators,
     schreier_sims,
+    token_graph,
 )
 
 
@@ -180,3 +187,61 @@ def test_degree_mismatch_rejected():
     g = schreier_sims([Permutation.from_cycles(4, [(0, 1)])])
     with pytest.raises(ValueError):
         g.contains(Permutation((1, 0)))
+
+
+def closure(gens, n):
+    """Brute-force group generated by gens: BFS over image tuples."""
+    seen = {tuple(range(n))}
+    frontier = list(seen)
+    while frontier:
+        nxt = []
+        for p in frontier:
+            for g in gens:
+                q = tuple(g.images[i] for i in p)
+                if q not in seen:
+                    seen.add(q)
+                    nxt.append(q)
+        frontier = nxt
+    return seen
+
+
+def random_generators(rng, n):
+    """One to three permutations, each shuffling a random subset of points,
+    so that intransitive and small groups occur as well as S_n and A_n."""
+    gens = []
+    for _ in range(rng.randint(1, 3)):
+        support = rng.sample(range(n), rng.randint(2, n))
+        shuffled = support[:]
+        rng.shuffle(shuffled)
+        images = list(range(n))
+        for a, b in zip(support, shuffled):
+            images[a] = b
+        gens.append(Permutation(tuple(images)))
+    return gens
+
+
+def test_random_chains_match_brute_force_closure():
+    rng = random.Random(20231)
+    for _ in range(300):
+        n = rng.randint(2, 7)
+        gens = random_generators(rng, n)
+        group = schreier_sims(gens, degree=n)
+        members = closure(gens, n)
+        assert group.order() == len(members), gens
+        assert schreier_sims(gens, degree=n).base == group.base
+        if n <= 6:
+            for p in permutations(range(n)):
+                assert group.contains(Permutation(p)) == (p in members), (gens, p)
+
+
+def test_chain_orders_match_sympy():
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    cases = [bipartite_generators(2, n, k)
+             for n, k in ((5, 3), (6, 3), (7, 3), (5, 4), (6, 4))]
+    cases += [product_subgroup_generators([complete_graph(2)] * r) for r in (3, 4)]
+    cases.append(list(automorphism_group(token_graph(hypercube(4), 2).graph)
+                      .group.generators))
+    for gens in cases:
+        oracle = combinatorics.PermutationGroup(
+            [combinatorics.Permutation(list(p.images)) for p in gens])
+        assert schreier_sims(gens).order() == oracle.order()

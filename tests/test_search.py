@@ -170,3 +170,14 @@ def test_determinism():
     assert [p.images for p in a.group.generators] == \
         [p.images for p in b.group.generators]
     assert a.group.base == b.group.base
+
+
+def test_reported_base_is_pinned():
+    # The aut report emits the chain base, so a chain change that moves
+    # the base changes the report.
+    q4 = automorphism_group(token_graph(hypercube(4), 2).graph).group
+    assert q4.base == (0, 1, 6, 2, 7, 29)
+    assert q4.order() == 3072
+    k25 = automorphism_group(token_graph(complete_bipartite(2, 5), 3).graph).group
+    assert k25.base == (2, 5, 13, 16, 23, 26, 11, 7, 30, 21)
+    assert k25.order() == 122880
