@@ -3,16 +3,19 @@
 
 Two kinds of cases: raw kernel calls (equitable refinement only, where the
 backends differ most) and end-to-end automorphism searches (where chain
-building and certification dilute the kernel's share). The reported figure
-is the best of --repeat runs. If the compiled extension is not built, only
-the pure rows appear; install with `pip install -e . --no-build-isolation`
-to build it.
+building and certification dilute the kernel's share). The kernel calls
+cover a unit partition, a long cycle and a search-shaped call: one vertex
+individualized in the root partition, so that the splitters are small.
+The reported figure is the best of --repeat runs. If the compiled
+extension is not built, only the pure rows appear; install with
+`pip install -e . --no-build-isolation` to build it.
 """
 
 import argparse
 import time
 
-from tokenaut import automorphism_group, cycle_graph, hypercube, token_graph
+from tokenaut import (automorphism_group, cycle_graph, hypercube, refine,
+                      token_graph)
 from tokenaut.refinement import available_backends, make_kernel
 
 
@@ -27,11 +30,24 @@ def timed(fn, repeat):
     return best
 
 
-def kernel_case(g, cells):
+def kernel_case(g, cells, active=None):
+    active = list(range(len(cells))) if active is None else active
+
     def run(backend):
         kernel = make_kernel(g.n, g.adj, backend)
-        kernel.refine([list(c) for c in cells], list(range(len(cells))))
+        kernel.refine([list(c) for c in cells], active)
     return run
+
+
+def individualized_case(g):
+    """The search's first child: the first vertex of the first smallest
+    non-singleton cell of the root partition, individualized and refined
+    against its two new cells."""
+    root = refine(g)
+    t = min((i for i, c in enumerate(root) if len(c) > 1),
+            key=lambda i: len(root[i]))
+    v, *rest = root[t]
+    return kernel_case(g, root[:t] + [[v], rest] + root[t + 1:], [t, t + 1])
 
 
 def search_case(g):
@@ -45,6 +61,8 @@ def build_cases():
     return [
         ("refine F2(Q5), 496 vertices, unit partition",
          kernel_case(f2q5, [list(range(f2q5.n))])),
+        ("refine F2(Q5), one vertex individualized in the root partition",
+         individualized_case(f2q5)),
         ("refine C499, individualized vertex",
          kernel_case(long_cycle, [[0], list(range(1, long_cycle.n))])),
         ("aut search F2(Q4), 120 vertices, order 3072",

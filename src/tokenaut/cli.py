@@ -213,10 +213,11 @@ def cmd_generators(args) -> int:
             tag = "Z2POW_SEMIDIRECT"
         base = cartesian_product(factors)
         _guard(args).require_vertices(comb(base.n, 2), instance)
+        base_group = None
         if predicted is None:
-            predicted = ((1 << (len(factors) - 1))
-                         * automorphism_group(base).group.order())
-        gens = product_subgroup_generators(factors)
+            base_group = automorphism_group(base).group
+            predicted = (1 << (len(factors) - 1)) * base_group.order()
+        gens = product_subgroup_generators(factors, base_group=base_group)
         payload = {
             "instance": instance,
             "predicted_order": str(predicted),

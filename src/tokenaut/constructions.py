@@ -25,7 +25,7 @@ from . import subsets
 from .graphs import (BipartiteSpec, Graph, cartesian_product,
                      complete_bipartite, mixed_radix_decode,
                      mixed_radix_encode)
-from .perms import Permutation
+from .perms import PermGroup, Permutation
 from .search import automorphism_group, is_automorphism, is_isomorphic
 from .tokens import TokenGraph, token_graph
 
@@ -156,6 +156,16 @@ def y_permutation_lift(spec: BipartiteSpec, k: int, pi: Permutation) -> Permutat
     return Permutation(tuple(images))
 
 
+def _token_graph_of(base: Graph, k: int, tg: TokenGraph | None) -> TokenGraph:
+    """``tg`` when it is the k-token graph of ``base``, else a new build."""
+    if tg is None:
+        return token_graph(base, k)
+    if tg.k != k or tg.base.adj != base.adj:
+        raise ValueError(f"token graph {tg.graph.label!r} is not the "
+                         f"{k}-token graph of {base.label or 'the base'}")
+    return tg
+
+
 def _certify(gens: Sequence[Permutation], g: Graph, what: str) -> None:
     for p in gens:
         if not is_automorphism(g, p):
@@ -170,9 +180,11 @@ def singleton_swap_families(spec: BipartiteSpec, k: int) -> list[SwapFamily]:
             for s in subsets.ksubsets(spec.n, k - 1)]
 
 
-def bipartite_generators(m: int, n: int, k: int) -> list[Permutation]:
+def bipartite_generators(m: int, n: int, k: int,
+                         tg: TokenGraph | None = None) -> list[Permutation]:
     """Generator list for the predicted automorphism group of the k-token
     graph of K_{m,n}; every returned permutation is certified edge-by-edge.
+    Pass ``tg``, the k-token graph of K_{m,n}, to reuse one already built.
 
     For m = 2 with n > 2 the set is one side swap per (k-1)-subset of Y
     plus lifts of a transposition and an n-cycle on Y; every other shape
@@ -185,12 +197,13 @@ def bipartite_generators(m: int, n: int, k: int) -> list[Permutation]:
     total = m + n
     if not (1 <= k <= total - 1):
         raise ValueError(f"need 1 <= k <= {total - 1}, got k={k}")
-    tg = token_graph(spec.graph(), k)
+    tg = _token_graph_of(spec.graph(), k, tg)
     gens: list[Permutation] = []
     if (m, n, k) == (2, 2, 2):
         target = complete_bipartite(2, 4)
         cert = is_isomorphic(target, tg.graph)
-        assert cert is not None, "K_{2,2} 2-token graph must be K_{2,4}"
+        if cert is None:
+            raise AssertionError("K_{2,2} 2-token graph must be K_{2,4}")
         mapping = Permutation(tuple(cert))
         for cycles in ([(0, 1)], [(2, 3)], [(2, 3, 4, 5)]):
             p = Permutation.from_cycles(6, cycles)
@@ -303,10 +316,17 @@ def coordinate_swap_product(factors: Sequence[Graph], family: SwapFamily) -> Per
 
 
 def product_subgroup_generators(factors: Sequence[Graph],
-                                check_primality: bool = True) -> list[Permutation]:
+                                check_primality: bool = True,
+                                tg: TokenGraph | None = None,
+                                base_group: PermGroup | None = None
+                                ) -> list[Permutation]:
     """Generators of the predicted subgroup of Aut of the 2-token graph of
     a connected Cartesian product of primes: one coordinate swap per axis
     in 0..r-2 plus lifts of the base product's automorphism generators.
+
+    Pass ``tg``, the 2-token graph of the product, and ``base_group``, the
+    product's automorphism group, to reuse ones already computed; every
+    lifted generator is still checked against the base graph.
     """
     from .factorization import is_prime
 
@@ -318,12 +338,12 @@ def product_subgroup_generators(factors: Sequence[Graph],
             raise ValueError(f"factor {i} is disconnected")
         if check_primality and not is_prime(f):
             raise ValueError(f"factor {i} is not prime with respect to the product")
-    product = cartesian_product(factors)
-    tg = token_graph(product, 2)
+    tg = _token_graph_of(cartesian_product(factors), 2, tg)
     gens = [coordinate_swap_product(factors, product_family([ax]))
             for ax in range(r - 1)]
-    base_aut = automorphism_group(product).group
-    gens.extend(lift_to_token_graph(p, tg) for p in base_aut.generators)
+    if base_group is None:
+        base_group = automorphism_group(tg.base).group
+    gens.extend(lift_to_token_graph(p, tg) for p in base_group.generators)
     _certify(gens, tg.graph, "product generator")
     return gens
 

@@ -116,7 +116,7 @@ def verify_bipartite(m: int, n: int, k: int,
     started = time.perf_counter()
     tg = token_graph(spec.graph(), k)
     aut = automorphism_group(tg.graph, max_nodes=guard.max_nodes)
-    gens = bipartite_generators(m, n, k)
+    gens = bipartite_generators(m, n, k, tg)
     pred = predicted_order(m, n, k)
     return _finish(f"bipartite(m={m},n={n},k={k})", tg.graph, gens,
                    pred.order, False, started, aut)
@@ -133,7 +133,7 @@ def verify_cube(r: int, guard: ScaleGuard = DEFAULT_GUARD) -> VerificationReport
     product = cartesian_product(factors)
     tg = token_graph(product, 2)
     aut = automorphism_group(tg.graph, max_nodes=guard.max_nodes)
-    gens = product_subgroup_generators(factors)
+    gens = product_subgroup_generators(factors, tg=tg)
     return _finish(f"cube(r={r})", tg.graph, gens, pred.order, False,
                    started, aut)
 
@@ -153,9 +153,9 @@ def verify_product(factors: list[Graph],
     started = time.perf_counter()
     tg = token_graph(product, 2)
     aut = automorphism_group(tg.graph, max_nodes=guard.max_nodes)
-    gens = product_subgroup_generators(factors)
-    base_order = automorphism_group(product, max_nodes=guard.max_nodes).group.order()
-    predicted = (1 << (len(factors) - 1)) * base_order
+    base_group = automorphism_group(product, max_nodes=guard.max_nodes).group
+    gens = product_subgroup_generators(factors, tg=tg, base_group=base_group)
+    predicted = (1 << (len(factors) - 1)) * base_group.order()
     return _finish(f"product({_describe(product)})", tg.graph, gens,
                    predicted, True, started, aut)
 

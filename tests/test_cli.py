@@ -152,6 +152,19 @@ def test_generators_cube_and_product(tmp_path):
     assert payload["swap_families"] == [[0]]
 
 
+def test_generators_factors_searches_the_base_once(monkeypatch):
+    from tokenaut import constructions
+
+    calls = []
+    for module in (cli_module, constructions):
+        def counted(g, *args, _real=module.automorphism_group, **kw):
+            calls.append(g.n)
+            return _real(g, *args, **kw)
+        monkeypatch.setattr(module, "automorphism_group", counted)
+    assert run(["generators", "--factors", "k2+path:3"]) == 0
+    assert calls == [6]
+
+
 def test_generators_mode_exclusivity(capsys):
     assert run(["generators", "--m", "2", "--r", "3"]) == 2
     assert run(["generators", "--m", "2", "--n", "3"]) == 2

@@ -1,7 +1,10 @@
 """Constructed token-graph automorphisms and closed-form order predictions."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 from math import comb, factorial
 
 import pytest
@@ -9,6 +12,7 @@ import pytest
 from tokenaut import (
     BipartiteSpec,
     Permutation,
+    cartesian_product,
     automorphism_group,
     bipartite_family,
     bipartite_generators,
@@ -268,6 +272,34 @@ def test_generators_rejects_bad_k():
         bipartite_generators(2, 3, 5)
 
 
+def test_generators_reuse_a_prebuilt_token_graph():
+    for m, n, k in ((2, 2, 2), (2, 4, 2), (3, 3, 3)):
+        tg = token_graph(complete_bipartite(m, n), k)
+        assert bipartite_generators(m, n, k, tg) == bipartite_generators(m, n, k)
+    with pytest.raises(ValueError):
+        bipartite_generators(2, 4, 2, token_graph(complete_bipartite(2, 4), 3))
+    with pytest.raises(ValueError):
+        bipartite_generators(2, 4, 2, token_graph(complete_bipartite(3, 3), 2))
+
+
+def test_k22_certificate_check_survives_optimize_flag():
+    # Under ``python -O`` an ``assert`` would vanish and a missing
+    # certificate would surface later as a TypeError.
+    code = ("from tokenaut import constructions\n"
+            "constructions.is_isomorphic = lambda g, h: None\n"
+            "try:\n"
+            "    constructions.bipartite_generators(2, 2, 2)\n"
+            "except AssertionError as exc:\n"
+            "    print('refused:', exc)\n")
+    import tokenaut
+    src = os.path.dirname(os.path.dirname(tokenaut.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("refused: K_{2,2} 2-token graph"), out.stdout
+
+
 # -- twisted subset action --------------------------------------------------
 
 
@@ -386,6 +418,22 @@ def test_product_subgroup_input_validation():
     gens = product_subgroup_generators(
         [cycle_graph(4), complete_graph(2)], check_primality=False)
     assert len(gens) == 4
+
+
+def test_product_generators_reuse_prebuilt_artifacts():
+    factors = [complete_graph(2), cycle_graph(5)]
+    product = cartesian_product(factors)
+    tg = token_graph(product, 2)
+    base_group = automorphism_group(product).group
+    fresh = product_subgroup_generators(factors)
+    assert product_subgroup_generators(factors, tg=tg) == fresh
+    assert product_subgroup_generators(
+        factors, tg=tg, base_group=base_group) == fresh
+    with pytest.raises(ValueError):
+        product_subgroup_generators(factors, tg=token_graph(product, 3))
+    with pytest.raises(ValueError):
+        product_subgroup_generators(
+            factors, tg=token_graph(cartesian_product(factors[::-1]), 2))
 
 
 def test_predicted_order_cube_values():

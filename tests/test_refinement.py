@@ -1,5 +1,8 @@
 """Refinement backends: selection rules, parity, and known partitions."""
 
+import random
+from collections import deque
+
 import pytest
 
 from tokenaut import (
@@ -14,6 +17,7 @@ from tokenaut import (
     unrank,
 )
 from tokenaut import refinement
+from tokenaut.graphs import Graph
 from tokenaut.refinement import available_backends, default_backend, make_kernel
 
 HAS_COMPILED = "compiled" in available_backends()
@@ -103,6 +107,117 @@ def test_backends_agree_on_cells_and_traces():
             cc, ct = comp.refine([list(c) for c in cells], active)
             assert [list(c) for c in pc] == [list(c) for c in cc], name
             assert tuple(pt) == tuple(ct), name
+
+
+# -- kernels against the scan-every-cell reference -------------------------
+
+
+def scan_every_cell_refine(n, adj, cells, active):
+    """Reference refinement: every splitter is a bitmask and every cell is
+    scanned against it. This is the algorithm the compiled kernel runs and
+    the one the pure kernel ran before it became neighbour-driven; the pure
+    kernel must return exactly its cells and trace."""
+    cells = [list(c) for c in cells]
+    queue = deque()
+    for i in active:
+        m = 0
+        for v in cells[i]:
+            m |= 1 << v
+        queue.append(m)
+    trace = []
+    while queue:
+        if len(cells) == n:
+            break
+        splitter = queue.popleft()
+        j = 0
+        while j < len(cells):
+            cell = cells[j]
+            if len(cell) > 1:
+                counts = {}
+                for v in cell:
+                    c = (adj[v] & splitter).bit_count()
+                    counts.setdefault(c, []).append(v)
+                if len(counts) > 1:
+                    keys = sorted(counts)
+                    frags = [counts[c] for c in keys]
+                    cells[j:j + 1] = frags
+                    trace.append(j)
+                    trace.append(len(frags))
+                    for c in keys:
+                        trace.append(c)
+                        trace.append(len(counts[c]))
+                    for f in frags:
+                        m = 0
+                        for v in f:
+                            m |= 1 << v
+                        queue.append(m)
+                    j += len(frags) - 1
+            j += 1
+        trace.append(-1)
+    trace.append(-2)
+    for cell in cells:
+        trace.append(len(cell))
+    return cells, tuple(trace)
+
+
+def assert_kernels_match_reference(g, cells, active, label):
+    want = scan_every_cell_refine(g.n, g.adj, cells, active)
+    for backend in available_backends():
+        kernel = make_kernel(g.n, g.adj, backend)
+        got = kernel.refine([list(c) for c in cells], list(active))
+        assert [list(c) for c in got[0]] == want[0], (backend, label)
+        assert tuple(got[1]) == want[1], (backend, label)
+
+
+def random_graph(rng, n, p):
+    adj = [0] * n
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rng.random() < p:
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+    return Graph(n, tuple(adj))
+
+
+def random_ordered_partition(rng, n):
+    """Cells in random order, each with its vertices in random order."""
+    order = list(range(n))
+    rng.shuffle(order)
+    cuts = sorted(rng.sample(range(1, n), rng.randint(0, min(n - 1, 6))))
+    return [order[a:b] for a, b in zip([0] + cuts, cuts + [n])]
+
+
+def test_kernels_match_reference_on_random_inputs():
+    rng = random.Random(4)
+    for trial in range(300):
+        n = rng.randint(1, 40)
+        g = random_graph(rng, n, rng.choice((0.1, 0.3, 0.5, 0.8)))
+        cells = random_ordered_partition(rng, n)
+        active = rng.sample(range(len(cells)), rng.randint(0, len(cells)))
+        assert_kernels_match_reference(g, cells, active, f"trial {trial}")
+
+
+def test_kernels_match_reference_on_individualized_vertices():
+    for name, g in corpus():
+        if not name.startswith("F2"):
+            continue
+        root, _ = scan_every_cell_refine(g.n, g.adj, [list(range(g.n))], [0])
+        for v in range(g.n):
+            rest = [u for u in range(g.n) if u != v]
+            assert_kernels_match_reference(g, [[v], rest], [0, 1], (name, v))
+            # search-shaped: individualize v inside its cell of the root
+            t = next(i for i, c in enumerate(root) if v in c)
+            if len(root[t]) == 1:
+                continue
+            child = (root[:t] + [[v], [u for u in root[t] if u != v]]
+                     + root[t + 1:])
+            assert_kernels_match_reference(g, child, [t, t + 1], (name, v, t))
+
+
+def test_pure_kernel_rejects_empty_cells():
+    g = cycle_graph(4)
+    with pytest.raises(ValueError):
+        make_kernel(g.n, g.adj, "pure").refine([[0, 1, 2, 3], []], [0])
 
 
 # -- refinement results --------------------------------------------------

@@ -1,5 +1,7 @@
 """Verification pipelines: reports, certificates, and scale refusals."""
 
+from collections import Counter
+
 import pytest
 
 from tokenaut import (
@@ -99,3 +101,24 @@ def test_determinism():
     b = verify_bipartite(2, 4, 2)
     assert a.to_dict() | {"wall_time": 0} == b.to_dict() | {"wall_time": 0}
     assert a.node_count == b.node_count
+
+
+def test_pipelines_build_each_artifact_once(monkeypatch):
+    from tokenaut import constructions, verify
+
+    calls = Counter()
+    for module in (verify, constructions):
+        for name in ("token_graph", "automorphism_group"):
+            def counted(*args, _real=getattr(module, name), _name=name, **kw):
+                calls[_name] += 1
+                return _real(*args, **kw)
+            monkeypatch.setattr(module, name, counted)
+    # one token graph; the token-graph search plus one base search
+    verify_product([complete_graph(2), path_graph(3)])
+    assert calls == {"token_graph": 1, "automorphism_group": 2}
+    calls.clear()
+    verify_cube(3)
+    assert calls == {"token_graph": 1, "automorphism_group": 2}
+    calls.clear()
+    verify_bipartite(2, 4, 2)
+    assert calls == {"token_graph": 1, "automorphism_group": 1}
