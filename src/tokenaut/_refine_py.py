@@ -24,8 +24,6 @@ from collections import Counter, deque
 from itertools import chain
 from typing import Sequence
 
-from .graphs import _bits
-
 
 class RefineKernel:
     """Coarsest equitable refinement over per-vertex neighbour tuples.
@@ -50,7 +48,15 @@ class RefineKernel:
 
     def __init__(self, n: int, adj: Sequence[int]):
         self.n = n
-        self.nbrs = tuple(tuple(_bits(row)) for row in adj)
+        nbrs = []
+        for row in adj:
+            out = []
+            while row:
+                low = row & -row
+                out.append(low.bit_length() - 1)
+                row ^= low
+            nbrs.append(tuple(out))
+        self.nbrs = tuple(nbrs)
 
     def refine(self, cells, active):
         n = self.n

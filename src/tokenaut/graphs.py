@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 
@@ -66,6 +67,18 @@ class Graph:
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (u, v) pairs with u < v, lexicographically sorted."""
         return [(u, v) for u in range(self.n) for v in _bits(self.adj[u] >> (u + 1) << (u + 1))]
+
+    @cached_property
+    def _edge_pairs(self) -> tuple[tuple[int, int], ...]:
+        return tuple(self.edges())
+
+    def maps_edges_into(self, images: Sequence[int], target: "Graph") -> bool:
+        """Whether u -> images[u] sends every edge of this graph to an edge
+        of ``target``. For a bijection onto a graph with as many edges this
+        is exactly an isomorphism check. The edge tuple is cached on first
+        use."""
+        adj = target.adj
+        return all(adj[images[u]] >> images[v] & 1 for u, v in self._edge_pairs)
 
     def edge_count(self) -> int:
         return sum(row.bit_count() for row in self.adj) // 2

@@ -1,26 +1,47 @@
-"""Permutations and deterministic Schreier-Sims stabilizer chains.
+"""Permutations, stabilizer chains and exact group orders.
 
 Composition is fixed as (p * q)(i) = p(q(i)): the right factor acts
 first, matching ordinary function composition. All group orders are exact
-Python integers. The chain construction is deterministic (no randomized
-filtering): base points are the first moved points of the residues that
-create each level, and two runs on the same generator list produce the
-same base, the same order, and the same membership verdicts.
+Python integers, and every routine here is deterministic: two runs on the
+same input produce the same base, the same order, and the same membership
+verdicts.
 
-The chain is the deterministic incremental Schreier-Sims algorithm (Seress,
-*Permutation Group Algorithms*, 2003, section 4.2) run on raw image tuples.
-Each level stores only its inverse transversal, u_x^-1 for every orbit
-point x, which is exactly what sifting multiplies by, so sifting never
-inverts; a level whose base point the element already fixes is skipped.
-Orbits are extended in place as generators arrive, and every (orbit point,
-strong generator) pair of a level is handled exactly once: it either finds
-a new orbit point or its Schreier generator is sifted through the deeper
-levels. That is enough because transversals only grow, so a Schreier
-generator that sifted once keeps sifting.
+A chain is a base b_0, b_1, ... with one level per base point. Level i
+holds strong generators that fix b_0..b_{i-1}, the orbit of b_i under them
+and, for every orbit point x, the inverse u_x^-1 of a transversal element
+with u_x(b_i) = x, which is exactly what sifting multiplies by, so sifting
+never inverts; a level whose base point the element already fixes is
+skipped. The order is the product of the orbit lengths. Chains come from
+three constructions:
+
+* ``PermGroup(degree, generators)`` is the deterministic incremental
+  Schreier-Sims algorithm (Seress, *Permutation Group Algorithms*, 2003,
+  section 4.2) run on raw image tuples. Base points are the first moved
+  points of the residues that open each level. Orbits are extended in
+  place as generators arrive, and every (orbit point, strong generator)
+  pair of a level is handled exactly once: it either finds a new orbit
+  point or its Schreier generator is sifted through the deeper levels.
+  That is enough because transversals only grow, so a Schreier generator
+  that sifted once keeps sifting.
+* ``PermGroup.from_strong_generators(degree, base, generators)`` trusts
+  its caller that the generators are a strong generating set relative to
+  the base, as the certified generators of an individualization-refinement
+  search are relative to its first-leaf path. It only enumerates orbits and
+  sifts nothing.
+* ``bounded_order(generators, bound)`` returns the order of a group whose
+  order is known to be at most ``bound``. It sifts seeded random elements
+  into a chain and stops as soon as the orbit-length product, a lower
+  bound on the order, reaches ``bound`` (Seress 2003, section 4.3). If the
+  group turns out smaller, it falls back to the full Schreier-Sims chain.
+
+In every chain each level's generators lie in the pointwise stabilizer of
+the earlier base points, so each orbit is contained in the true basic
+orbit and the orbit-length product never exceeds the group's order.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
@@ -161,9 +182,10 @@ class _Level:
     generator for the life of the chain. ``orbit`` lists the orbit
     of b in discovery order and ``inv[x]`` is the image tuple of u_x^-1,
     where u_x(b) = x. Only these inverse transversal elements are stored.
-    ``done[p]`` counts the generators already paired with ``orbit[p]``:
-    each pair (x, g) either found the new orbit point g(x) or had its
-    Schreier generator u_{g(x)}^-1 g u_x sifted through the deeper levels.
+    ``done[p]`` counts the generators already paired with ``orbit[p]``.
+    In a Schreier-Sims chain each pair (x, g) either found the new orbit
+    point g(x) or had its Schreier generator u_{g(x)}^-1 g u_x sifted
+    through the deeper levels; ``close_orbit`` only looks for new points.
     """
 
     __slots__ = ("point", "gens", "orbit", "inv", "done")
@@ -175,23 +197,84 @@ class _Level:
         self.inv = {point: identity}
         self.done = [0]
 
+    def close_orbit(self) -> None:
+        """Extend the orbit by every unprocessed (point, generator) pair
+        until it is closed under ``gens``; no Schreier generator is formed."""
+        orbit, inv, done, gens = self.orbit, self.inv, self.done, self.gens
+        for p, x in enumerate(orbit):  # the orbit grows while it is walked
+            if done[p] == len(gens):
+                continue
+            ux = None
+            for g in gens[done[p]:]:
+                y = g[x]
+                if y not in inv:
+                    if ux is None:
+                        ux = _invert(inv[x])
+                    inv[y] = _invert(tuple([g[j] for j in ux]))  # u_y = g u_x
+                    orbit.append(y)
+                    done.append(0)
+            done[p] = len(gens)
+
+
+def _distinct(degree: int, generators: Iterable[Permutation]) -> tuple[Permutation, ...]:
+    """The non-identity generators, each once, in first-seen order."""
+    gens = []
+    for g in generators:
+        if g.degree != degree:
+            raise ValueError(f"generator degree {g.degree} != group degree {degree}")
+        if not g.is_identity() and g not in gens:
+            gens.append(g)
+    return tuple(gens)
+
 
 class PermGroup:
-    """Permutation group with a deterministic Schreier-Sims chain."""
+    """Permutation group with a stabilizer chain.
+
+    The constructor builds the chain by deterministic Schreier-Sims;
+    ``from_strong_generators`` builds it from a known base and strong
+    generating set without sifting.
+    """
 
     def __init__(self, degree: int, generators: Iterable[Permutation] = ()):
         self.degree = degree
-        gens = []
-        for g in generators:
-            if g.degree != degree:
-                raise ValueError(f"generator degree {g.degree} != group degree {degree}")
-            if not g.is_identity() and g not in gens:
-                gens.append(g)
-        self.generators: tuple[Permutation, ...] = tuple(gens)
+        self.generators: tuple[Permutation, ...] = _distinct(degree, generators)
         self._levels: list[_Level] = []
         self._identity = _id_images(degree)
         for g in self.generators:
             self._add(g.images)
+
+    @classmethod
+    def from_strong_generators(cls, degree: int, base: Sequence[int],
+                               generators: Iterable[Permutation]) -> "PermGroup":
+        """Chain for ``generators``, which the caller guarantees to be a
+        strong generating set relative to ``base``: for every i, the
+        generators that fix b_0..b_{i-1} generate the pointwise stabilizer
+        of those points in the group they generate.
+
+        Each generator joins levels 0..i, where b_i is the first base point
+        it moves, and each level's orbit is enumerated under its generators;
+        nothing is sifted. Levels whose orbit is trivial are dropped, so the
+        reported base is ``base`` without the points every generator fixes.
+        The order is the product of the orbit lengths. If the guarantee
+        fails, that product is still a lower bound on the order of the
+        group the generators generate, but membership tests may be wrong.
+        """
+        if len(set(base)) != len(base) or any(not 0 <= b < degree for b in base):
+            raise ValueError("base points must be distinct points of 0..degree-1")
+        group = cls(degree)
+        group.generators = _distinct(degree, generators)
+        levels = [_Level(b, group._identity) for b in base]
+        for g in group.generators:
+            images = g.images
+            i = next((i for i, b in enumerate(base) if images[b] != b), None)
+            if i is None:
+                raise ValueError("a nontrivial generator fixes every base point")
+            for lv in levels[:i + 1]:
+                lv.gens.append(images)
+        for lv in levels:
+            lv.close_orbit()
+        group._levels = [lv for lv in levels if len(lv.orbit) > 1]
+        return group
 
     # -- chain construction -----------------------------------------
 
@@ -332,14 +415,100 @@ class PermGroup:
         return f"<PermGroup degree={self.degree} order={self.order()}>"
 
 
-def schreier_sims(generators: Iterable[Permutation], degree: int | None = None) -> PermGroup:
-    """Group generated by ``generators`` with a verified stabilizer chain."""
-    gens = list(generators)
+def _degree_of(gens: list[Permutation], degree: int | None) -> int:
     if degree is None:
         if not gens:
             raise ValueError("degree required for an empty generator list")
         degree = gens[0].degree
-    return PermGroup(degree, gens)
+    return degree
+
+
+def schreier_sims(generators: Iterable[Permutation], degree: int | None = None) -> PermGroup:
+    """Group generated by ``generators`` with a verified stabilizer chain."""
+    gens = list(generators)
+    return PermGroup(_degree_of(gens, degree), gens)
+
+
+# bounded_order's random elements: the seed of their generator, the least
+# number of slots of the product-replacement state (there is one slot per
+# generator when there are more), the warm-up steps per _SLOTS slots before
+# the first element is used, and the run of consecutive random elements
+# sifting to the identity after which the order is taken from the full
+# chain. A uniformly random element sifts through an incomplete chain with
+# probability at most 1/2, so a stall on a group of order ``bound`` is rare,
+# and it costs only time. The warm-up grows with the slots because a slot
+# holding the only generator outside a large normal subgroup, as the Y-lifts
+# are beside the side swaps of F_5(K_{2,10}), needs that long to spread:
+# with a fixed 50 steps, 30 elements in a row sifted to the identity there.
+_RANDOM_SEED = 2003
+_SLOTS = 10
+_WARMUP = 50
+_STALL_SIFTS = 30
+
+
+def bounded_order(generators: Iterable[Permutation], bound: int,
+                  degree: int | None = None) -> int:
+    """Exact order of the group generated by ``generators``, given an upper
+    bound on it, such as the order of a group that contains them.
+
+    Seeded product-replacement random elements are sifted into a chain.
+    The generators themselves are sifted first. Each nontrivial residue
+    becomes a strong generator of the levels it passed, whose orbits are
+    then closed by enumeration. Every level's generators fix the earlier
+    base points, so the orbit-length product is a lower bound on the
+    order, and the routine returns ``bound`` as soon as the product
+    reaches it. After ``_STALL_SIFTS`` consecutive random elements sift to
+    the identity, it returns the order of the full Schreier-Sims chain
+    instead, so a group smaller than ``bound`` still gets its exact order.
+    Raises ValueError when the product passes ``bound``, which is then not
+    an upper bound.
+    """
+    gens = list(generators)
+    degree = _degree_of(gens, degree)
+    if bound < 1:
+        raise ValueError(f"bound must be a positive order, got {bound}")
+    group = PermGroup(degree)
+    group.generators = _distinct(degree, gens)
+    ident = group._identity
+
+    def grows(images: tuple[int, ...]) -> bool:
+        """Sift; insert a nontrivial residue and close the orbits it joins."""
+        residue, j = group._sift(images)
+        if residue == ident:
+            return False
+        group._insert(residue, j)
+        for lv in group._levels[:j + 1]:
+            lv.close_orbit()
+        if group.order() > bound:
+            raise ValueError(f"bound {bound} is below the group order")
+        return True
+
+    for g in group.generators:
+        grows(g.images)
+    if group.order() == bound:
+        return bound
+    rng = random.Random(_RANDOM_SEED)
+    slots = [g.images for g in group.generators] or [ident]
+    slots = (slots * _SLOTS)[:max(_SLOTS, len(slots))]
+    acc = ident
+
+    def random_element() -> tuple[int, ...]:
+        """One product-replacement step with an accumulator."""
+        nonlocal acc
+        i, j = rng.sample(range(len(slots)), 2)
+        a, b = (slots[i], slots[j]) if rng.random() < 0.5 else (slots[j], slots[i])
+        slots[i] = tuple([a[x] for x in b])
+        acc = tuple([acc[x] for x in slots[i]])
+        return acc
+
+    for _ in range(_WARMUP * len(slots) // _SLOTS):
+        random_element()
+    stall = 0
+    while group.order() < bound:
+        if stall == _STALL_SIFTS:
+            return schreier_sims(group.generators, degree).order()
+        stall = 0 if grows(random_element()) else stall + 1
+    return bound
 
 
 def is_subgroup(h: PermGroup, g: PermGroup) -> bool:

@@ -1,5 +1,6 @@
 """Command-line interface: grammar, subcommands, reports, exit codes."""
 
+import hashlib
 import json
 import os
 
@@ -109,6 +110,43 @@ def test_aut_reports_group(tmp_path, capsys):
     assert payload["node_count"] >= 1
     for text in payload["generators"]:
         assert permutation_from_str(text).degree == 10
+
+
+# Every field of these aut reports except base and wall_time, as the
+# Schreier-Sims chain gave them: (order, node_count, generator count, the
+# first 16 hex digits of the sha256 of the newline-joined generators).
+AUT_REPORTS = {
+    ("kmn:2,3", 2): ("48", 21, 5, "12215c1cbbcf0dfb"),
+    ("kmn:2,5", 3): ("122880", 120, 14, "932731c8dd245f02"),
+    ("cube:3", 2): ("192", 28, 6, "57b5d1a06276f5f1"),
+    ("cycle:7", 2): ("14", 6, 2, "de314a98d17023ec"),
+    ("path:5", 2): ("2", 3, 1, "0ee1cbda48adf970"),
+}
+
+
+def test_aut_reports_match_the_schreier_sims_chain(tmp_path):
+    # Taking the chain from the search may move the reported base; nothing
+    # else in the report changes.
+    el = tmp_path / "g.el"
+    report = tmp_path / "g.json"
+    for (spec, k), (order, nodes, count, digest) in AUT_REPORTS.items():
+        assert run(["build", "--graph", spec, "--k", str(k), "--out", str(el)]) == 0
+        assert run(["aut", "--in", str(el), "--report", str(report)]) == 0
+        payload = json.loads(report.read_text())
+        assert sorted(payload) == ["base", "degree", "generators", "instance",
+                                   "node_count", "order", "tool", "version",
+                                   "wall_time"], spec
+        gens = [permutation_from_str(t) for t in payload["generators"]]
+        assert (payload["order"], payload["node_count"], len(gens)) == \
+            (order, nodes, count), spec
+        text = "\n".join(payload["generators"]).encode()
+        assert hashlib.sha256(text).hexdigest()[:16] == digest, spec
+        assert payload["instance"] == "g.el"
+        assert payload["degree"] == gens[0].degree
+        base = payload["base"]
+        assert len(set(base)) == len(base)
+        assert all(0 <= b < payload["degree"] for b in base)
+        assert any(p(b) != b for p in gens for b in base)
 
 
 def test_aut_missing_file(capsys):
@@ -229,6 +267,37 @@ def test_verify_single_report_not_indexed(tmp_path):
     rc = run(["verify", "cube", "--r", "3", "--report", str(report)])
     assert rc == 0
     assert json.loads(report.read_text())["computed_order"] == "192"
+
+
+# verify reports as the two Schreier-Sims chains gave them, minus
+# wall_time, tool and version. K2 x K2 is a product whose certified
+# subgroup (16) is smaller than the computed group (48).
+VERIFY_REPORTS = [
+    (["bipartite", "--m", "2", "--n", "5", "--k", "3"],
+     ("bipartite(m=2,n=5,k=3)", "122880", "122880", True, True, True, None, 120)),
+    (["bipartite", "--m", "3", "--n", "3", "--k", "3"],
+     ("bipartite(m=3,n=3,k=3)", "144", "144", True, True, True, None, 17)),
+    (["bipartite", "--m", "2", "--n", "2", "--k", "2"],
+     ("bipartite(m=2,n=2,k=2)", "48", "48", True, True, True, None, 15)),
+    (["cube", "--r", "3"],
+     ("cube(r=3)", "192", "192", True, True, True, None, 28)),
+    (["product", "--factors", "k2+k2"],
+     ("product(K2 x K2)", "48", "16", True, True, False, False, 15)),
+    (["product", "--factors", "k2+path:3"],
+     ("product(K2 x P3)", "8", "8", True, True, True, True, 10)),
+]
+
+
+def test_verify_reports_are_pinned(tmp_path):
+    report = tmp_path / "v.json"
+    fields = ("instance", "computed_order", "predicted_order",
+              "generators_certified", "subgroup_certified", "equality",
+              "conjecture_flag", "node_count")
+    for argv, want in VERIFY_REPORTS:
+        assert run(["verify"] + argv + ["--report", str(report)]) == 0
+        payload = json.loads(report.read_text())
+        assert sorted(payload) == sorted(fields + ("wall_time", "tool", "version"))
+        assert tuple(payload[f] for f in fields) == want, argv
 
 
 def test_verify_product_records_conjecture(capsys):

@@ -8,6 +8,7 @@ import pytest
 
 from tokenaut import (
     PermGroup,
+    bounded_order,
     Permutation,
     automorphism_group,
     bipartite_generators,
@@ -245,3 +246,88 @@ def test_chain_orders_match_sympy():
         oracle = combinatorics.PermutationGroup(
             [combinatorics.Permutation(list(p.images)) for p in gens])
         assert schreier_sims(gens).order() == oracle.order()
+
+
+def proper_subgroups(n):
+    """Generator sets of proper subgroups of S_n: A_n, the dihedral group,
+    the cyclic group and an intransitive S_{n-1}."""
+    cycle = Permutation.from_cycles(n, [tuple(range(n))])
+    return [
+        [Permutation.from_cycles(n, [(0, 1, 2)]),
+         Permutation.from_cycles(n, [tuple(range(n - (n % 2 == 0)))])],
+        [cycle, Permutation(tuple((-i) % n for i in range(n)))],
+        [cycle],
+        [Permutation.from_cycles(n, [(0, 1)]),
+         Permutation.from_cycles(n, [tuple(range(n - 1))])],
+    ]
+
+
+def test_bounded_order_meets_its_bound():
+    rng = random.Random(3301)
+    for _ in range(200):
+        n = rng.randint(2, 7)
+        gens = random_generators(rng, n)
+        order = len(closure(gens, n))
+        assert bounded_order(gens, order) == order, gens
+    for r in (3, 4):
+        gens = product_subgroup_generators([complete_graph(2)] * r)
+        order = schreier_sims(gens).order()
+        assert bounded_order(gens, order) == order
+
+
+def test_bounded_order_falls_back_below_the_bound():
+    # A group smaller than its bound never reaches it; the full chain then
+    # gives the exact order.
+    for n in range(4, 9):
+        for gens in proper_subgroups(n):
+            want = schreier_sims(gens).order()
+            assert want < factorial(n)
+            assert bounded_order(gens, factorial(n)) == want, (n, gens)
+    rng = random.Random(3302)
+    for _ in range(100):
+        n = rng.randint(2, 7)
+        gens = random_generators(rng, n)
+        assert bounded_order(gens, factorial(n)) == len(closure(gens, n)), gens
+    assert bounded_order([], 6, degree=3) == 1
+
+
+def test_bounded_order_is_deterministic():
+    gens = bipartite_generators(2, 6, 3)
+    order = schreier_sims(gens).order()
+    for bound in (order, 2 * order):
+        assert bounded_order(gens, bound) == bounded_order(gens, bound) == order
+
+
+def test_bounded_order_rejects_bad_bounds():
+    gens = [Permutation.from_cycles(5, [(0, 1)]),
+            Permutation.from_cycles(5, [tuple(range(5))])]
+    with pytest.raises(ValueError):
+        bounded_order(gens, 60)  # |S_5| = 120
+    with pytest.raises(ValueError):
+        bounded_order(gens, 0)
+    with pytest.raises(ValueError):
+        bounded_order([], 1)
+
+
+def test_chain_from_strong_generators():
+    # S_4 with base (0, 1, 2): (0 1 2 3) and (0 1) generate it, (1 2 3)
+    # and (1 2) its stabilizer of 0, and (2 3) that of 0 and 1.
+    gens = [Permutation.from_cycles(4, [(0, 1, 2, 3)]),
+            Permutation.from_cycles(4, [(0, 1)]),
+            Permutation.from_cycles(4, [(1, 2, 3)]),
+            Permutation.from_cycles(4, [(1, 2)]),
+            Permutation.from_cycles(4, [(2, 3)])]
+    group = PermGroup.from_strong_generators(4, (0, 1, 2, 3), gens)
+    assert group.order() == 24
+    assert group.base == (0, 1, 2)  # the trivial level of 3 is dropped
+    assert group.generators == tuple(gens)
+    for p in permutations(range(4)):
+        assert group.contains(Permutation(p))
+    cyclic = PermGroup.from_strong_generators(4, (3, 0), gens[:1])
+    assert cyclic.order() == 4 and cyclic.base == (3,)
+    assert not cyclic.contains(gens[1])
+    assert PermGroup.from_strong_generators(4, (), []).order() == 1
+    with pytest.raises(ValueError):
+        PermGroup.from_strong_generators(4, (0,), gens[4:])  # (2 3) fixes 0
+    with pytest.raises(ValueError):
+        PermGroup.from_strong_generators(4, (0, 0), gens[:1])

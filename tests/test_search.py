@@ -18,6 +18,7 @@ from tokenaut import (
     is_automorphism,
     is_isomorphic,
     path_graph,
+    schreier_sims,
     star_graph,
     token_graph,
 )
@@ -66,6 +67,25 @@ def fixtures():
     return out
 
 
+def random_graph(rng, n):
+    p = rng.choice((0.2, 0.35, 0.5, 0.65, 0.8))
+    return graph_from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                                if rng.random() < p])
+
+
+def oracle_cases():
+    """The search corpus plus seeded random graphs on at most 9 vertices,
+    and disjoint unions that give deep chains with many generators."""
+    rng = random.Random(606)
+    cases = list(fixtures())
+    cases += [(f"random{i}", random_graph(rng, rng.randint(3, 9))) for i in range(150)]
+    cases += [("C4+C4", graph_from_edges(8, [(i, (i + 1) % 4) for i in range(4)]
+                                         + [(4 + i, 4 + (i + 1) % 4) for i in range(4)])),
+              ("3K2+K1", graph_from_edges(7, [(0, 1), (2, 3), (4, 5)])),
+              ("empty6", graph_from_edges(6, []))]
+    return cases
+
+
 def shuffled_copy(g, rng):
     images = list(range(g.n))
     rng.shuffle(images)
@@ -73,13 +93,17 @@ def shuffled_copy(g, rng):
 
 
 def test_order_matches_brute_oracle():
-    for name, g in fixtures():
-        brute = count_automorphisms_brute(g)
+    # The order comes from the search's first-leaf path and generators
+    # without any sifting; check it against two independent routes.
+    for name, g in oracle_cases():
         res = automorphism_group(g)
-        assert res.group.order() == brute, name
+        group = res.group
+        assert group.order() == count_automorphisms_brute(g), name
+        assert group.order() == schreier_sims(group.generators, degree=g.n).order(), name
         assert res.node_count >= 1
-        for p in res.group.generators:
+        for p in group.generators:
             assert is_automorphism(g, p), name
+            assert group.contains(p), name
 
 
 def test_order_is_relabeling_invariant():
@@ -173,11 +197,23 @@ def test_determinism():
 
 
 def test_reported_base_is_pinned():
-    # The aut report emits the chain base, so a chain change that moves
-    # the base changes the report.
+    # The aut report emits the chain base, which is the search's first-leaf
+    # path without the points every generator fixes, so a search change
+    # that moves the first path changes the report.
     q4 = automorphism_group(token_graph(hypercube(4), 2).graph).group
-    assert q4.base == (0, 1, 6, 2, 7, 29)
+    assert q4.base == (35, 59, 80, 42, 46, 67, 28, 0)
     assert q4.order() == 3072
     k25 = automorphism_group(token_graph(complete_bipartite(2, 5), 3).graph).group
-    assert k25.base == (2, 5, 13, 16, 23, 26, 11, 7, 30, 21)
+    assert k25.base == (0, 19, 21, 9, 30, 7, 11, 15, 26, 23, 16, 13, 5, 2)
     assert k25.order() == 122880
+
+
+def test_search_chain_rejects_non_members():
+    rng = random.Random(77)
+    for name, g in fixtures():
+        group = automorphism_group(g).group
+        for _ in range(20):
+            images = list(range(g.n))
+            rng.shuffle(images)
+            p = Permutation(tuple(images))
+            assert group.contains(p) == is_automorphism(g, p), name
