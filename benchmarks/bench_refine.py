@@ -1,14 +1,12 @@
 #!/usr/bin/env python3
-"""Compare the compiled and pure refinement kernels.
+"""Time the equitable refinement kernel and the searches built on it.
 
-Two kinds of cases: raw kernel calls (equitable refinement only, where the
-backends differ most) and end-to-end automorphism searches (where chain
-building and certification dilute the kernel's share). The kernel calls
-cover a unit partition, a long cycle and a search-shaped call: one vertex
-individualized in the root partition, so that the splitters are small.
-The reported figure is the best of --repeat runs. If the compiled
-extension is not built, only the pure rows appear; install with
-`pip install -e . --no-build-isolation` to build it.
+Two kinds of cases: raw kernel calls, and end-to-end automorphism
+searches, where chain building and certification dilute the kernel's
+share. The kernel calls cover a unit partition, a long cycle and a
+search-shaped call: one vertex individualized in the root partition, so
+that the splitters are small. Each figure is the best of --repeat runs
+and counts the kernel's construction.
 """
 
 import argparse
@@ -16,7 +14,7 @@ import time
 
 from tokenaut import (automorphism_group, cycle_graph, hypercube, refine,
                       token_graph)
-from tokenaut.refinement import available_backends, make_kernel
+from tokenaut.refinement import make_kernel
 
 
 def timed(fn, repeat):
@@ -33,9 +31,8 @@ def timed(fn, repeat):
 def kernel_case(g, cells, active=None):
     active = list(range(len(cells))) if active is None else active
 
-    def run(backend):
-        kernel = make_kernel(g.n, g.adj, backend)
-        kernel.refine([list(c) for c in cells], active)
+    def run():
+        make_kernel(g.n, g.adj).refine([list(c) for c in cells], active)
     return run
 
 
@@ -51,7 +48,7 @@ def individualized_case(g):
 
 
 def search_case(g):
-    return lambda backend: automorphism_group(g, backend=backend)
+    return lambda: automorphism_group(g)
 
 
 def build_cases():
@@ -74,29 +71,19 @@ def build_cases():
 
 def main() -> int:
     parser = argparse.ArgumentParser(
-        description="benchmark the refinement backends")
+        description="benchmark the equitable refinement kernel")
     parser.add_argument("--repeat", type=int, default=5,
                         help="runs per case; the minimum is reported")
     parser.add_argument("--skip-large", action="store_true",
                         help="skip the 496-vertex search case")
     args = parser.parse_args()
 
-    backends = available_backends()
-    print(f"backends available: {', '.join(backends)}")
     cases = build_cases()
     if args.skip_large:
         cases = [c for c in cases if "496 vertices, refinement-heavy" not in c[0]]
     width = max(len(name) for name, _ in cases)
     for name, run in cases:
-        times = {}
-        for backend in backends:
-            times[backend] = timed(lambda b=backend: run(b), args.repeat)
-        row = f"{name:<{width}}"
-        for backend in backends:
-            row += f"  {backend} {times[backend] * 1000:9.2f} ms"
-        if "compiled" in times and "pure" in times:
-            row += f"  speedup x{times['pure'] / times['compiled']:.1f}"
-        print(row)
+        print(f"{name:<{width}}  {timed(run, args.repeat) * 1000:9.2f} ms")
     return 0
 
 

@@ -11,7 +11,7 @@ reports.
 
 __version__ = "0.1.0"
 
-from .errors import ScaleGuardExceeded, TokenautError
+from .errors import CertificationError, ScaleGuardExceeded, TokenautError
 from .graphs import (BipartiteSpec, Graph, cartesian_product,
                      complete_bipartite, complete_graph, cycle_graph,
                      distance_matrix, format_edge_list, graph_from_edges,
@@ -39,7 +39,7 @@ from .verify import (DEFAULT_GUARD, ScaleGuard, VerificationReport,
 
 __all__ = [
     "__version__",
-    "TokenautError", "ScaleGuardExceeded",
+    "TokenautError", "ScaleGuardExceeded", "CertificationError",
     "Graph", "BipartiteSpec", "graph_from_edges", "complete_graph",
     "complete_bipartite", "path_graph", "cycle_graph", "star_graph",
     "cartesian_product", "hypercube", "distance_matrix",

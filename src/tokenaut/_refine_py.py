@@ -1,19 +1,22 @@
 """Pure-Python equitable refinement kernel.
 
-Mirrors tokenaut._refinecore exactly: for identical inputs both backends
-must return identical cells and identical traces. Any change to these
-semantics must be made in the compiled kernel as well; the test suite
-compares both with a scan-every-cell reference.
+The kernel is neighbour-driven (McKay & Piperno, "Practical graph
+isomorphism II", 2014): it counts neighbours by walking the splitter's
+adjacency lists, so the work per splitter is proportional to the
+splitter's degree sum plus the size of each cell that actually splits. A
+cell that no splitter vertex touches, or whose vertices were all touched
+equally often, has uniform counts and is skipped without being scanned.
+A singleton splitter, the common case in the search, only needs to know
+how many of its neighbours fall in each cell.
 
-The compiled kernel scans every cell against a bitmask splitter. This one
-is neighbour-driven (McKay & Piperno, "Practical graph isomorphism II",
-2014): it counts neighbours by walking the splitter's adjacency lists, so
-the work per splitter is proportional to the splitter's degree sum plus
-the size of each cell that actually splits. A cell that no splitter vertex
-touches, or whose vertices were all touched equally often, has uniform
-counts and is skipped without being scanned. That suits the search, whose
-splitters are mostly small; a splitter holding most of the graph, as in
-the first rounds from the unit partition, costs more than a scan would.
+Splitters are queued by Hopcroft's rule, as in nauty and Traces: of the
+fragments of a split cell, every one but the first largest is queued,
+unless the cell itself is still queued, in which case its queue entry
+covers the first fragment and the others are queued beside it. Stability
+against a cell and against all but one of its fragments implies stability
+against the remaining fragment, so skipping it loses no split. That
+argument needs the partition to be stable against every cell that is not
+queued, which is the caller's side of the contract stated on ``refine``.
 Building the kernel costs one pass over every adjacency row.
 """
 
@@ -29,19 +32,25 @@ class RefineKernel:
     """Coarsest equitable refinement over per-vertex neighbour tuples.
 
     refine(cells, active) splits cells by neighbour counts against a queue
-    of splitter cells (seeded from ``active``) until stable. Fragments of a
-    split cell replace it in place, ordered by ascending count and keeping
-    the cell's vertex order, and every fragment is queued as a future
-    splitter; splitting against a stale splitter snapshot is harmless
-    because count uniformity against each fragment implies uniformity
-    against their union. Cells must be non-empty.
+    of splitter cells, seeded from ``active``, until the queue drains. The
+    input partition must already be equitable with respect to every cell
+    not in ``active``; otherwise the result may not be equitable. The
+    search meets this by activating both halves of the cell it
+    individualizes in an equitable partition, and ``refine()`` activates
+    every cell. Cells must be non-empty.
+
+    Fragments of a split cell replace it in place, ordered by ascending
+    count and keeping the cell's vertex order. The queue holds cell start
+    positions: a queued start names whatever cell begins there when it is
+    popped, which is how a queued cell that splits keeps its first
+    fragment queued.
 
     Returns (cells, trace). The trace records each split event as
     (cell index, fragment count, then (count, size) per fragment), in
-    ascending cell order within one splitter, a -1 marker after each
-    drained splitter, then -2 and the final cell sizes. Traces are
-    equivariant: relabeling the graph and the input cells by a permutation
-    yields the identical trace.
+    ascending cell order within one splitter, and a -1 marker after each
+    drained splitter. Given the input cell sizes the events determine the
+    output cell sizes. Traces are equivariant: relabeling the graph and
+    the input cells by a permutation yields the identical trace.
     """
 
     backend = "pure"
@@ -60,7 +69,8 @@ class RefineKernel:
 
     def refine(self, cells, active):
         n = self.n
-        neighbours = self.nbrs.__getitem__
+        nbrs = self.nbrs
+        neighbours = nbrs.__getitem__
         cells = [list(c) for c in cells]
         # Cells are addressed by their start position in the concatenated
         # partition: ``starts`` is sorted, so a cell's index is its rank.
@@ -76,43 +86,55 @@ class RefineKernel:
             for v in cell:
                 start_of[v] = pos
             pos += len(cell)
-        # Fragments are never mutated after they are made, so the queue can
-        # hold the vertex lists themselves as splitter snapshots.
-        queue = deque(cells[i] for i in active)
+        cell_of = start_of.__getitem__
+        queue = deque(starts[i] for i in active)
+        pending = set(queue)
         trace = []
-        while queue:
-            if len(starts) == n:
-                break
-            count = Counter(chain.from_iterable(map(neighbours, queue.popleft())))
-            hits = Counter(zip(map(start_of.__getitem__, count), count.values()))
-            # A (cell, count) pair short of the whole cell means the cell
-            # holds a second count, if only 0 for untouched vertices, and
-            # splits; a cell touched uniformly or not at all never gets here.
-            split = {s for (s, _), k in hits.items() if k != len(cell_at[s])}
-            for s in sorted(split):
+        while queue and len(starts) < n:
+            s = queue.popleft()
+            pending.discard(s)
+            splitter = cell_at[s]
+            if len(splitter) == 1:
+                # Every neighbour is hit once, so a cell splits exactly
+                # when it holds some but not all of them.
+                count = dict.fromkeys(nbrs[splitter[0]], 1)
+                hits = Counter(map(cell_of, count))
+                split = [t for t, k in hits.items() if k != len(cell_at[t])]
+            else:
+                count = Counter(chain.from_iterable(map(neighbours, splitter)))
+                hits = Counter(zip(map(cell_of, count), count.values()))
+                # A (cell, count) pair short of the whole cell means the
+                # cell holds a second count, if only 0 for untouched
+                # vertices, and splits.
+                split = {t for (t, _), k in hits.items() if k != len(cell_at[t])}
+            for t in sorted(split):
                 groups: dict[int, list[int]] = {}
-                for v in cell_at[s]:
+                for v in cell_at[t]:
                     groups.setdefault(count.get(v, 0), []).append(v)
                 keys = sorted(groups)
-                j = bisect_left(starts, s)
+                if t in pending:
+                    skip = 0
+                else:
+                    sizes = [len(groups[c]) for c in keys]
+                    skip = sizes.index(max(sizes))
+                j = bisect_left(starts, t)
                 trace.append(j)
                 trace.append(len(keys))
                 new_starts = []
-                t = s
-                for c in keys:
+                u = t
+                for i, c in enumerate(keys):
                     frag = groups[c]
                     trace.append(c)
                     trace.append(len(frag))
-                    cell_at[t] = frag
-                    if t != s:
-                        new_starts.append(t)
+                    cell_at[u] = frag
+                    if u != t:
+                        new_starts.append(u)
                         for v in frag:
-                            start_of[v] = t
-                    queue.append(frag)
-                    t += len(frag)
+                            start_of[v] = u
+                    if i != skip:
+                        queue.append(u)
+                        pending.add(u)
+                    u += len(frag)
                 starts[j + 1:j + 1] = new_starts
             trace.append(-1)
-        trace.append(-2)
-        cells = [cell_at[s] for s in starts]
-        trace.extend(map(len, cells))
-        return cells, tuple(trace)
+        return [cell_at[s] for s in starts], tuple(trace)

@@ -28,7 +28,7 @@ from . import subsets
 from .constructions import (predicted_order, predicted_order_cube,
                             bipartite_generators, product_subgroup_generators,
                             singleton_swap_families)
-from .errors import ScaleGuardExceeded
+from .errors import CertificationError, ScaleGuardExceeded
 from .factorization import prime_factor_decomposition
 from .graphs import (BipartiteSpec, Graph, cartesian_product,
                      complete_bipartite, complete_graph, cycle_graph,
@@ -425,6 +425,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ScaleGuardExceeded as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 3
+    except CertificationError as exc:
+        print(f"failed: {exc}", file=sys.stderr)
+        return 4
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -22,6 +22,7 @@ from math import comb, factorial
 from typing import Iterable, Sequence
 
 from . import subsets
+from .errors import CertificationError
 from .graphs import (BipartiteSpec, Graph, cartesian_product,
                      complete_bipartite, mixed_radix_decode,
                      mixed_radix_encode)
@@ -169,7 +170,7 @@ def _token_graph_of(base: Graph, k: int, tg: TokenGraph | None) -> TokenGraph:
 def _certify(gens: Sequence[Permutation], g: Graph, what: str) -> None:
     for p in gens:
         if not is_automorphism(g, p):
-            raise AssertionError(f"constructed {what} failed the edge check")
+            raise CertificationError(f"constructed {what} failed the edge check")
 
 
 def singleton_swap_families(spec: BipartiteSpec, k: int) -> list[SwapFamily]:

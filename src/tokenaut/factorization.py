@@ -70,18 +70,19 @@ def _mask_vertices(mask: int) -> list[int]:
     return out
 
 
-def _reach(adj: tuple[int, ...], mask: int, blocked: int) -> int:
-    """Closure of mask under adjacency, never entering blocked vertices."""
-    seen = mask
-    frontier = mask
-    while frontier:
+def _reaches(adj: tuple[int, ...], seen: int, frontier: int, blocked: int,
+             size: int) -> bool:
+    """Whether growing seen through adjacency from its frontier, never
+    entering blocked vertices, reaches at least size vertices."""
+    while seen.bit_count() < size:
+        if not frontier:
+            return False
         nxt = 0
         for v in _mask_vertices(frontier):
             nxt |= adj[v]
-        nxt &= ~seen & ~blocked
-        seen |= nxt
-        frontier = nxt
-    return seen
+        frontier = nxt & ~seen & ~blocked
+        seen |= frontier
+    return True
 
 
 def _layer_masks(g: Graph, base: int, blocked: int, size: int) -> list[int]:
@@ -89,36 +90,40 @@ def _layer_masks(g: Graph, base: int, blocked: int, size: int) -> list[int]:
     all of base and none of blocked, each produced once.
 
     Include/exclude branching on the lowest frontier vertex visits every
-    such subgraph along a unique decision path.
+    such subgraph along a unique decision path. The frontier ``ext`` (the
+    neighbours of cur outside cur and dead) is carried down the branches.
     """
     adj = g.adj
     out: list[int] = []
     if base & blocked or base.bit_count() > size:
         return out
 
-    def grow(cur: int, dead: int) -> None:
-        have = cur.bit_count()
-        if have == size:
+    def grow(cur: int, dead: int, ext: int) -> None:
+        if cur.bit_count() == size:
             out.append(cur)
             return
-        if _reach(adj, cur, dead).bit_count() < size:
-            return
-        ext = 0
-        for v in _mask_vertices(cur):
-            ext |= adj[v]
-        ext &= ~cur & ~dead
-        if not ext:
+        if not _reaches(adj, cur | ext, ext, dead, size):
             return
         u = ext & -ext
-        grow(cur | u, dead)
-        grow(cur, dead | u)
+        grown = cur | u
+        grow(grown, dead, (ext | adj[u.bit_length() - 1]) & ~grown & ~dead)
+        grow(cur, dead | u, ext & ~u)
 
-    grow(base, blocked)
+    ext = 0
+    for v in _mask_vertices(base):
+        ext |= adj[v]
+    grow(base, blocked, ext & ~base & ~blocked)
     return out
 
 
 def _degree_counter(g: Graph) -> Counter:
     return Counter(row.bit_count() for row in g.adj)
+
+
+def _layer_shape(adj: tuple[int, ...], mask: int) -> tuple[int, Counter]:
+    """Edge count and degree multiset of the subgraph induced on mask."""
+    degs = [(adj[v] & mask).bit_count() for v in _mask_vertices(mask)]
+    return sum(degs) // 2, Counter(degs)
 
 
 def _product_degrees(da: Counter, db: Counter) -> Counter:
@@ -136,6 +141,7 @@ def _find_split(g: Graph) -> tuple[Graph, Graph] | None:
     subgraph whose neighbors of 0 are exactly one block of a bipartition
     of N(0)."""
     n = g.n
+    adj = g.adj
     edges_g = g.edge_count()
     degs_g = _degree_counter(g)
     nbr_mask = g.adj[0]
@@ -158,18 +164,17 @@ def _find_split(g: Graph) -> tuple[Graph, Graph] | None:
                 layers_a = _layer_masks(g, 1 | na, nb, a)
                 if not layers_a:
                     continue
-                side_b = []
-                for sb in _layer_masks(g, 1 | nb, na, b):
-                    gb = g.induced(_mask_vertices(sb))
-                    side_b.append((gb, gb.edge_count(), _degree_counter(gb)))
+                side_b = [(sb,) + _layer_shape(adj, sb)
+                          for sb in _layer_masks(g, 1 | nb, na, b)]
                 for sa in layers_a:
-                    ga = g.induced(_mask_vertices(sa))
-                    ea, da = ga.edge_count(), _degree_counter(ga)
-                    for gb, eb, db in side_b:
+                    ea, da = _layer_shape(adj, sa)
+                    for sb, eb, db in side_b:
                         if a * eb + b * ea != edges_g:
                             continue
                         if _product_degrees(da, db) != degs_g:
                             continue
+                        ga = g.induced(_mask_vertices(sa))
+                        gb = g.induced(_mask_vertices(sb))
                         if is_isomorphic(cartesian_product([ga, gb]), g) is not None:
                             return ga, gb
     return None

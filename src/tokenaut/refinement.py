@@ -1,44 +1,24 @@
-"""Refinement backend selection.
+"""Equitable refinement kernel entry point.
 
-The compiled kernel (tokenaut._refinecore, built from Cython) is used when
-importable; otherwise the pure-Python kernel is a drop-in replacement.
-Set TOKENAUT_BACKEND=pure or =compiled to force a choice; "compiled" fails
-loudly when the extension is missing rather than silently degrading.
+There is one kernel, the pure-Python one in ``_refine_py``. The names below
+stay so that callers and tools that report which kernel ran keep working.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Sequence
 
 from . import _refine_py
 
-try:
-    from . import _refinecore
-except ImportError:
-    _refinecore = None
-
 
 def available_backends() -> tuple[str, ...]:
-    return ("compiled", "pure") if _refinecore is not None else ("pure",)
+    return ("pure",)
 
 
 def default_backend() -> str:
-    env = os.environ.get("TOKENAUT_BACKEND", "auto")
-    if env not in ("auto", "compiled", "pure"):
-        raise ValueError(f"TOKENAUT_BACKEND must be auto|compiled|pure, got {env!r}")
-    if env == "auto":
-        return "compiled" if _refinecore is not None else "pure"
-    return env
+    return "pure"
 
 
-def make_kernel(n: int, adj: Sequence[int], backend: str | None = None):
+def make_kernel(n: int, adj: Sequence[int]) -> _refine_py.RefineKernel:
     """Refinement kernel for one graph; not shareable across threads."""
-    choice = backend or default_backend()
-    if choice == "pure":
-        return _refine_py.RefineKernel(n, adj)
-    if choice == "compiled":
-        if _refinecore is None:
-            raise RuntimeError("compiled refinement backend is not available")
-        return _refinecore.RefineKernel(n, adj)
-    raise ValueError(f"unknown backend {choice!r}")
+    return _refine_py.RefineKernel(n, adj)

@@ -75,8 +75,8 @@ def _check_partition(g: Graph, cells) -> OrderedPartition:
     return out
 
 
-def refine(g: Graph, partition: OrderedPartition | None = None, *,
-           backend: str | None = None) -> OrderedPartition:
+def refine(g: Graph,
+           partition: OrderedPartition | None = None) -> OrderedPartition:
     """Coarsest equitable refinement of a partition (default: unit partition).
 
     On the unit partition this is the root partition of the automorphism and
@@ -84,7 +84,7 @@ def refine(g: Graph, partition: OrderedPartition | None = None, *,
     """
     cells = _check_partition(g, partition if partition is not None
                              else [list(range(g.n))])
-    kernel = make_kernel(g.n, g.adj, backend)
+    kernel = make_kernel(g.n, g.adj)
     refined, _ = kernel.refine(cells, list(range(len(cells))))
     return refined
 
@@ -100,10 +100,10 @@ def _target_cell(cells: OrderedPartition) -> int:
 
 
 class _AutSearch:
-    def __init__(self, g: Graph, max_nodes: int | None, backend: str | None):
+    def __init__(self, g: Graph, max_nodes: int | None):
         self.g = g
         self.n = g.n
-        self.kernel = make_kernel(g.n, g.adj, backend)
+        self.kernel = make_kernel(g.n, g.adj)
         self.max_nodes = max_nodes
         self.node_count = 0
         self.path: list[int] = []
@@ -196,8 +196,7 @@ class _AutSearch:
         return out
 
 
-def automorphism_group(g: Graph, max_nodes: int | None = None,
-                       backend: str | None = None) -> AutResult:
+def automorphism_group(g: Graph, max_nodes: int | None = None) -> AutResult:
     """Automorphism group of g with every generator certified edge-by-edge.
 
     The group's chain is built from the search itself, with no Schreier
@@ -205,19 +204,18 @@ def automorphism_group(g: Graph, max_nodes: int | None = None,
     every generator fixes, and its strong generators are the certified
     generators.
     """
-    search = _AutSearch(g, max_nodes, backend)
+    search = _AutSearch(g, max_nodes)
     search.run()
     group = PermGroup.from_strong_generators(g.n, search.base, search.gens)
     return AutResult(group, search.node_count)
 
 
 class _IsoSearch:
-    def __init__(self, g: Graph, h: Graph, max_nodes: int | None,
-                 backend: str | None):
+    def __init__(self, g: Graph, h: Graph, max_nodes: int | None):
         self.g = g
         self.h = h
-        self.kg = make_kernel(g.n, g.adj, backend)
-        self.kh = make_kernel(h.n, h.adj, backend)
+        self.kg = make_kernel(g.n, g.adj)
+        self.kh = make_kernel(h.n, h.adj)
         self.max_nodes = max_nodes
         self.node_count = 0
 
@@ -259,8 +257,8 @@ class _IsoSearch:
         return None
 
 
-def is_isomorphic(g: Graph, h: Graph, max_nodes: int | None = None,
-                  backend: str | None = None) -> list[int] | None:
+def is_isomorphic(g: Graph, h: Graph,
+                  max_nodes: int | None = None) -> list[int] | None:
     """Certified isomorphism from g to h as an image list, or None.
 
     Both graphs are refined side by side with paired partitions; branches
@@ -272,7 +270,7 @@ def is_isomorphic(g: Graph, h: Graph, max_nodes: int | None = None,
         return None
     if g.degree_sequence() != h.degree_sequence():
         return None
-    return _IsoSearch(g, h, max_nodes, backend).run()
+    return _IsoSearch(g, h, max_nodes).run()
 
 
 def count_automorphisms_brute(g: Graph) -> int:

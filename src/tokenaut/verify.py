@@ -4,6 +4,7 @@ Each pipeline builds a token graph, computes its automorphism group with
 the search oracle, builds the matching explicit generators, and reports:
 
 * generators_certified: every constructed generator passed the edge check;
+  when one fails, the report fails and the other certificates are false;
 * subgroup_certified: the generated group sits inside the computed group
   by sifting and its order equals the prediction exactly;
 * equality: computed order matches predicted order on top of the
@@ -24,7 +25,7 @@ from math import comb
 from .constructions import (bipartite_generators, predicted_order,
                             predicted_order_cube,
                             product_subgroup_generators)
-from .errors import ScaleGuardExceeded
+from .errors import CertificationError, ScaleGuardExceeded
 from .graphs import BipartiteSpec, Graph, cartesian_product, complete_graph
 from .perms import bounded_order
 from .search import automorphism_group
@@ -84,13 +85,23 @@ class VerificationReport:
         }
 
 
+def _constructed(build, *args, **kwargs):
+    """The generators a construction certified edge by edge, or None when
+    one of them failed the check."""
+    try:
+        return build(*args, **kwargs)
+    except CertificationError:
+        return None
+
+
 def _finish(instance: str, graph: Graph, gens, predicted: int,
             conjectured: bool, started: float, aut_result) -> VerificationReport:
-    """Report on generators that the constructions have already certified
-    edge by edge (they raise on a generator that fails)."""
+    """Report on the generators from ``_constructed``: certified ones, or
+    None for a construction whose generator failed the edge check."""
     group = aut_result.group
     computed = group.order()
-    contained = all(group.contains(p) for p in gens)
+    certified = gens is not None
+    contained = certified and all(group.contains(p) for p in gens)
     # Inside the computed group, |Aut| bounds the subgroup's order.
     sub_order = bounded_order(gens, computed, degree=graph.n) if contained else 0
     if contained and computed % sub_order != 0:
@@ -101,7 +112,7 @@ def _finish(instance: str, graph: Graph, gens, predicted: int,
         instance=instance,
         computed_order=str(computed),
         predicted_order=str(predicted),
-        generators_certified=True,
+        generators_certified=certified,
         subgroup_certified=subgroup_certified,
         equality=equality,
         conjecture_flag=(computed == predicted) if conjectured else None,
@@ -119,7 +130,7 @@ def verify_bipartite(m: int, n: int, k: int,
     started = time.perf_counter()
     tg = token_graph(spec.graph(), k)
     aut = automorphism_group(tg.graph, max_nodes=guard.max_nodes)
-    gens = bipartite_generators(m, n, k, tg)
+    gens = _constructed(bipartite_generators, m, n, k, tg)
     pred = predicted_order(m, n, k)
     return _finish(f"bipartite(m={m},n={n},k={k})", tg.graph, gens,
                    pred.order, False, started, aut)
@@ -136,7 +147,7 @@ def verify_cube(r: int, guard: ScaleGuard = DEFAULT_GUARD) -> VerificationReport
     product = cartesian_product(factors)
     tg = token_graph(product, 2)
     aut = automorphism_group(tg.graph, max_nodes=guard.max_nodes)
-    gens = product_subgroup_generators(factors, tg=tg)
+    gens = _constructed(product_subgroup_generators, factors, tg=tg)
     return _finish(f"cube(r={r})", tg.graph, gens, pred.order, False,
                    started, aut)
 
@@ -157,7 +168,8 @@ def verify_product(factors: list[Graph],
     tg = token_graph(product, 2)
     aut = automorphism_group(tg.graph, max_nodes=guard.max_nodes)
     base_group = automorphism_group(product, max_nodes=guard.max_nodes).group
-    gens = product_subgroup_generators(factors, tg=tg, base_group=base_group)
+    gens = _constructed(product_subgroup_generators, factors, tg=tg,
+                        base_group=base_group)
     predicted = (1 << (len(factors) - 1)) * base_group.order()
     return _finish(f"product({_describe(product)})", tg.graph, gens,
                    predicted, True, started, aut)

@@ -6,7 +6,9 @@ import os
 
 import pytest
 
-from tokenaut import parse_edge_list, permutation_from_str
+from tokenaut import (Permutation, cartesian_product, complete_graph,
+                      parse_edge_list, permutation_from_str, token_graph)
+from tokenaut import constructions
 from tokenaut.cli import main, parse_graph_spec, UsageError
 from tokenaut.verify import VerificationReport
 from tokenaut import cli as cli_module
@@ -112,14 +114,15 @@ def test_aut_reports_group(tmp_path, capsys):
         assert permutation_from_str(text).degree == 10
 
 
-# Every field of these aut reports except base and wall_time, as the
-# Schreier-Sims chain gave them: (order, node_count, generator count, the
-# first 16 hex digits of the sha256 of the newline-joined generators).
+# Every field of these aut reports except base and wall_time: (order,
+# node_count, generator count, the first 16 hex digits of the sha256 of the
+# newline-joined generators). Orders and generator counts are those of the
+# Schreier-Sims chain; the generators follow the refinement's cell order.
 AUT_REPORTS = {
     ("kmn:2,3", 2): ("48", 21, 5, "12215c1cbbcf0dfb"),
     ("kmn:2,5", 3): ("122880", 120, 14, "932731c8dd245f02"),
-    ("cube:3", 2): ("192", 28, 6, "57b5d1a06276f5f1"),
-    ("cycle:7", 2): ("14", 6, 2, "de314a98d17023ec"),
+    ("cube:3", 2): ("192", 28, 6, "8a7bf8449659db68"),
+    ("cycle:7", 2): ("14", 6, 2, "ec0ad8fb7785a6bd"),
     ("path:5", 2): ("2", 3, 1, "0ee1cbda48adf970"),
 }
 
@@ -269,14 +272,15 @@ def test_verify_single_report_not_indexed(tmp_path):
     assert json.loads(report.read_text())["computed_order"] == "192"
 
 
-# verify reports as the two Schreier-Sims chains gave them, minus
-# wall_time, tool and version. K2 x K2 is a product whose certified
+# verify reports minus wall_time, tool and version. Orders and
+# certificates are those the two Schreier-Sims chains gave; node counts
+# follow the refinement's cell order. K2 x K2 is a product whose certified
 # subgroup (16) is smaller than the computed group (48).
 VERIFY_REPORTS = [
     (["bipartite", "--m", "2", "--n", "5", "--k", "3"],
      ("bipartite(m=2,n=5,k=3)", "122880", "122880", True, True, True, None, 120)),
     (["bipartite", "--m", "3", "--n", "3", "--k", "3"],
-     ("bipartite(m=3,n=3,k=3)", "144", "144", True, True, True, None, 17)),
+     ("bipartite(m=3,n=3,k=3)", "144", "144", True, True, True, None, 15)),
     (["bipartite", "--m", "2", "--n", "2", "--k", "2"],
      ("bipartite(m=2,n=2,k=2)", "48", "48", True, True, True, None, 15)),
     (["cube", "--r", "3"],
@@ -339,6 +343,30 @@ def test_verify_failure_exit_code(monkeypatch, capsys):
     rc = run(["verify", "bipartite", "--m", "2", "--n", "3", "--k", "2"])
     assert rc == 4
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_failed_generator_certificate_is_a_fail_report(monkeypatch, capsys,
+                                                       tmp_path):
+    # A coordinate swap replaced by a transposition of two token-graph
+    # vertices of different degree, which no automorphism can be.
+    tg = token_graph(cartesian_product([complete_graph(2)] * 3), 2)
+    degree = [row.bit_count() for row in tg.graph.adj]
+    u = degree.index(min(degree))
+    w = degree.index(max(degree))
+    bad = Permutation.from_cycles(tg.graph.n, [(u, w)])
+    monkeypatch.setattr(constructions, "coordinate_swap_product",
+                        lambda factors, family: bad)
+    report = tmp_path / "cube.json"
+    assert run(["verify", "cube", "--r", "3", "--report", str(report)]) == 4
+    assert "FAIL" in capsys.readouterr().out
+    payload = json.loads(report.read_text())
+    assert payload["generators_certified"] is False
+    assert payload["subgroup_certified"] is False
+    assert payload["equality"] is False
+    assert payload["computed_order"] == payload["predicted_order"] == "192"
+    # outside a pipeline the construction's own refusal is exit 4 as well
+    assert run(["generators", "--r", "3"]) == 4
+    assert "failed the edge check" in capsys.readouterr().err
 
 
 def test_verify_usage_errors(capsys):

@@ -1,5 +1,6 @@
 """Prime factorization of connected graphs under the Cartesian product."""
 
+import hashlib
 import itertools
 import random
 
@@ -148,3 +149,39 @@ def test_certifies_rejects_wrong_graph():
     assert f.certifies(g)
     assert not f.certifies(path_graph(6))
     assert not f.certifies(cycle_graph(6))
+
+
+def _digest(obj):
+    return hashlib.sha256(repr(obj).encode()).hexdigest()[:16]
+
+
+# (label, factors, then per relabeling the first 16 hex digits of the
+# sha256 of repr of the factors' adjacency rows and of the witness).
+# The factors are chosen by the layer enumeration alone. The witness is
+# the first isomorphism the search finds onto the input, so it follows
+# the refinement's cell order.
+FACTOR_PINS = [
+    ("Q4", [complete_graph(2)] * 4,
+     [("035f52f58dee3fb0", "e3fdb23257ea1910"),
+      ("035f52f58dee3fb0", "cf724161f74d116f")]),
+    ("K2xP3xP3", [complete_graph(2), path_graph(3), path_graph(3)],
+     [("01433d021e55004c", "d5f20feed258b12d"),
+      ("01433d021e55004c", "d72d6edb13c47a91")]),
+    ("C4xC5", [cycle_graph(4), cycle_graph(5)],
+     [("5c6c854811e330de", "e61d4fb0930c85d6"),
+      ("23c153917c38016d", "dc4cbd45321c8cf2")]),
+]
+
+
+def test_factors_and_witnesses_are_pinned():
+    rng = random.Random(11)
+    for label, factors, pins in FACTOR_PINS:
+        g = cartesian_product(factors)
+        for want in pins:
+            images = list(range(g.n))
+            rng.shuffle(images)
+            h = g.relabel(images)
+            f = prime_factor_decomposition(h)
+            got = (_digest([x.adj for x in f.factors]), _digest(f.witness))
+            assert got == want, label
+            assert f.certifies(h), label

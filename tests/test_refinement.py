@@ -1,4 +1,4 @@
-"""Refinement backends: selection rules, parity, and known partitions."""
+"""Equitable refinement: references for the kernel, and known partitions."""
 
 import random
 from collections import deque
@@ -16,11 +16,8 @@ from tokenaut import (
     token_graph,
     unrank,
 )
-from tokenaut import refinement
 from tokenaut.graphs import Graph
 from tokenaut.refinement import available_backends, default_backend, make_kernel
-
-HAS_COMPILED = "compiled" in available_backends()
 
 
 def corpus():
@@ -50,73 +47,24 @@ def assert_equitable(g, cells):
             assert len(counts) == 1
 
 
-# -- backend selection --------------------------------------------------
-
-
-def test_default_backend_env(monkeypatch):
-    monkeypatch.setenv("TOKENAUT_BACKEND", "pure")
-    assert default_backend() == "pure"
-    monkeypatch.setenv("TOKENAUT_BACKEND", "auto")
-    assert default_backend() in ("pure", "compiled")
-    monkeypatch.delenv("TOKENAUT_BACKEND")
-    expected = "compiled" if HAS_COMPILED else "pure"
-    assert default_backend() == expected
-
-
-def test_default_backend_rejects_unknown(monkeypatch):
-    monkeypatch.setenv("TOKENAUT_BACKEND", "fortran")
-    with pytest.raises(ValueError):
-        default_backend()
-
-
-def test_make_kernel_rejects_unknown_backend():
-    g = cycle_graph(4)
-    with pytest.raises(ValueError):
-        make_kernel(g.n, g.adj, "fortran")
-
-
-def test_compiled_request_fails_loudly_when_missing(monkeypatch):
-    monkeypatch.setattr(refinement, "_refinecore", None)
-    assert available_backends() == ("pure",)
-    assert default_backend() == "pure"
-    g = cycle_graph(4)
-    with pytest.raises(RuntimeError):
-        make_kernel(g.n, g.adj, "compiled")
+# -- the kernel entry point ----------------------------------------------
 
 
 def test_kernel_reports_backend():
     g = cycle_graph(4)
-    assert make_kernel(g.n, g.adj, "pure").backend == "pure"
-    if HAS_COMPILED:
-        assert make_kernel(g.n, g.adj, "compiled").backend == "compiled"
+    assert available_backends() == ("pure",)
+    assert default_backend() == "pure"
+    assert make_kernel(g.n, g.adj).backend == "pure"
 
 
-# -- backend parity ------------------------------------------------------
-
-
-@pytest.mark.skipif(not HAS_COMPILED, reason="compiled backend not built")
-def test_backends_agree_on_cells_and_traces():
-    for name, g in corpus():
-        unit = [list(range(g.n))]
-        individualized = [[0], list(range(1, g.n))]
-        for cells in (unit, individualized):
-            pure = make_kernel(g.n, g.adj, "pure")
-            comp = make_kernel(g.n, g.adj, "compiled")
-            active = list(range(len(cells)))
-            pc, pt = pure.refine([list(c) for c in cells], active)
-            cc, ct = comp.refine([list(c) for c in cells], active)
-            assert [list(c) for c in pc] == [list(c) for c in cc], name
-            assert tuple(pt) == tuple(ct), name
-
-
-# -- kernels against the scan-every-cell reference -------------------------
+# -- the kernel against references ----------------------------------------
 
 
 def scan_every_cell_refine(n, adj, cells, active):
-    """Reference refinement: every splitter is a bitmask and every cell is
-    scanned against it. This is the algorithm the compiled kernel runs and
-    the one the pure kernel ran before it became neighbour-driven; the pure
-    kernel must return exactly its cells and trace."""
+    """Set-partition oracle: every splitter is a bitmask, every cell is
+    scanned against it, and every fragment of a split cell is queued. With
+    the kernel's precondition met it reaches the same coarsest equitable
+    partition as the kernel, though not in the same cell order."""
     cells = [list(c) for c in cells]
     queue = deque()
     for i in active:
@@ -124,7 +72,6 @@ def scan_every_cell_refine(n, adj, cells, active):
         for v in cells[i]:
             m |= 1 << v
         queue.append(m)
-    trace = []
     while queue:
         if len(cells) == n:
             break
@@ -138,14 +85,8 @@ def scan_every_cell_refine(n, adj, cells, active):
                     c = (adj[v] & splitter).bit_count()
                     counts.setdefault(c, []).append(v)
                 if len(counts) > 1:
-                    keys = sorted(counts)
-                    frags = [counts[c] for c in keys]
+                    frags = [counts[c] for c in sorted(counts)]
                     cells[j:j + 1] = frags
-                    trace.append(j)
-                    trace.append(len(frags))
-                    for c in keys:
-                        trace.append(c)
-                        trace.append(len(counts[c]))
                     for f in frags:
                         m = 0
                         for v in f:
@@ -153,20 +94,70 @@ def scan_every_cell_refine(n, adj, cells, active):
                         queue.append(m)
                     j += len(frags) - 1
             j += 1
-        trace.append(-1)
-    trace.append(-2)
+    return cells
+
+
+def hopcroft_scan_refine(n, adj, cells, active):
+    """Exact reference: the kernel's queue rule, with each splitter taken
+    as a bitmask of the cell starting at the popped position and every cell
+    scanned against it. The kernel must return exactly its cells and
+    trace."""
+    cells = [list(c) for c in cells]
+    offsets = [0]
     for cell in cells:
-        trace.append(len(cell))
+        offsets.append(offsets[-1] + len(cell))
+    queue = deque(offsets[i] for i in active)
+    pending = set(queue)
+    trace = []
+    while queue and len(cells) < n:
+        s = queue.popleft()
+        pending.discard(s)
+        at = 0
+        for cell in cells:
+            if at == s:
+                break
+            at += len(cell)
+        splitter = 0
+        for v in cell:
+            splitter |= 1 << v
+        j = at = 0
+        while j < len(cells):
+            cell = cells[j]
+            counts = {}
+            for v in cell:
+                counts.setdefault((adj[v] & splitter).bit_count(), []).append(v)
+            if len(counts) == 1:
+                j += 1
+                at += len(cell)
+                continue
+            keys = sorted(counts)
+            frags = [counts[c] for c in keys]
+            cells[j:j + 1] = frags
+            trace += [j, len(frags)]
+            for c in keys:
+                trace += [c, len(counts[c])]
+            sizes = [len(f) for f in frags]
+            skip = 0 if at in pending else sizes.index(max(sizes))
+            for i, size in enumerate(sizes):
+                if i != skip:
+                    queue.append(at)
+                    pending.add(at)
+                at += size
+            j += len(frags)
+        trace.append(-1)
     return cells, tuple(trace)
 
 
-def assert_kernels_match_reference(g, cells, active, label):
-    want = scan_every_cell_refine(g.n, g.adj, cells, active)
-    for backend in available_backends():
-        kernel = make_kernel(g.n, g.adj, backend)
-        got = kernel.refine([list(c) for c in cells], list(active))
-        assert [list(c) for c in got[0]] == want[0], (backend, label)
-        assert tuple(got[1]) == want[1], (backend, label)
+def as_set_partition(cells):
+    return sorted(sorted(c) for c in cells)
+
+
+def assert_kernel_matches_reference(g, cells, active, label):
+    want = hopcroft_scan_refine(g.n, g.adj, cells, active)
+    got = make_kernel(g.n, g.adj).refine([list(c) for c in cells], list(active))
+    assert [list(c) for c in got[0]] == want[0], label
+    assert got[1] == want[1], label
+    return got[0]
 
 
 def random_graph(rng, n, p):
@@ -188,36 +179,57 @@ def random_ordered_partition(rng, n):
 
 
 def test_kernels_match_reference_on_random_inputs():
+    # Random active subsets break the kernel's precondition, so the result
+    # need not be equitable; it must still be the reference's, exactly.
     rng = random.Random(4)
     for trial in range(300):
         n = rng.randint(1, 40)
         g = random_graph(rng, n, rng.choice((0.1, 0.3, 0.5, 0.8)))
         cells = random_ordered_partition(rng, n)
         active = rng.sample(range(len(cells)), rng.randint(0, len(cells)))
-        assert_kernels_match_reference(g, cells, active, f"trial {trial}")
+        assert_kernel_matches_reference(g, cells, active, f"trial {trial}")
+
+
+def test_kernel_reaches_the_oracle_partition_from_all_cells():
+    rng = random.Random(5)
+    for trial in range(200):
+        n = rng.randint(1, 40)
+        g = random_graph(rng, n, rng.choice((0.1, 0.3, 0.5, 0.8)))
+        cells = random_ordered_partition(rng, n)
+        active = list(range(len(cells)))
+        got = assert_kernel_matches_reference(g, cells, active, trial)
+        assert_equitable(g, got)
+        want = scan_every_cell_refine(g.n, g.adj, cells, active)
+        assert as_set_partition(got) == as_set_partition(want), trial
 
 
 def test_kernels_match_reference_on_individualized_vertices():
-    for name, g in corpus():
-        if not name.startswith("F2"):
-            continue
-        root, _ = scan_every_cell_refine(g.n, g.adj, [list(range(g.n))], [0])
+    rng = random.Random(6)
+    graphs = [(name, g) for name, g in corpus() if name.startswith("F2")]
+    graphs += [(f"random {i}", random_graph(rng, 30, p))
+               for i, p in enumerate((0.1, 0.2, 0.5))]
+    for name, g in graphs:
+        root, _ = hopcroft_scan_refine(g.n, g.adj, [list(range(g.n))], [0])
         for v in range(g.n):
             rest = [u for u in range(g.n) if u != v]
-            assert_kernels_match_reference(g, [[v], rest], [0, 1], (name, v))
-            # search-shaped: individualize v inside its cell of the root
+            assert_kernel_matches_reference(g, [[v], rest], [0, 1], (name, v))
+            # search-shaped: individualize v inside its cell of the root,
+            # which is equitable with respect to every other cell
             t = next(i for i, c in enumerate(root) if v in c)
             if len(root[t]) == 1:
                 continue
             child = (root[:t] + [[v], [u for u in root[t] if u != v]]
                      + root[t + 1:])
-            assert_kernels_match_reference(g, child, [t, t + 1], (name, v, t))
+            got = assert_kernel_matches_reference(g, child, [t, t + 1],
+                                                  (name, v, t))
+            want = scan_every_cell_refine(g.n, g.adj, child, [t, t + 1])
+            assert as_set_partition(got) == as_set_partition(want), (name, v)
 
 
 def test_pure_kernel_rejects_empty_cells():
     g = cycle_graph(4)
     with pytest.raises(ValueError):
-        make_kernel(g.n, g.adj, "pure").refine([[0, 1, 2, 3], []], [0])
+        make_kernel(g.n, g.adj).refine([[0, 1, 2, 3], []], [0])
 
 
 # -- refinement results --------------------------------------------------
@@ -277,8 +289,8 @@ def test_trace_is_relabeling_equivariant():
         h = g.relabel(p.images)
         for cells in ([list(range(g.n))], [[0], list(range(1, g.n))]):
             mapped = [sorted(p(v) for v in c) for c in cells]
-            kg = make_kernel(g.n, g.adj, "pure")
-            kh = make_kernel(h.n, h.adj, "pure")
+            kg = make_kernel(g.n, g.adj)
+            kh = make_kernel(h.n, h.adj)
             rc, rt = kg.refine([list(c) for c in cells],
                                list(range(len(cells))))
             mc, mt = kh.refine(mapped, list(range(len(mapped))))

@@ -22,7 +22,6 @@ from tokenaut import (
     star_graph,
     token_graph,
 )
-from tokenaut.refinement import available_backends
 
 
 def shrikhande():
@@ -115,16 +114,6 @@ def test_order_is_relabeling_invariant():
             assert automorphism_group(h).group.order() == want, name
 
 
-@pytest.mark.skipif("compiled" not in available_backends(),
-                    reason="compiled backend not built")
-def test_backends_give_same_groups():
-    for name, g in fixtures():
-        a = automorphism_group(g, backend="pure")
-        b = automorphism_group(g, backend="compiled")
-        assert a.group.order() == b.group.order(), name
-        assert a.node_count == b.node_count, name
-
-
 def test_node_budget_is_enforced():
     g = token_graph(complete_bipartite(2, 4), 2).graph
     with pytest.raises(ScaleGuardExceeded):
@@ -201,10 +190,10 @@ def test_reported_base_is_pinned():
     # path without the points every generator fixes, so a search change
     # that moves the first path changes the report.
     q4 = automorphism_group(token_graph(hypercube(4), 2).graph).group
-    assert q4.base == (35, 59, 80, 42, 46, 67, 28, 0)
+    assert q4.base == (35, 59, 80, 42, 91, 67, 58, 24)
     assert q4.order() == 3072
     k25 = automorphism_group(token_graph(complete_bipartite(2, 5), 3).graph).group
-    assert k25.base == (0, 19, 21, 9, 30, 7, 11, 15, 26, 23, 16, 13, 5, 2)
+    assert k25.base == (0, 19, 21, 29, 30, 7, 11, 33, 26, 23, 16, 13, 5, 2)
     assert k25.order() == 122880
 
 

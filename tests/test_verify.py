@@ -5,12 +5,15 @@ from collections import Counter
 import pytest
 
 from tokenaut import (
+    CertificationError,
+    Permutation,
     ScaleGuard,
     ScaleGuardExceeded,
     complete_graph,
     cycle_graph,
     graph_from_edges,
     path_graph,
+    token_graph,
     verify_bipartite,
     verify_cube,
     verify_product,
@@ -57,6 +60,28 @@ def test_product_conjecture_flag_can_be_false_without_failing():
     if rep.computed_order != rep.predicted_order:
         assert rep.conjecture_flag is False
         assert rep.passed  # certificates hold even when equality fails
+
+
+def test_failed_generator_certificate_fails_the_report(monkeypatch):
+    # Every side swap replaced by a transposition of a vertex of the
+    # smallest and one of the largest degree, which no automorphism is.
+    from tokenaut import constructions
+
+    def bad_swap(spec, k, family):
+        degree = [row.bit_count()
+                  for row in token_graph(spec.graph(), k).graph.adj]
+        return Permutation.from_cycles(len(degree), [
+            (degree.index(min(degree)), degree.index(max(degree)))])
+
+    monkeypatch.setattr(constructions, "side_swap_bipartite", bad_swap)
+    with pytest.raises(CertificationError):
+        constructions.bipartite_generators(2, 3, 2)
+    rep = verify_bipartite(2, 3, 2)
+    assert rep.computed_order == rep.predicted_order == "48"
+    assert not rep.generators_certified
+    assert not rep.subgroup_certified and not rep.equality
+    assert not rep.passed
+    assert rep.to_dict()["generators_certified"] is False
 
 
 def test_report_dict_round_trip():
