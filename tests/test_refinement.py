@@ -52,9 +52,18 @@ def assert_equitable(g, cells):
 
 def test_kernel_reports_backend():
     g = cycle_graph(4)
+    assert make_kernel(g.n, g.adj).backend == "pure"
+
+
+def test_compiled_request_fails_loudly_when_missing():
+    # There is no compiled kernel: only the pure one is advertised, and a
+    # caller that still asks for a kernel by name gets an error rather than
+    # a silent fallback.
     assert available_backends() == ("pure",)
     assert default_backend() == "pure"
-    assert make_kernel(g.n, g.adj).backend == "pure"
+    g = cycle_graph(4)
+    with pytest.raises(TypeError):
+        make_kernel(g.n, g.adj, "compiled")
 
 
 # -- the kernel against references ----------------------------------------
