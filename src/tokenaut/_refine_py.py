@@ -16,41 +16,36 @@ covers the first fragment and the others are queued beside it. Stability
 against a cell and against all but one of its fragments implies stability
 against the remaining fragment, so skipping it loses no split. That
 argument needs the partition to be stable against every cell that is not
-queued, which is the caller's side of the contract stated on ``refine``.
-Building the kernel costs one pass over every adjacency row.
+queued, which is the caller's side of the contract stated on
+``Partition.refine``.
+
+The searches keep one ``Partition`` each for their whole run, the layout
+of nauty and Traces. Cells are contiguous segments of one vertex array
+and are named by their start position. Refining and individualizing
+split cells in place and push each split cell's old segment onto a
+trail; returning from a search node undoes the trail back to the node's
+mark. So a node costs its splitting work (the splitters' degree sums and
+the cells that split, once to split and once to undo), not a pass over
+all n vertices. Building the kernel costs one pass over every adjacency
+row.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import Counter, deque
 from itertools import chain
 from typing import Sequence
 
 
 class RefineKernel:
-    """Coarsest equitable refinement over per-vertex neighbour tuples.
+    """Neighbour tuples of one graph, and the partitions refined over them.
 
-    refine(cells, active) splits cells by neighbour counts against a queue
-    of splitter cells, seeded from ``active``, until the queue drains. The
-    input partition must already be equitable with respect to every cell
-    not in ``active``; otherwise the result may not be equitable. The
-    search meets this by activating both halves of the cell it
-    individualizes in an equitable partition, and ``refine()`` activates
-    every cell. Cells must be non-empty.
-
-    Fragments of a split cell replace it in place, ordered by ascending
-    count and keeping the cell's vertex order. The queue holds cell start
-    positions: a queued start names whatever cell begins there when it is
-    popped, which is how a queued cell that splits keeps its first
-    fragment queued.
-
-    Returns (cells, trace). The trace records each split event as
-    (cell index, fragment count, then (count, size) per fragment), in
-    ascending cell order within one splitter, and a -1 marker after each
-    drained splitter. Given the input cell sizes the events determine the
-    output cell sizes. Traces are equivariant: relabeling the graph and
-    the input cells by a permutation yields the identical trace.
+    ``partition(cells)`` starts a backtrackable partition for a search.
+    ``refine(cells, active)`` is the one-shot form: it builds a partition
+    from the cells, refines it with the cells at the ``active`` indices as
+    the first splitters, and returns ``(cells, trace)`` as described on
+    ``Partition.refine``.
     """
 
     backend = "pure"
@@ -67,66 +62,175 @@ class RefineKernel:
             nbrs.append(tuple(out))
         self.nbrs = tuple(nbrs)
 
+    def partition(self, cells) -> Partition:
+        return Partition(self.n, self.nbrs, cells)
+
     def refine(self, cells, active):
-        n = self.n
-        nbrs = self.nbrs
-        neighbours = nbrs.__getitem__
-        cells = [list(c) for c in cells]
-        # Cells are addressed by their start position in the concatenated
-        # partition: ``starts`` is sorted, so a cell's index is its rank.
-        starts = []
-        cell_at = {}
-        start_of = [0] * n
-        pos = 0
+        part = self.partition(cells)
+        trace = part.refine([part.starts[i] for i in active])
+        return part.cells(), trace
+
+
+class Partition:
+    """An ordered partition refined in place and undone from a trail.
+
+    ``order`` lists the vertices cell by cell. A cell is named by its start
+    position in ``order``: ``starts`` holds the starts in ascending order,
+    so a cell's index is the rank of its start, ``size[s]`` is the length
+    of the cell at ``s`` (stale for positions that start no cell), and
+    ``start_of[v]`` is the start of v's cell. ``wide`` holds the starts of
+    the non-singleton cells, so choosing a target cell scans only those,
+    which deep in a search are few. Each split pushes ``(start,
+    old segment)`` onto ``trail``; ``undo(mark)`` pops back to a length the
+    caller recorded, restoring the vertex order within every cell exactly.
+    Cells must be non-empty.
+    """
+
+    __slots__ = ("n", "nbrs", "order", "start_of", "size", "starts", "wide",
+                 "trail")
+
+    def __init__(self, n: int, nbrs: tuple[tuple[int, ...], ...], cells):
+        self.n = n
+        self.nbrs = nbrs
+        self.order: list[int] = []
+        self.start_of = [0] * n
+        self.size = [0] * n
+        self.starts: list[int] = []
+        self.trail: list[tuple[int, list[int]]] = []
         for cell in cells:
             if not cell:
                 raise ValueError("partition cells must be non-empty")
-            starts.append(pos)
-            cell_at[pos] = cell
+            s = len(self.order)
+            self.starts.append(s)
+            self.size[s] = len(cell)
             for v in cell:
-                start_of[v] = pos
-            pos += len(cell)
+                self.start_of[v] = s
+            self.order.extend(cell)
+        self.wide = {s for s in self.starts if self.size[s] > 1}
+
+    def cells(self) -> list[list[int]]:
+        order, size = self.order, self.size
+        return [order[s:s + size[s]] for s in self.starts]
+
+    def cell(self, start: int) -> list[int]:
+        return self.order[start:start + self.size[start]]
+
+    def is_discrete(self) -> bool:
+        return len(self.starts) == self.n
+
+    def target(self) -> int:
+        """Start of the first smallest non-singleton cell (the partition
+        must not be discrete)."""
+        size = self.size
+        least = min(map(size.__getitem__, self.wide))
+        return min(s for s in self.wide if size[s] == least)
+
+    def individualize(self, start: int, v: int) -> tuple:
+        """Split v off the front of the non-singleton cell at start, keeping
+        the others in their order, and refine against both halves, which
+        meets ``refine``'s contract when the partition is equitable."""
+        order, size = self.order, self.size
+        seg = order[start:start + size[start]]
+        self.trail.append((start, seg))
+        i = seg.index(v)
+        order[start] = v
+        order[start + 1:start + i + 1] = seg[:i]
+        size[start + 1] = size[start] - 1
+        size[start] = 1
+        self.wide.discard(start)
+        if size[start + 1] > 1:
+            self.wide.add(start + 1)
+        start_of = self.start_of
+        for u in seg:
+            start_of[u] = start + 1
+        start_of[v] = start
+        self.starts.insert(bisect_right(self.starts, start), start + 1)
+        return self.refine([start, start + 1])
+
+    def refine(self, active) -> tuple:
+        """Split cells by neighbour counts against a queue of splitter
+        cells, seeded with the starts in ``active``, until the queue drains
+        or the partition is discrete.
+
+        The partition must already be equitable with respect to every cell
+        not in ``active``; otherwise the result may not be equitable. The
+        searches meet this by individualizing in an equitable partition,
+        and the kernel's ``refine`` is called with every cell by
+        ``refine()``.
+
+        Fragments of a split cell replace it in place, ordered by ascending
+        count and keeping the cell's vertex order. The queue holds cell
+        starts: a queued start names whatever cell begins there when it is
+        popped, which is how a queued cell that splits keeps its first
+        fragment queued.
+
+        Returns the trace. It records each split event as (cell index,
+        fragment count, then (count, size) per fragment), in ascending cell
+        order within one splitter, and a -1 marker after each drained
+        splitter. Given the input cell sizes the events determine the
+        output cell sizes. Traces are equivariant: relabeling the graph and
+        the input cells by a permutation yields the identical trace.
+        """
+        n = self.n
+        nbrs = self.nbrs
+        neighbours = nbrs.__getitem__
+        order, size, start_of = self.order, self.size, self.start_of
+        starts, wide, trail = self.starts, self.wide, self.trail
         cell_of = start_of.__getitem__
-        queue = deque(starts[i] for i in active)
+        queue = deque(active)
         pending = set(queue)
         trace = []
         while queue and len(starts) < n:
             s = queue.popleft()
             pending.discard(s)
-            splitter = cell_at[s]
-            if len(splitter) == 1:
+            single = size[s] == 1
+            if single:
                 # Every neighbour is hit once, so a cell splits exactly
-                # when it holds some but not all of them.
-                count = dict.fromkeys(nbrs[splitter[0]], 1)
-                hits = Counter(map(cell_of, count))
-                split = [t for t, k in hits.items() if k != len(cell_at[t])]
+                # when it holds some but not all of them, into the
+                # vertices outside the neighbourhood and those inside.
+                nb = nbrs[order[s]]
+                hits = Counter(map(cell_of, nb))
+                split = [t for t, k in hits.items() if k != size[t]]
+                count = set(nb) if split else None
             else:
+                splitter = order[s:s + size[s]]
                 count = Counter(chain.from_iterable(map(neighbours, splitter)))
                 hits = Counter(zip(map(cell_of, count), count.values()))
                 # A (cell, count) pair short of the whole cell means the
                 # cell holds a second count, if only 0 for untouched
                 # vertices, and splits.
-                split = {t for (t, _), k in hits.items() if k != len(cell_at[t])}
+                split = {t for (t, _), k in hits.items() if k != size[t]}
             for t in sorted(split):
-                groups: dict[int, list[int]] = {}
-                for v in cell_at[t]:
-                    groups.setdefault(count.get(v, 0), []).append(v)
-                keys = sorted(groups)
+                cell = order[t:t + size[t]]
+                trail.append((t, cell))
+                if single:
+                    frags = [(0, [v for v in cell if v not in count]),
+                             (1, [v for v in cell if v in count])]
+                else:
+                    groups: dict[int, list[int]] = {}
+                    for v in cell:
+                        groups.setdefault(count.get(v, 0), []).append(v)
+                    frags = sorted(groups.items())
                 if t in pending:
                     skip = 0
                 else:
-                    sizes = [len(groups[c]) for c in keys]
+                    sizes = [len(frag) for _, frag in frags]
                     skip = sizes.index(max(sizes))
                 j = bisect_left(starts, t)
                 trace.append(j)
-                trace.append(len(keys))
+                trace.append(len(frags))
                 new_starts = []
                 u = t
-                for i, c in enumerate(keys):
-                    frag = groups[c]
+                for i, (c, frag) in enumerate(frags):
+                    k = len(frag)
                     trace.append(c)
-                    trace.append(len(frag))
-                    cell_at[u] = frag
+                    trace.append(k)
+                    order[u:u + k] = frag
+                    size[u] = k
+                    if k > 1:
+                        wide.add(u)
+                    elif u == t:
+                        wide.discard(t)
                     if u != t:
                         new_starts.append(u)
                         for v in frag:
@@ -134,7 +238,25 @@ class RefineKernel:
                     if i != skip:
                         queue.append(u)
                         pending.add(u)
-                    u += len(frag)
+                    u += k
                 starts[j + 1:j + 1] = new_starts
             trace.append(-1)
-        return [cell_at[s] for s in starts], tuple(trace)
+        return tuple(trace)
+
+    def undo(self, mark: int) -> None:
+        """Undo every split recorded after the trail had length mark."""
+        order, size, start_of = self.order, self.size, self.start_of
+        starts, wide, trail = self.starts, self.wide, self.trail
+        while len(trail) > mark:
+            t, seg = trail.pop()
+            k = len(seg)
+            j = bisect_right(starts, t)
+            i = bisect_left(starts, t + k, j)
+            # The first fragment already maps to t.
+            for v in order[starts[j]:t + k]:
+                start_of[v] = t
+            order[t:t + k] = seg
+            size[t] = k
+            wide.difference_update(starts[j:i])
+            del starts[j:i]
+            wide.add(t)

@@ -120,10 +120,10 @@ def _degree_counter(g: Graph) -> Counter:
     return Counter(row.bit_count() for row in g.adj)
 
 
-def _layer_shape(adj: tuple[int, ...], mask: int) -> tuple[int, Counter]:
-    """Edge count and degree multiset of the subgraph induced on mask."""
-    degs = [(adj[v] & mask).bit_count() for v in _mask_vertices(mask)]
-    return sum(degs) // 2, Counter(degs)
+def _layer_degrees(adj: tuple[int, ...], mask: int) -> list[int]:
+    """Degrees of the subgraph induced on mask; their sum is twice its
+    edge count."""
+    return [(adj[v] & mask).bit_count() for v in _mask_vertices(mask)]
 
 
 def _product_degrees(da: Counter, db: Counter) -> Counter:
@@ -164,13 +164,23 @@ def _find_split(g: Graph) -> tuple[Graph, Graph] | None:
                 layers_a = _layer_masks(g, 1 | na, nb, a)
                 if not layers_a:
                     continue
-                side_b = [(sb,) + _layer_shape(adj, sb)
-                          for sb in _layer_masks(g, 1 | nb, na, b)]
+                # Side-B layers grouped by edge count, keeping their order.
+                # Degree multisets are built only for a side-A layer and a
+                # side-B group whose edge counts add up to the product's.
+                side_b: dict[int, list[tuple[int, list[int]]]] = {}
+                for sb in _layer_masks(g, 1 | nb, na, b):
+                    degs = _layer_degrees(adj, sb)
+                    side_b.setdefault(sum(degs) // 2, []).append((sb, degs))
+                shapes_b: dict[int, list[tuple[int, Counter]]] = {}
                 for sa in layers_a:
-                    ea, da = _layer_shape(adj, sa)
-                    for sb, eb, db in side_b:
-                        if a * eb + b * ea != edges_g:
-                            continue
+                    degs = _layer_degrees(adj, sa)
+                    eb, rem = divmod(edges_g - b * (sum(degs) // 2), a)
+                    if rem or eb not in side_b:
+                        continue
+                    if eb not in shapes_b:
+                        shapes_b[eb] = [(sb, Counter(d)) for sb, d in side_b[eb]]
+                    da = Counter(degs)
+                    for sb, db in shapes_b[eb]:
                         if _product_degrees(da, db) != degs_g:
                             continue
                         ga = g.induced(_mask_vertices(sa))

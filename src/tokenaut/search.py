@@ -33,6 +33,18 @@ are a strong generating set relative to the path (McKay & Piperno,
 turns that into a chain by orbit enumeration alone, and |Aut| is the product
 of the orbit lengths.
 
+Each search keeps one backtrackable ``Partition`` (``_refine_py``) for its
+whole run: a node individualizes a vertex of its target cell in place,
+refines, recurses, and undoes the trail back to its mark, so the partition
+is the node's own again for the next candidate. A node costs its splitting
+work and the size of its target cell, not a copy of all n vertices. The
+target cell is found among the non-singleton cells only. Orbit pruning is a
+union-find over the target cell's vertices: generators found so far are
+merged into it lazily, only when a candidate comes up after another one is
+done, and only those that fix the path prefix pointwise, which are the
+automorphisms known to fix the node's partition and so to map the target
+cell onto itself.
+
 An exhaustive enumeration oracle (count_automorphisms_brute) provides an
 independent count for fixtures with small groups.
 """
@@ -89,21 +101,11 @@ def refine(g: Graph,
     return refined
 
 
-def _target_cell(cells: OrderedPartition) -> int:
-    """Index of the first smallest non-singleton cell."""
-    best = -1
-    best_len = None
-    for i, c in enumerate(cells):
-        if len(c) > 1 and (best_len is None or len(c) < best_len):
-            best, best_len = i, len(c)
-    return best
-
-
 class _AutSearch:
     def __init__(self, g: Graph, max_nodes: int | None):
         self.g = g
         self.n = g.n
-        self.kernel = make_kernel(g.n, g.adj)
+        self.part = make_kernel(g.n, g.adj).partition([list(range(g.n))])
         self.max_nodes = max_nodes
         self.node_count = 0
         self.path: list[int] = []
@@ -111,12 +113,10 @@ class _AutSearch:
         self.base_traces: list[tuple] = []
         self.first_leaf: list[int] | None = None
         self.gens: list[Permutation] = []
-        self.invs: list[Permutation] = []
 
     def run(self) -> None:
-        cells, trace = self.kernel.refine([list(range(self.n))], [0])
-        self.base_traces.append(trace)
-        self._node(cells, 0)
+        self.base_traces.append(self.part.refine([0]))
+        self._node(0)
 
     def _bump(self) -> None:
         self.node_count += 1
@@ -124,38 +124,66 @@ class _AutSearch:
             raise ScaleGuardExceeded(
                 f"automorphism search exceeded {self.max_nodes} nodes")
 
-    def _node(self, cells: OrderedPartition, depth: int) -> int | None:
-        """Explore one node; returns a backjump depth or None."""
+    def _node(self, depth: int) -> int | None:
+        """Explore the node the partition is at; returns a backjump depth
+        or None. The partition is back at the node on return."""
         self._bump()
-        if len(cells) == self.n:
-            return self._leaf(cells)
-        t = _target_cell(cells)
-        candidates = cells[t]
-        done: set[int] = set()
+        part = self.part
+        if part.is_discrete():
+            return self._leaf(part.order)
+        t = part.target()
+        candidates = part.cell(t)
+        # Union-find over the target cell (see the module docstring);
+        # done_roots holds the roots of the done candidates, refreshed after
+        # each merge.
+        parent: dict[int, int] = {}
+        merged = 0
+        done_roots: set[int] = set()
+
+        def find(x: int) -> int:
+            root = parent.get(x, x)
+            while root != x:
+                up = parent.get(root, root)
+                parent[x] = up
+                x, root = root, up
+            return x
+
         for v in candidates:
-            if v in done or (done and v in self._closure(done)):
-                done.add(v)
+            if done_roots and merged < len(self.gens):
+                path = self.path
+                for p in self.gens[merged:]:
+                    images = p.images
+                    if list(map(images.__getitem__, path)) != path:
+                        continue
+                    for x in candidates:
+                        a, b = find(x), find(images[x])
+                        if a != b:
+                            parent[a] = b
+                merged = len(self.gens)
+                done_roots = {find(x) for x in done_roots}
+            root = find(v)
+            if root in done_roots:
                 continue
-            rest = [u for u in candidates if u != v]
-            child = cells[:t] + [[v], rest] + cells[t + 1:]
-            child, trace = self.kernel.refine(child, [t, t + 1])
+            mark = len(part.trail)
+            trace = part.individualize(t, v)
             if self.first_leaf is None:
                 self.base_traces.append(trace)
             elif trace != self.base_traces[depth + 1]:
-                done.add(v)
+                part.undo(mark)
+                done_roots.add(root)
                 continue
             self.path.append(v)
-            jump = self._node(child, depth + 1)
+            jump = self._node(depth + 1)
             self.path.pop()
-            done.add(v)
+            part.undo(mark)
+            done_roots.add(root)
             if jump is not None and jump < depth:
                 return jump
         return None
 
-    def _leaf(self, cells: OrderedPartition) -> int | None:
-        leaf = [c[0] for c in cells]
+    def _leaf(self, leaf: list[int]) -> int | None:
         if self.first_leaf is None:
-            self.first_leaf = leaf
+            self.first_leaf = list(leaf)
             self.base = list(self.path)
             return None
         images = [0] * self.n
@@ -165,35 +193,12 @@ class _AutSearch:
         if p.is_identity() or not is_automorphism(self.g, p):
             return None
         self.gens.append(p)
-        self.invs.append(p.inverse())
         fork = 0
         for a, b in zip(self.path, self.base):
             if a != b:
                 break
             fork += 1
         return fork
-
-    def _closure(self, seeds: set[int]) -> set[int]:
-        """Orbit closure of seeds under found automorphisms fixing the
-        current path prefix pointwise."""
-        prefix = self.path
-        gens = []
-        for g, g_inv in zip(self.gens, self.invs):
-            if all(g(b) == b for b in prefix):
-                gens.append(g)
-                gens.append(g_inv)
-        out = set(seeds)
-        frontier = list(seeds)
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for g in gens:
-                    y = g(x)
-                    if y not in out:
-                        out.add(y)
-                        nxt.append(y)
-            frontier = nxt
-        return out
 
 
 def automorphism_group(g: Graph, max_nodes: int | None = None) -> AutResult:
@@ -214,18 +219,16 @@ class _IsoSearch:
     def __init__(self, g: Graph, h: Graph, max_nodes: int | None):
         self.g = g
         self.h = h
-        self.kg = make_kernel(g.n, g.adj)
-        self.kh = make_kernel(h.n, h.adj)
+        unit = [list(range(g.n))]
+        self.pg = make_kernel(g.n, g.adj).partition(unit)
+        self.ph = make_kernel(h.n, h.adj).partition(unit)
         self.max_nodes = max_nodes
         self.node_count = 0
 
     def run(self) -> list[int] | None:
-        unit = [list(range(self.g.n))]
-        cells_g, trace_g = self.kg.refine(unit, [0])
-        cells_h, trace_h = self.kh.refine(unit, [0])
-        if trace_g != trace_h:
+        if self.pg.refine([0]) != self.ph.refine([0]):
             return None
-        return self._node(cells_g, cells_h)
+        return self._node()
 
     def _bump(self) -> None:
         self.node_count += 1
@@ -233,27 +236,28 @@ class _IsoSearch:
             raise ScaleGuardExceeded(
                 f"isomorphism search exceeded {self.max_nodes} nodes")
 
-    def _node(self, cells_g, cells_h) -> list[int] | None:
+    def _node(self) -> list[int] | None:
+        """Pair g's first target vertex with each vertex of h's cell at the
+        same start. Equal traces give both partitions the same cell
+        starts. The partitions are back at the node on a None return."""
         self._bump()
-        if len(cells_g) == self.g.n:
+        pg, ph = self.pg, self.ph
+        if pg.is_discrete():
             mapping = [0] * self.g.n
-            for cg, ch in zip(cells_g, cells_h):
-                mapping[cg[0]] = ch[0]
+            for v, w in zip(pg.order, ph.order):
+                mapping[v] = w
             return mapping if self.g.maps_edges_into(mapping, self.h) else None
-        t = _target_cell(cells_g)
-        v = cells_g[t][0]
-        rest_g = [u for u in cells_g[t] if u != v]
-        child_g = cells_g[:t] + [[v], rest_g] + cells_g[t + 1:]
-        child_g, trace_g = self.kg.refine(child_g, [t, t + 1])
-        for w in cells_h[t]:
-            rest_h = [u for u in cells_h[t] if u != w]
-            child_h = cells_h[:t] + [[w], rest_h] + cells_h[t + 1:]
-            child_h, trace_h = self.kh.refine(child_h, [t, t + 1])
-            if trace_h != trace_g:
-                continue
-            found = self._node(child_g, child_h)
-            if found is not None:
-                return found
+        t = pg.target()
+        mark_g = len(pg.trail)
+        trace_g = pg.individualize(t, pg.order[t])
+        mark_h = len(ph.trail)
+        for w in ph.cell(t):
+            if ph.individualize(t, w) == trace_g:
+                found = self._node()
+                if found is not None:
+                    return found
+            ph.undo(mark_h)
+        pg.undo(mark_g)
         return None
 
 

@@ -235,6 +235,51 @@ def test_kernels_match_reference_on_individualized_vertices():
             assert as_set_partition(got) == as_set_partition(want), (name, v)
 
 
+def snapshot(part):
+    """The partition's state, with sizes read at live cell starts only."""
+    return (list(part.order), list(part.start_of),
+            [part.size[s] for s in part.starts], list(part.starts),
+            set(part.wide))
+
+
+def test_partition_trail_undo_and_in_place_refines():
+    # Random individualize/undo walks on one partition: each in-place
+    # refinement must give what the one-shot kernel refine gives on a copy
+    # of the partition, and each undo must restore the state exactly.
+    rng = random.Random(8)
+    for trial in range(120):
+        n = rng.randint(2, 40)
+        g = random_graph(rng, n, rng.choice((0.1, 0.3, 0.5, 0.8)))
+        kernel = make_kernel(g.n, g.adj)
+        cells = random_ordered_partition(rng, n)
+        part = kernel.partition(cells)
+        initial = snapshot(part)
+        active = rng.sample(range(len(cells)), rng.randint(1, len(cells)))
+        trace = part.refine([part.starts[i] for i in active])
+        assert (part.cells(), trace) == kernel.refine(cells, active), trial
+        marks = []
+        for step in range(40):
+            if marks and (part.is_discrete() or rng.random() < 0.35):
+                mark, state = marks.pop()
+                part.undo(mark)
+                assert snapshot(part) == state, (trial, step)
+                continue
+            if part.is_discrete():
+                break
+            start = rng.choice(sorted(part.wide))
+            v = rng.choice(part.cell(start))
+            cells = part.cells()
+            t = part.starts.index(start)
+            child = (cells[:t] + [[v], [u for u in cells[t] if u != v]]
+                     + cells[t + 1:])
+            marks.append((len(part.trail), snapshot(part)))
+            trace = part.individualize(start, v)
+            assert (part.cells(), trace) == kernel.refine(child, [t, t + 1]), \
+                (trial, step)
+        part.undo(0)
+        assert snapshot(part) == initial, trial
+
+
 def test_pure_kernel_rejects_empty_cells():
     g = cycle_graph(4)
     with pytest.raises(ValueError):

@@ -197,6 +197,75 @@ def test_reported_base_is_pinned():
     assert k25.order() == 122880
 
 
+def test_search_node_and_generator_counts_are_pinned():
+    # Deep searches whose orbit pruning and backjumps decide the node
+    # count; the orders are 2^21 * 7! and 2^56 * 8!.
+    for (m, n, k), nodes, gens, order in (
+            ((2, 7, 3), 406, 27, 2 ** 21 * 5040),
+            ((2, 8, 4), 2077, 63, 2 ** 56 * 40320)):
+        res = automorphism_group(token_graph(complete_bipartite(m, n), k).graph)
+        assert (res.node_count, len(res.group.generators)) == (nodes, gens)
+        assert res.group.order() == order
+
+
+def random_cubic_edges(rng, n):
+    """A random 3-regular simple graph on 0..n-1, by the pairing model."""
+    while True:
+        points = [v for v in range(n) for _ in range(3)]
+        rng.shuffle(points)
+        edges = {tuple(sorted(points[i:i + 2])) for i in range(0, 3 * n, 2)}
+        if len(edges) == 3 * n // 2 and all(u != v for u, v in edges):
+            return sorted(edges)
+
+
+def test_orbit_pruning_node_counts_are_pinned():
+    # A + A + B for random cubic A and B, relabeled. Branches into B match
+    # the first path's traces for a while but hold no automorphism, and
+    # they are explored after generators that move the path have been
+    # found; orbit pruning must merge only the generators fixing the path.
+    for seed, nodes, order in ((13, 39, 512), (16, 32, 2048),
+                               (133, 47, 512), (250, 44, 2048)):
+        rng = random.Random(seed)
+        n = rng.choice((6, 8, 10))
+        a, b = random_cubic_edges(rng, n), random_cubic_edges(rng, n)
+        g = graph_from_edges(3 * n, a + [(u + n, v + n) for u, v in a]
+                             + [(u + 2 * n, v + 2 * n) for u, v in b])
+        g, _ = shuffled_copy(g, rng)
+        res = automorphism_group(g)
+        assert (res.node_count, res.group.order()) == (nodes, order), seed
+
+
+def test_is_isomorphic_agrees_with_networkx_vf2():
+    nx = pytest.importorskip("networkx")
+
+    def to_nx(graph):
+        out = nx.Graph(graph.edges())
+        out.add_nodes_from(range(graph.n))
+        return out
+
+    rng = random.Random(808)
+    for trial in range(120):
+        n = rng.randint(4, 12)
+        g = random_graph(rng, n)
+        # a partner with the same degree sequence, and a relabeling of it
+        nh = to_nx(g)
+        if nh.number_of_edges() >= 2:
+            try:
+                nx.double_edge_swap(nh, nswap=rng.randint(1, 4), max_tries=200,
+                                    seed=rng.randrange(2 ** 31))
+            except nx.NetworkXAlgorithmError:
+                pass
+        h = graph_from_edges(n, list(nh.edges()))
+        for other in (h, shuffled_copy(h, rng)[0]):
+            mapping = is_isomorphic(g, other)
+            assert (mapping is not None) == \
+                nx.is_isomorphic(to_nx(g), to_nx(other)), trial
+            if mapping is not None:
+                assert sorted(mapping) == list(range(n)), trial
+                for u, v in g.edges():
+                    assert other.has_edge(mapping[u], mapping[v]), trial
+
+
 def test_search_chain_rejects_non_members():
     rng = random.Random(77)
     for name, g in fixtures():
