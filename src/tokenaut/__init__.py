@@ -2,11 +2,12 @@
 
 Builds the k-token graph of a base graph (vertices are k-subsets,
 adjacent when they differ by one token sliding along a base edge),
-computes automorphism groups with a partition-refinement search backed
-by exact Schreier-Sims arithmetic, constructs the explicit generator
-families known for complete bipartite bases and Cartesian products of
-primes, and verifies predicted group orders with machine-readable
-reports.
+computes automorphism groups exactly with an individualization-refinement
+search whose certified generators and leaf path give a stabilizer chain,
+factors connected graphs into Cartesian primes, constructs the explicit
+generator families known for complete bipartite bases and Cartesian
+products of primes, and verifies predicted group orders with
+machine-readable reports.
 """
 
 __version__ = "0.1.0"

@@ -18,7 +18,7 @@ distinguished "last" factor r-1 in the twisted subset action.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, factorial
+from math import comb, factorial, prod
 from typing import Iterable, Sequence
 
 from . import subsets
@@ -28,7 +28,7 @@ from .graphs import (BipartiteSpec, Graph, cartesian_product,
                      mixed_radix_encode)
 from .perms import PermGroup, Permutation
 from .search import automorphism_group, is_automorphism, is_isomorphic
-from .tokens import TokenGraph, token_graph
+from .tokens import TokenGraph, config_images, token_graph
 
 
 @dataclass(frozen=True)
@@ -87,21 +87,15 @@ def lift_to_token_graph(phi: Permutation, tg: TokenGraph) -> Permutation:
         raise ValueError(f"degree {phi.degree} != base order {tg.n}")
     if not is_automorphism(tg.base, phi):
         raise ValueError("permutation is not an automorphism of the base graph")
-    images = [0] * len(tg.configs)
-    for r, sub in enumerate(tg.configs):
-        images[r] = tg.rank_of(phi(v) for v in sub)
-    return Permutation(tuple(images))
+    return Permutation(config_images(tg.n, tg.configs, lambda a: map(phi, a)))
 
 
 def complement_automorphism(tg: TokenGraph) -> Permutation:
     """The complement involution A -> V(base) - A; needs 2k = n."""
     if 2 * tg.k != tg.n:
         raise ValueError(f"complement needs 2k = n, got k={tg.k}, n={tg.n}")
-    full = set(range(tg.n))
-    images = [0] * len(tg.configs)
-    for r, sub in enumerate(tg.configs):
-        images[r] = tg.rank_of(full.difference(sub))
-    return Permutation(tuple(images))
+    return Permutation(config_images(tg.n, tg.configs,
+                                     set(range(tg.n)).difference))
 
 
 def _validate_bipartite_family(spec: BipartiteSpec, k: int, family: SwapFamily):
@@ -127,16 +121,10 @@ def side_swap_bipartite(spec: BipartiteSpec, k: int, family: SwapFamily) -> Perm
     total = spec.order
     if not (1 <= k <= total - 1):
         raise ValueError(f"need 1 <= k <= {total - 1}, got k={k}")
-    members = family.members
-    images = []
-    for r, sub in enumerate(subsets.ksubsets(total, k)):
-        xs = [v for v in sub if v < 2]
-        if len(xs) == 1 and frozenset(v for v in sub if v >= 2) in members:
-            other = 1 - xs[0]
-            swapped = [other if v == xs[0] else v for v in sub]
-            images.append(subsets.rank(swapped, total))
-        else:
-            images.append(r)
+    images = list(range(comb(total, k)))
+    for s in family.members:
+        a, b = subsets.rank(s | {0}, total), subsets.rank(s | {1}, total)
+        images[a], images[b] = b, a
     return Permutation(tuple(images))
 
 
@@ -151,10 +139,8 @@ def y_permutation_lift(spec: BipartiteSpec, k: int, pi: Permutation) -> Permutat
         raise ValueError("permutation must map Y onto Y")
     if not (1 <= k <= total - 1):
         raise ValueError(f"need 1 <= k <= {total - 1}, got k={k}")
-    images = []
-    for sub in subsets.ksubsets(total, k):
-        images.append(subsets.rank([pi(v) for v in sub], total))
-    return Permutation(tuple(images))
+    return Permutation(config_images(total, subsets.ksubsets(total, k),
+                                     lambda a: map(pi, a)))
 
 
 def _token_graph_of(base: Graph, k: int, tg: TokenGraph | None) -> TokenGraph:
@@ -299,21 +285,16 @@ def coordinate_swap_product(factors: Sequence[Graph], family: SwapFamily) -> Per
     if any(not 0 <= a <= r - 2 for a in axes):
         raise ValueError(f"axes {sorted(axes)} not within 0..{r - 2}")
     sizes = [g.n for g in factors]
-    product = cartesian_product(factors)
-    total = product.n
-    images = []
-    for sub in subsets.ksubsets(total, 2):
-        a, b = sub
-        ca = list(mixed_radix_decode(a, sizes))
-        cb = list(mixed_radix_decode(b, sizes))
+    total = prod(sizes)
+    coords = [mixed_radix_decode(v, sizes) for v in range(total)]
+
+    def swap(pair: tuple[int, ...]) -> tuple[int, int]:
+        ca, cb = (list(coords[v]) for v in pair)
         for ax in axes:
             ca[ax], cb[ax] = cb[ax], ca[ax]
-        na = mixed_radix_encode(ca, sizes)
-        nb = mixed_radix_encode(cb, sizes)
-        if na == nb:
-            raise AssertionError("coordinate swap collapsed a pair")
-        images.append(subsets.rank((na, nb) if na < nb else (nb, na), total))
-    return Permutation(tuple(images))
+        return mixed_radix_encode(ca, sizes), mixed_radix_encode(cb, sizes)
+
+    return Permutation(config_images(total, subsets.ksubsets(total, 2), swap))
 
 
 def product_subgroup_generators(factors: Sequence[Graph],

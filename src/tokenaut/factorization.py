@@ -1,22 +1,32 @@
 """Cartesian-product primality and prime factor decomposition.
 
-A desk-scale oracle, not a fast algorithm: candidate factors are
-enumerated as induced layer subgraphs through vertex 0 and every
-positive answer is certified with the isomorphism search. Intended for
-connected graphs of at most a few dozen vertices; the factor multiset of
-a connected graph is unique, which the test suite spot-checks by
-re-decomposing shuffled relabelings.
+A connected graph has a unique factorization into Cartesian-prime
+factors, and the factors can be read off its edges (Feder, "Product graph
+representations", J. Graph Theory 16, 1992; Hammack, Imrich & Klavžar,
+Handbook of Product Graphs, 2nd ed., 2011, ch. 23). Two relations on the
+edges:
+
+* Θ: xy Θ uv when d(x,u) + d(y,v) != d(x,v) + d(y,u);
+* τ: xy τ xz when y and z are not adjacent and x is their only common
+  neighbour.
+
+Feder's theorem: the classes of the transitive closure (Θ ∪ τ)* are the
+edge sets of the prime factors, each class holding every layer of its
+factor. So g is prime iff there is one class, and each factor is the layer
+through vertex 0: the component of 0 in the graph of one class's edges,
+which induces a copy of the factor. With m edges this costs one all-pairs
+BFS, O(m²) distance lookups for Θ and the sum of the squared degrees for
+τ. Every decomposition is certified: the product of the factors is matched
+to g by the isomorphism search, and the witness is rechecked edge by edge.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
-from math import isqrt
 
-from .graphs import (Graph, cartesian_product, format_edge_list,
-                     mixed_radix_decode, mixed_radix_encode)
+from .graphs import (Graph, cartesian_product, distance_matrix,
+                     format_edge_list, mixed_radix_decode,
+                     mixed_radix_encode)
 from .search import is_isomorphic
 
 
@@ -61,147 +71,63 @@ def _check_input(g: Graph) -> None:
         raise ValueError("factorization is defined for connected graphs only")
 
 
-def _mask_vertices(mask: int) -> list[int]:
-    out = []
-    while mask:
-        v = (mask & -mask).bit_length() - 1
-        out.append(v)
-        mask &= mask - 1
-    return out
+def _edge_classes(g: Graph) -> list[list[tuple[int, int]]]:
+    """The edges of g grouped into the classes of (Θ ∪ τ)*, each class in
+    edge order, the classes in order of their first edge."""
+    edges = g.edges()
+    parent = list(range(len(edges)))
 
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
 
-def _reaches(adj: tuple[int, ...], seen: int, frontier: int, blocked: int,
-             size: int) -> bool:
-    """Whether growing seen through adjacency from its frontier, never
-    entering blocked vertices, reaches at least size vertices."""
-    while seen.bit_count() < size:
-        if not frontier:
-            return False
-        nxt = 0
-        for v in _mask_vertices(frontier):
-            nxt |= adj[v]
-        frontier = nxt & ~seen & ~blocked
-        seen |= frontier
-    return True
+    def union(i: int, j: int) -> None:
+        parent[find(i)] = find(j)
 
-
-def _layer_masks(g: Graph, base: int, blocked: int, size: int) -> list[int]:
-    """Masks of connected induced subgraphs of the exact size containing
-    all of base and none of blocked, each produced once.
-
-    Include/exclude branching on the lowest frontier vertex visits every
-    such subgraph along a unique decision path. The frontier ``ext`` (the
-    neighbours of cur outside cur and dead) is carried down the branches.
-    """
+    dist = distance_matrix(g)
+    for i, (x, y) in enumerate(edges):
+        dx, dy = dist[x], dist[y]
+        for j in range(i + 1, len(edges)):
+            u, v = edges[j]
+            if dx[u] + dy[v] != dx[v] + dy[u]:
+                union(i, j)
+    index = {e: i for i, e in enumerate(edges)}
     adj = g.adj
-    out: list[int] = []
-    if base & blocked or base.bit_count() > size:
-        return out
-
-    def grow(cur: int, dead: int, ext: int) -> None:
-        if cur.bit_count() == size:
-            out.append(cur)
-            return
-        if not _reaches(adj, cur | ext, ext, dead, size):
-            return
-        u = ext & -ext
-        grown = cur | u
-        grow(grown, dead, (ext | adj[u.bit_length() - 1]) & ~grown & ~dead)
-        grow(cur, dead | u, ext & ~u)
-
-    ext = 0
-    for v in _mask_vertices(base):
-        ext |= adj[v]
-    grow(base, blocked, ext & ~base & ~blocked)
-    return out
-
-
-def _degree_counter(g: Graph) -> Counter:
-    return Counter(row.bit_count() for row in g.adj)
-
-
-def _layer_degrees(adj: tuple[int, ...], mask: int) -> list[int]:
-    """Degrees of the subgraph induced on mask; their sum is twice its
-    edge count."""
-    return [(adj[v] & mask).bit_count() for v in _mask_vertices(mask)]
-
-
-def _product_degrees(da: Counter, db: Counter) -> Counter:
-    out: Counter = Counter()
-    for x, cx in da.items():
-        for y, cy in db.items():
-            out[x + y] += cx * cy
-    return out
-
-
-def _find_split(g: Graph) -> tuple[Graph, Graph] | None:
-    """First certified factorization g = A box B with |V(A)| minimal,
-    or None when g is prime. Layers are anchored at vertex 0: in any
-    product structure the factor layer through 0 is a connected induced
-    subgraph whose neighbors of 0 are exactly one block of a bipartition
-    of N(0)."""
-    n = g.n
-    adj = g.adj
-    edges_g = g.edge_count()
-    degs_g = _degree_counter(g)
-    nbr_mask = g.adj[0]
-    nbr_list = _mask_vertices(nbr_mask)
-    for a in range(2, isqrt(n) + 1):
-        if n % a:
-            continue
-        b = n // a
-        for asz in range(1, len(nbr_list)):
-            bsz = len(nbr_list) - asz
-            if asz > a - 1 or bsz > b - 1:
-                continue
-            for combo in combinations(nbr_list, asz):
-                na = 0
-                for v in combo:
-                    na |= 1 << v
-                nb = nbr_mask & ~na
-                if a == b and not na & (1 << nbr_list[0]):
-                    continue  # mirror of an already-tried bipartition
-                layers_a = _layer_masks(g, 1 | na, nb, a)
-                if not layers_a:
-                    continue
-                # Side-B layers grouped by edge count, keeping their order.
-                # Degree multisets are built only for a side-A layer and a
-                # side-B group whose edge counts add up to the product's.
-                side_b: dict[int, list[tuple[int, list[int]]]] = {}
-                for sb in _layer_masks(g, 1 | nb, na, b):
-                    degs = _layer_degrees(adj, sb)
-                    side_b.setdefault(sum(degs) // 2, []).append((sb, degs))
-                shapes_b: dict[int, list[tuple[int, Counter]]] = {}
-                for sa in layers_a:
-                    degs = _layer_degrees(adj, sa)
-                    eb, rem = divmod(edges_g - b * (sum(degs) // 2), a)
-                    if rem or eb not in side_b:
-                        continue
-                    if eb not in shapes_b:
-                        shapes_b[eb] = [(sb, Counter(d)) for sb, d in side_b[eb]]
-                    da = Counter(degs)
-                    for sb, db in shapes_b[eb]:
-                        if _product_degrees(da, db) != degs_g:
-                            continue
-                        ga = g.induced(_mask_vertices(sa))
-                        gb = g.induced(_mask_vertices(sb))
-                        if is_isomorphic(cartesian_product([ga, gb]), g) is not None:
-                            return ga, gb
-    return None
+    for x in range(g.n):
+        nbrs = g.neighbors(x)
+        for a, y in enumerate(nbrs):
+            for z in nbrs[a + 1:]:
+                if not adj[y] >> z & 1 and (adj[y] & adj[z]).bit_count() == 1:
+                    union(index[min(x, y), max(x, y)], index[min(x, z), max(x, z)])
+    classes: dict[int, list[tuple[int, int]]] = {}
+    for i, e in enumerate(edges):
+        classes.setdefault(find(i), []).append(e)
+    return list(classes.values())
 
 
 def is_prime(g: Graph) -> bool:
     """True iff no pair of graphs on 2 or more vertices multiplies to g."""
     _check_input(g)
-    return _find_split(g) is None
+    return len(_edge_classes(g)) == 1
 
 
-def _decompose(g: Graph) -> list[Graph]:
-    split = _find_split(g)
-    if split is None:
-        return [g]
-    ga, gb = split
-    return _decompose(ga) + _decompose(gb)
+def _layer_through_0(g: Graph, edges: list[tuple[int, int]]) -> Graph:
+    """The subgraph of g induced on the component of vertex 0 in the
+    graph of the given edges."""
+    nbrs: dict[int, list[int]] = {}
+    for u, v in edges:
+        nbrs.setdefault(u, []).append(v)
+        nbrs.setdefault(v, []).append(u)
+    layer = {0}
+    stack = [0]
+    while stack:
+        for w in nbrs.get(stack.pop(), ()):
+            if w not in layer:
+                layer.add(w)
+                stack.append(w)
+    return g.induced(sorted(layer))
 
 
 def _factor_key(f: Graph) -> tuple[int, int, str]:
@@ -212,7 +138,8 @@ def prime_factor_decomposition(g: Graph) -> Factorization:
     """Prime factors of g in (vertex count, edge count, edge list) order,
     with a witness certifying the product reconstruction."""
     _check_input(g)
-    factors = sorted(_decompose(g), key=_factor_key)
+    factors = sorted((_layer_through_0(g, c) for c in _edge_classes(g)),
+                     key=_factor_key)
     product = cartesian_product(factors)
     iso = is_isomorphic(product, g)
     if iso is None:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
+from typing import Callable, Iterable
 
 from . import subsets
 from .graphs import Graph
@@ -72,6 +73,17 @@ def token_graph(base: Graph, k: int) -> TokenGraph:
     return TokenGraph(base, k, Graph(nv, tuple(adj), label), configs)
 
 
+def config_images(n: int, configs: Iterable[tuple[int, ...]],
+                  image: Callable[[tuple[int, ...]], Iterable[int]]
+                  ) -> tuple[int, ...]:
+    """Rank table of a map on configurations of {0..n-1}.
+
+    Entry r is the colex rank of image(A) for the r-th configuration A of
+    ``configs``; the image may have another size than A.
+    """
+    return tuple(subsets.rank(image(a), n) for a in configs)
+
+
 def complement_map(n: int, k: int) -> tuple[int, ...]:
     """Rank table of the complement bijection from k-subsets to (n-k)-subsets.
 
@@ -81,8 +93,4 @@ def complement_map(n: int, k: int) -> tuple[int, ...]:
     """
     if not (0 <= k <= n):
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
-    full = set(range(n))
-    out = []
-    for sub in subsets.ksubsets(n, k):
-        out.append(subsets.rank(full.difference(sub), n))
-    return tuple(out)
+    return config_images(n, subsets.ksubsets(n, k), set(range(n)).difference)

@@ -1,5 +1,6 @@
 """Constructed token-graph automorphisms and closed-form order predictions."""
 
+import hashlib
 import itertools
 import os
 import random
@@ -282,6 +283,27 @@ def test_generators_reuse_a_prebuilt_token_graph():
         bipartite_generators(2, 4, 2, token_graph(complete_bipartite(3, 3), 2))
 
 
+def _digest(obj):
+    return hashlib.sha256(repr(obj).encode()).hexdigest()[:16]
+
+
+# Per m, the first 16 hex digits of the sha256 of repr of the generators'
+# image tuples for every n in m..7 and every k, in that order.
+BIPARTITE_GENERATOR_PINS = {
+    1: "6329d0852f5ccc53",
+    2: "ae66303d841a10fc",
+    3: "87dfa7d039dc5588",
+    4: "dd2b99302b96bf47",
+}
+
+
+def test_bipartite_generator_lists_are_pinned():
+    for m, want in BIPARTITE_GENERATOR_PINS.items():
+        got = [[p.images for p in bipartite_generators(m, n, k)]
+               for n in range(m, 8) for k in range(1, m + n)]
+        assert _digest(got) == want, m
+
+
 def test_k22_certificate_check_survives_optimize_flag():
     # Under ``python -O`` an ``assert`` would vanish and a missing
     # certificate would surface later as a TypeError.
@@ -418,6 +440,24 @@ def test_product_subgroup_input_validation():
     gens = product_subgroup_generators(
         [cycle_graph(4), complete_graph(2)], check_primality=False)
     assert len(gens) == 4
+
+
+PRODUCT_GENERATOR_PINS = [
+    ("Q2", [complete_graph(2)] * 2, "37998ae80b216544"),
+    ("Q3", [complete_graph(2)] * 3, "6a2326843f299332"),
+    ("Q4", [complete_graph(2)] * 4, "3d3bc554dc5c0e3c"),
+    ("Q5", [complete_graph(2)] * 5, "7308462ca9ac0304"),
+    ("K2xP3", [complete_graph(2), path_graph(3)], "8a752903558e5e9a"),
+    ("P3xC5", [path_graph(3), cycle_graph(5)], "483654edbf4c702e"),
+    ("K3xP3xP3", [complete_graph(3), path_graph(3), path_graph(3)],
+     "d969a70eb6ddf0cb"),
+]
+
+
+def test_product_generator_lists_are_pinned():
+    for label, factors, want in PRODUCT_GENERATOR_PINS:
+        got = [p.images for p in product_subgroup_generators(factors)]
+        assert _digest(got) == want, label
 
 
 def test_product_generators_reuse_prebuilt_artifacts():

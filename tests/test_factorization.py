@@ -41,6 +41,7 @@ REFS = [
     ("P3", path_graph(3)),
     ("P4", path_graph(4)),
     ("C5", cycle_graph(5)),
+    ("C6", cycle_graph(6)),
 ]
 
 
@@ -71,12 +72,75 @@ def test_mixed_product_recovery():
         ([complete_graph(2), cycle_graph(5)], ["C5", "K2"]),
         ([path_graph(3), path_graph(4)], ["P3", "P4"]),
         ([complete_graph(3), complete_graph(2)], ["K2", "K3"]),
+        ([cycle_graph(5), cycle_graph(6)], ["C5", "C6"]),
+        ([path_graph(4), cycle_graph(5), complete_graph(3)], ["C5", "K3", "P4"]),
     ]
     for factors, expected in cases:
         g = cartesian_product(factors)
         f = prime_factor_decomposition(g)
         assert multiset_of_factor_types(f.factors, REFS) == expected
         assert f.certifies(g)
+
+
+def _random_connected(rng, n):
+    """A random spanning tree plus each other pair with a random chance."""
+    p = rng.choice([0.0, 0.2, 0.4, 0.7])
+    edges = {(rng.randrange(v), v) for v in range(1, n)}
+    edges |= {(u, v) for u in range(n) for v in range(u + 1, n)
+              if rng.random() < p}
+    return graph_from_edges(n, sorted(edges))
+
+
+def _connected_graphs_by_size(top):
+    """One connected graph per isomorphism type on 2..top vertices, found
+    by trying every edge set."""
+    out = {}
+    for n in range(2, top + 1):
+        pairs = list(itertools.combinations(range(n), 2))
+        reps = []
+        for mask in range(1 << len(pairs)):
+            g = graph_from_edges(n, [e for i, e in enumerate(pairs) if mask >> i & 1])
+            if g.is_connected() and all(
+                    h.degree_sequence() != g.degree_sequence()
+                    or is_isomorphic(h, g) is None for h in reps):
+                reps.append(g)
+        out[n] = reps
+    return out
+
+
+def test_primality_agrees_with_an_exhaustive_product_oracle():
+    # For n <= 10 a graph is not prime exactly when some connected A and B
+    # on 2 or more vertices with |A| |B| = n and |A| e(B) + |B| e(A) = e(g)
+    # have a product isomorphic to g.
+    small = _connected_graphs_by_size(5)
+
+    def oracle_prime(g):
+        return not any(
+            a.n * b.edge_count() + b.n * a.edge_count() == g.edge_count()
+            and is_isomorphic(cartesian_product([a, b]), g) is not None
+            for sa in range(2, 4) if g.n % sa == 0 and sa <= g.n // sa
+            for a in small[sa] for b in small[g.n // sa])
+
+    assert [len(small[n]) for n in range(2, 6)] == [1, 2, 6, 21]
+    rng = random.Random(5)
+    graphs = [_random_connected(rng, rng.randrange(2, 11)) for _ in range(60)]
+    for _ in range(60):
+        sizes = rng.choice([(2, 2), (2, 3), (2, 4), (2, 5), (3, 3), (2, 2, 2)])
+        g = cartesian_product([_random_connected(rng, n) for n in sizes])
+        images = list(range(g.n))
+        rng.shuffle(images)
+        graphs.append(g.relabel(images))
+    primes = 0
+    for g in graphs:
+        want = oracle_prime(g)
+        primes += want
+        assert is_prime(g) == want, g.edges()
+        f = prime_factor_decomposition(g)
+        assert f.certifies(g)
+        assert (len(f.factors) == 1) == want, g.edges()
+        for h in f.factors:
+            assert oracle_prime(h), (g.edges(), h.edges())
+    assert primes == 60  # the 60 random graphs, not the 60 products
 
 
 def test_prime_input_returns_itself():
@@ -155,19 +219,22 @@ def _digest(obj):
     return hashlib.sha256(repr(obj).encode()).hexdigest()[:16]
 
 
-# (label, factors, then per relabeling the first 16 hex digits of the
-# sha256 of repr of the factors' adjacency rows and of the witness).
-# The factors are chosen by the layer enumeration alone. The witness is
+# (label, factors, the prime factors' isomorphism types, then per
+# relabeling the first 16 hex digits of the sha256 of repr of the
+# factors' adjacency rows and of the witness).
+# Each factor is the layer through vertex 0 of one class of the product
+# relation, induced on its vertices in ascending order. The witness is
 # the first isomorphism the search finds onto the input, so it follows
 # the refinement's cell order.
 FACTOR_PINS = [
-    ("Q4", [complete_graph(2)] * 4,
+    ("Q4", [complete_graph(2)] * 4, ["K2"] * 4,
      [("035f52f58dee3fb0", "e3fdb23257ea1910"),
       ("035f52f58dee3fb0", "cf724161f74d116f")]),
     ("K2xP3xP3", [complete_graph(2), path_graph(3), path_graph(3)],
+     ["K2", "P3", "P3"],
      [("01433d021e55004c", "d5f20feed258b12d"),
-      ("01433d021e55004c", "d72d6edb13c47a91")]),
-    ("C4xC5", [cycle_graph(4), cycle_graph(5)],
+      ("5164b86e3bb77f02", "1d238290b9b091c3")]),
+    ("C4xC5", [cycle_graph(4), cycle_graph(5)], ["C5", "K2", "K2"],
      [("5c6c854811e330de", "e61d4fb0930c85d6"),
       ("23c153917c38016d", "dc4cbd45321c8cf2")]),
 ]
@@ -175,7 +242,7 @@ FACTOR_PINS = [
 
 def test_factors_and_witnesses_are_pinned():
     rng = random.Random(11)
-    for label, factors, pins in FACTOR_PINS:
+    for label, factors, types, pins in FACTOR_PINS:
         g = cartesian_product(factors)
         for want in pins:
             images = list(range(g.n))
@@ -184,4 +251,5 @@ def test_factors_and_witnesses_are_pinned():
             f = prime_factor_decomposition(h)
             got = (_digest([x.adj for x in f.factors]), _digest(f.witness))
             assert got == want, label
+            assert multiset_of_factor_types(f.factors, REFS) == types, label
             assert f.certifies(h), label
