@@ -1,19 +1,24 @@
 #!/usr/bin/env python3
 """Time the equitable refinement kernel and the searches built on it.
 
-Two kinds of cases: raw kernel calls, and end-to-end automorphism
-searches, where chain building and certification dilute the kernel's
-share. The kernel calls cover a unit partition, a long cycle and a
-search-shaped call: one vertex individualized in the root partition, so
-that the splitters are small. Each figure is the best of --repeat runs
-and counts the kernel's construction.
+Three kinds of cases: raw kernel calls, end-to-end automorphism searches,
+where chain building and certification dilute the kernel's share, and
+isomorphism tests, which walk the same search tree against another
+graph's first path. The kernel calls cover a unit partition, a long cycle
+and a search-shaped call: one vertex individualized in the root partition,
+so that the splitters are small. The isomorphism tests are one match
+against a seeded relabeling and one rejection of a pair with equal
+strongly regular parameters. Each figure is the best of --repeat runs and
+counts the kernel's construction.
 """
 
 import argparse
+import random
 import time
 
-from tokenaut import (automorphism_group, cycle_graph, hypercube, refine,
-                      token_graph)
+from tokenaut import (automorphism_group, cartesian_product, complete_graph,
+                      cycle_graph, graph_from_edges, hypercube,
+                      is_isomorphic, refine, token_graph)
 from tokenaut.refinement import make_kernel
 
 
@@ -51,9 +56,28 @@ def search_case(g):
     return lambda: automorphism_group(g)
 
 
+def iso_case(g, h, expect):
+    def run():
+        if (is_isomorphic(g, h) is not None) != expect:
+            raise AssertionError("isomorphism test gave the wrong answer")
+    return run
+
+
+def shrikhande():
+    """Cayley graph of Z4 x Z4 on +-(0,1), +-(1,0), +-(1,1)."""
+    return graph_from_edges(16, [
+        (4 * a + b, 4 * ((a + da) % 4) + (b + db) % 4)
+        for a in range(4) for b in range(4)
+        for da, db in ((0, 1), (1, 0), (1, 1))])
+
+
 def build_cases():
     f2q4 = token_graph(hypercube(4), 2).graph
     f2q5 = token_graph(hypercube(5), 2).graph
+    images = list(range(f2q5.n))
+    random.Random(1).shuffle(images)
+    f2_shrikhande = token_graph(shrikhande(), 2).graph
+    f2_rook = token_graph(cartesian_product([complete_graph(4)] * 2), 2).graph
     long_cycle = cycle_graph(499)
     return [
         ("refine F2(Q5), 496 vertices, unit partition",
@@ -66,6 +90,10 @@ def build_cases():
          search_case(f2q4)),
         ("aut search F2(Q5), 496 vertices, refinement-heavy",
          search_case(f2q5)),
+        ("iso F2(Q5) vs a seeded relabeling, 496 vertices",
+         iso_case(f2q5, f2q5.relabel(images), True)),
+        ("iso F2(Shrikhande) vs F2(K4xK4), 120 vertices, rejected",
+         iso_case(f2_shrikhande, f2_rook, False)),
     ]
 
 

@@ -19,7 +19,7 @@ argument needs the partition to be stable against every cell that is not
 queued, which is the caller's side of the contract stated on
 ``Partition.refine``.
 
-The searches keep one ``Partition`` each for their whole run, the layout
+The search keeps one ``Partition`` for its whole run, the layout
 of nauty and Traces. Cells are contiguous segments of one vertex array
 and are named by their start position. Refining and individualizing
 split cells in place and push each split cell's old segment onto a
@@ -154,7 +154,7 @@ class Partition:
 
         The partition must already be equitable with respect to every cell
         not in ``active``; otherwise the result may not be equitable. The
-        searches meet this by individualizing in an equitable partition,
+        search meets this by individualizing in an equitable partition,
         and the kernel's ``refine`` is called with every cell by
         ``refine()``.
 

@@ -26,7 +26,8 @@ from typing import Sequence
 from . import __version__
 from . import subsets
 from .constructions import (predicted_order, predicted_order_cube,
-                            bipartite_generators, product_subgroup_generators,
+                            predicted_order_product, bipartite_generators,
+                            product_subgroup_generators,
                             singleton_swap_families)
 from .errors import CertificationError, ScaleGuardExceeded
 from .factorization import prime_factor_decomposition
@@ -37,8 +38,8 @@ from .graphs import (BipartiteSpec, Graph, cartesian_product,
 from .perms import permutation_to_str, schreier_sims
 from .search import automorphism_group
 from .tokens import token_graph
-from .verify import (ScaleGuard, VerificationReport, verify_bipartite,
-                     verify_cube, verify_product)
+from .verify import (DEFAULT_GUARD, ScaleGuard, VerificationReport,
+                     verify_bipartite, verify_cube, verify_product)
 
 GRAMMAR = ("kmn:M,N | kn:N | kN | path:N | cycle:N | star:N | cube:R | "
            "prod:<spec>+<spec>+... | file:PATH")
@@ -204,24 +205,21 @@ def cmd_generators(args) -> int:
             factors = [complete_graph(2) for _ in range(r)]
             pred = predicted_order_cube(r)
             instance = f"cube(r={r})"
-            predicted = pred.order
-            tag = pred.structure_tag
         else:
             factors = parse_factor_specs(args.factors)
             instance = f"product({'+'.join(_name(f) for f in factors)})"
-            predicted = None
-            tag = "Z2POW_SEMIDIRECT"
+            pred = None
         base = cartesian_product(factors)
         _guard(args).require_vertices(comb(base.n, 2), instance)
         base_group = None
-        if predicted is None:
+        if pred is None:
             base_group = automorphism_group(base).group
-            predicted = (1 << (len(factors) - 1)) * base_group.order()
+            pred = predicted_order_product(factors, base_group)
         gens = product_subgroup_generators(factors, base_group=base_group)
         payload = {
             "instance": instance,
-            "predicted_order": str(predicted),
-            "structure_tag": tag,
+            "predicted_order": str(pred.order),
+            "structure_tag": pred.structure_tag,
             "swap_families": [[ax] for ax in range(len(factors) - 1)],
         }
     payload["generated_order"] = str(schreier_sims(gens, degree=gens[0].degree).order())
@@ -360,9 +358,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--max-vertices", type=int, default=300,
+        p.add_argument("--max-vertices", type=int,
+                       default=DEFAULT_GUARD.max_vertices,
                        help="scale guard: largest admissible vertex count")
-        p.add_argument("--max-nodes", type=int, default=10_000_000,
+        p.add_argument("--max-nodes", type=int,
+                       default=DEFAULT_GUARD.max_nodes,
                        help="scale guard: search-tree node budget")
 
     p = sub.add_parser("build", help="write a token graph as an edge list")

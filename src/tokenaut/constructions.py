@@ -298,7 +298,6 @@ def coordinate_swap_product(factors: Sequence[Graph], family: SwapFamily) -> Per
 
 
 def product_subgroup_generators(factors: Sequence[Graph],
-                                check_primality: bool = True,
                                 tg: TokenGraph | None = None,
                                 base_group: PermGroup | None = None
                                 ) -> list[Permutation]:
@@ -318,7 +317,7 @@ def product_subgroup_generators(factors: Sequence[Graph],
     for i, f in enumerate(factors):
         if not f.is_connected():
             raise ValueError(f"factor {i} is disconnected")
-        if check_primality and not is_prime(f):
+        if not is_prime(f):
             raise ValueError(f"factor {i} is not prime with respect to the product")
     tg = _token_graph_of(cartesian_product(factors), 2, tg)
     gens = [coordinate_swap_product(factors, product_family([ax]))
@@ -336,6 +335,16 @@ def predicted_order_cube(r: int) -> PredictedAut:
         raise ValueError(f"prediction needs r >= 3, got r={r}")
     order = (1 << (r - 1)) * (1 << r) * factorial(r)
     return PredictedAut(order, "CUBE", {"r": r})
+
+
+def predicted_order_product(factors: Sequence[Graph],
+                            base_group: PermGroup) -> PredictedAut:
+    """Predicted order of the swap-plus-lift subgroup of Aut of the 2-token
+    graph of a product of r primes: 2^(r-1) * |Aut(base)|, where
+    ``base_group`` is the product's automorphism group."""
+    r = len(factors)
+    return PredictedAut((1 << (r - 1)) * base_group.order(),
+                        "Z2POW_SEMIDIRECT", {"r": r})
 
 
 def x_layer_partition(spec: BipartiteSpec, k: int) -> list[frozenset[int]]:

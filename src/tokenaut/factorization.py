@@ -57,11 +57,8 @@ class Factorization:
             codes.append(mixed_radix_encode(coords, sizes))
         if sorted(codes) != list(range(g.n)):
             return False
-        for u in range(g.n):
-            for v in range(u + 1, g.n):
-                if g.has_edge(u, v) != product.has_edge(codes[u], codes[v]):
-                    return False
-        return True
+        return (g.edge_count() == product.edge_count()
+                and g.maps_edges_into(codes, product))
 
 
 def _check_input(g: Graph) -> None:

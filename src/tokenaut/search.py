@@ -1,21 +1,30 @@
 """Automorphism-group and isomorphism search by individualization-refinement.
 
-The search starts from the equitable refinement of the unit partition, whose
-first split is by degree and is recorded in the root trace. The search tree
-individualizes one vertex of a deterministically chosen target cell (first
-smallest non-singleton) per level and re-refines. Leaves are discrete
-partitions; a later leaf compared position-by-position against the first
-leaf gives a candidate automorphism, which is accepted only after an
-explicit edge-by-edge check. Pruning never drops group elements:
+One walker serves both questions. It starts from the equitable refinement of
+the unit partition, whose first split is by degree and is recorded in the
+root trace, and individualizes one vertex of a deterministically chosen
+target cell (first smallest non-singleton) per level, re-refining each time.
+Leaves are discrete partitions. Each leaf is compared position by position
+with a reference leaf, and the resulting map is accepted only after an
+explicit edge-by-edge check:
+
+* automorphisms of g: the reference is the walk's own first leaf, found
+  lazily, and each accepted map is a generator;
+* an isomorphism from g to h: the walk is over h's tree, and the reference
+  is g's first path (at every level, the first vertex of the target cell),
+  computed up front with its traces. The first accepted map ends the walk.
+
+Pruning never drops a map the walk is looking for:
 
 * trace pruning removes a branch only when its refinement trace differs
-  from the first-leaf trace at the same depth (traces are equivariant, so
-  no automorphic image of the reference leaf lies below such a branch);
+  from the reference path's trace at the same depth (traces are
+  equivariant, so no image of the reference leaf lies below such a branch);
 * orbit pruning skips a candidate only when a product of already-verified
   automorphisms fixing the current prefix maps a processed sibling to it;
-* after a successful leaf the search jumps back to the deepest node shared
-  with the first-leaf path, because the new automorphism maps the entire
-  abandoned subtree onto the already-explored first-path subtree.
+* after a new automorphism the walk jumps back to the deepest node shared
+  with the first-leaf path, because the automorphism maps the entire
+  abandoned subtree onto the already-explored first-path subtree. An
+  isomorphism jumps back past the root.
 
 The group's order and membership tests come from the search, not from a
 Schreier-Sims run. The first-leaf path b_0, b_1, ... is a base: individualizing
@@ -33,17 +42,22 @@ are a strong generating set relative to the path (McKay & Piperno,
 turns that into a chain by orbit enumeration alone, and |Aut| is the product
 of the orbit lengths.
 
-Each search keeps one backtrackable ``Partition`` (``_refine_py``) for its
+The walker keeps one backtrackable ``Partition`` (``_refine_py``) for its
 whole run: a node individualizes a vertex of its target cell in place,
 refines, recurses, and undoes the trail back to its mark, so the partition
 is the node's own again for the next candidate. A node costs its splitting
-work and the size of its target cell, not a copy of all n vertices. The
-target cell is found among the non-singleton cells only. Orbit pruning is a
+work and the size of its target cell, not a copy of all n vertices. A
+node whose trace matched the reference path's has the same cell starts and
+sizes as the reference path's node at its depth, so the target cell is
+chosen once per depth, on the reference path, and reused by every other
+node there. A backjump leaves the undo to the node it lands on, so a found
+isomorphism returns without undoing its path. Orbit pruning is a
 union-find over the target cell's vertices: generators found so far are
 merged into it lazily, only when a candidate comes up after another one is
 done, and only those that fix the path prefix pointwise, which are the
 automorphisms known to fix the node's partition and so to map the target
-cell onto itself.
+cell onto itself. An isomorphism walk finds no generators, so it prunes by
+traces alone.
 
 An exhaustive enumeration oracle (count_automorphisms_brute) provides an
 independent count for fixtures with small groups.
@@ -91,8 +105,7 @@ def refine(g: Graph,
            partition: OrderedPartition | None = None) -> OrderedPartition:
     """Coarsest equitable refinement of a partition (default: unit partition).
 
-    On the unit partition this is the root partition of the automorphism and
-    isomorphism searches.
+    On the unit partition this is the root partition of the search tree.
     """
     cells = _check_partition(g, partition if partition is not None
                              else [list(range(g.n))])
@@ -101,37 +114,70 @@ def refine(g: Graph,
     return refined
 
 
-class _AutSearch:
-    def __init__(self, g: Graph, max_nodes: int | None):
+def _first_path(g: Graph) -> tuple[list[tuple], list[int], list[int]]:
+    """Traces, target cells and discrete leaf of g's first path: from the
+    refined unit partition, individualize the first vertex of the target
+    cell per level."""
+    part = make_kernel(g.n, g.adj).partition([list(range(g.n))])
+    traces = [part.refine([0])]
+    targets = []
+    while not part.is_discrete():
+        t = part.target()
+        targets.append(t)
+        traces.append(part.individualize(t, part.order[t]))
+    return traces, targets, part.order
+
+
+class _Search:
+    """Walk the tree of g, comparing each leaf with a reference leaf: g's
+    own first leaf, found lazily, or the first leaf of ``source``, an
+    isomorphism candidate for g, computed up front."""
+
+    def __init__(self, g: Graph, max_nodes: int | None,
+                 source: Graph | None = None):
         self.g = g
-        self.n = g.n
+        self.iso = source is not None
+        self.source = source if self.iso else g
         self.part = make_kernel(g.n, g.adj).partition([list(range(g.n))])
         self.max_nodes = max_nodes
         self.node_count = 0
         self.path: list[int] = []
         self.base: list[int] = []
-        self.base_traces: list[tuple] = []
-        self.first_leaf: list[int] | None = None
+        self.traces, self.targets, self.first_leaf = (
+            _first_path(source) if self.iso else ([], [], None))
         self.gens: list[Permutation] = []
+        self.mapping: list[int] | None = None
 
     def run(self) -> None:
-        self.base_traces.append(self.part.refine([0]))
+        root = self.part.refine([0])
+        if self.first_leaf is None:
+            self.traces.append(root)
+        elif root != self.traces[0]:
+            return
         self._node(0)
 
     def _bump(self) -> None:
         self.node_count += 1
         if self.max_nodes is not None and self.node_count > self.max_nodes:
+            what = "isomorphism" if self.iso else "automorphism"
             raise ScaleGuardExceeded(
-                f"automorphism search exceeded {self.max_nodes} nodes")
+                f"{what} search exceeded {self.max_nodes} nodes")
 
     def _node(self, depth: int) -> int | None:
         """Explore the node the partition is at; returns a backjump depth
-        or None. The partition is back at the node on return."""
+        or None. The partition is back at the node on a return of None or
+        of its own depth; the node a backjump lands on undoes the rest."""
         self._bump()
         part = self.part
         if part.is_discrete():
             return self._leaf(part.order)
-        t = part.target()
+        # Equal traces give equal cell starts and sizes, so a node has the
+        # target cell of the reference path's node at its depth.
+        if depth < len(self.targets):
+            t = self.targets[depth]
+        else:
+            t = part.target()
+            self.targets.append(t)
         candidates = part.cell(t)
         # Union-find over the target cell (see the module docstring);
         # done_roots holds the roots of the done candidates, refreshed after
@@ -167,18 +213,18 @@ class _AutSearch:
             mark = len(part.trail)
             trace = part.individualize(t, v)
             if self.first_leaf is None:
-                self.base_traces.append(trace)
-            elif trace != self.base_traces[depth + 1]:
+                self.traces.append(trace)
+            elif trace != self.traces[depth + 1]:
                 part.undo(mark)
                 done_roots.add(root)
                 continue
             self.path.append(v)
             jump = self._node(depth + 1)
             self.path.pop()
-            part.undo(mark)
-            done_roots.add(root)
             if jump is not None and jump < depth:
                 return jump
+            part.undo(mark)
+            done_roots.add(root)
         return None
 
     def _leaf(self, leaf: list[int]) -> int | None:
@@ -186,13 +232,15 @@ class _AutSearch:
             self.first_leaf = list(leaf)
             self.base = list(self.path)
             return None
-        images = [0] * self.n
+        images = [0] * self.g.n
         for ref, img in zip(self.first_leaf, leaf):
             images[ref] = img
-        p = Permutation(tuple(images))
-        if p.is_identity() or not is_automorphism(self.g, p):
+        if not self.source.maps_edges_into(images, self.g):
             return None
-        self.gens.append(p)
+        if self.iso:
+            self.mapping = images
+            return -1
+        self.gens.append(Permutation(tuple(images)))
         fork = 0
         for a, b in zip(self.path, self.base):
             if a != b:
@@ -209,72 +257,27 @@ def automorphism_group(g: Graph, max_nodes: int | None = None) -> AutResult:
     every generator fixes, and its strong generators are the certified
     generators.
     """
-    search = _AutSearch(g, max_nodes)
+    search = _Search(g, max_nodes)
     search.run()
     group = PermGroup.from_strong_generators(g.n, search.base, search.gens)
     return AutResult(group, search.node_count)
-
-
-class _IsoSearch:
-    def __init__(self, g: Graph, h: Graph, max_nodes: int | None):
-        self.g = g
-        self.h = h
-        unit = [list(range(g.n))]
-        self.pg = make_kernel(g.n, g.adj).partition(unit)
-        self.ph = make_kernel(h.n, h.adj).partition(unit)
-        self.max_nodes = max_nodes
-        self.node_count = 0
-
-    def run(self) -> list[int] | None:
-        if self.pg.refine([0]) != self.ph.refine([0]):
-            return None
-        return self._node()
-
-    def _bump(self) -> None:
-        self.node_count += 1
-        if self.max_nodes is not None and self.node_count > self.max_nodes:
-            raise ScaleGuardExceeded(
-                f"isomorphism search exceeded {self.max_nodes} nodes")
-
-    def _node(self) -> list[int] | None:
-        """Pair g's first target vertex with each vertex of h's cell at the
-        same start. Equal traces give both partitions the same cell
-        starts. The partitions are back at the node on a None return."""
-        self._bump()
-        pg, ph = self.pg, self.ph
-        if pg.is_discrete():
-            mapping = [0] * self.g.n
-            for v, w in zip(pg.order, ph.order):
-                mapping[v] = w
-            return mapping if self.g.maps_edges_into(mapping, self.h) else None
-        t = pg.target()
-        mark_g = len(pg.trail)
-        trace_g = pg.individualize(t, pg.order[t])
-        mark_h = len(ph.trail)
-        for w in ph.cell(t):
-            if ph.individualize(t, w) == trace_g:
-                found = self._node()
-                if found is not None:
-                    return found
-            ph.undo(mark_h)
-        pg.undo(mark_g)
-        return None
 
 
 def is_isomorphic(g: Graph, h: Graph,
                   max_nodes: int | None = None) -> list[int] | None:
     """Certified isomorphism from g to h as an image list, or None.
 
-    Both graphs are refined side by side with paired partitions; branches
-    survive only while the refinement traces agree, so a returned mapping
-    is always verified edge-by-edge and exhaustion certifies
-    non-isomorphism.
+    h's tree is walked against g's first path; branches survive only while
+    their refinement traces agree with it, so a returned mapping is always
+    verified edge-by-edge and exhaustion certifies non-isomorphism.
     """
     if g.n != h.n or g.edge_count() != h.edge_count():
         return None
     if g.degree_sequence() != h.degree_sequence():
         return None
-    return _IsoSearch(g, h, max_nodes).run()
+    search = _Search(h, max_nodes, source=g)
+    search.run()
+    return search.mapping
 
 
 def count_automorphisms_brute(g: Graph) -> int:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .constructions import (bipartite_generators, predicted_order,
-                            predicted_order_cube,
+                            predicted_order_cube, predicted_order_product,
                             product_subgroup_generators)
 from .errors import CertificationError, ScaleGuardExceeded
 from .graphs import BipartiteSpec, Graph, cartesian_product, complete_graph
@@ -170,7 +170,7 @@ def verify_product(factors: list[Graph],
     base_group = automorphism_group(product, max_nodes=guard.max_nodes).group
     gens = _constructed(product_subgroup_generators, factors, tg=tg,
                         base_group=base_group)
-    predicted = (1 << (len(factors) - 1)) * base_group.order()
+    predicted = predicted_order_product(factors, base_group).order
     return _finish(f"product({_describe(product)})", tg.graph, gens,
                    predicted, True, started, aut)
 

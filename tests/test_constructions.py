@@ -436,10 +436,6 @@ def test_product_subgroup_input_validation():
     with pytest.raises(ValueError):
         product_subgroup_generators(
             [graph_from_edges(2, []), complete_graph(2)])
-    # primality check can be bypassed; construction still certifies
-    gens = product_subgroup_generators(
-        [cycle_graph(4), complete_graph(2)], check_primality=False)
-    assert len(gens) == 4
 
 
 PRODUCT_GENERATOR_PINS = [

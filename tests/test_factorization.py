@@ -213,6 +213,12 @@ def test_certifies_rejects_wrong_graph():
     assert f.certifies(g)
     assert not f.certifies(path_graph(6))
     assert not f.certifies(cycle_graph(6))
+    # a bijective witness with two coordinate tuples swapped
+    swapped = list(f.witness)
+    swapped[0], swapped[1] = swapped[1], swapped[0]
+    assert not Factorization(f.factors, tuple(swapped)).certifies(g)
+    # every edge of g less one still maps to a product edge
+    assert not f.certifies(graph_from_edges(g.n, g.edges()[1:]))
 
 
 def _digest(obj):

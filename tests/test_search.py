@@ -120,6 +120,13 @@ def test_node_budget_is_enforced():
         automorphism_group(g, max_nodes=3)
     with pytest.raises(ScaleGuardExceeded):
         is_isomorphic(g, g, max_nodes=2)
+    # Rejections count their nodes too: the 2-token graphs differ below
+    # the root (1 node), the strongly regular pair after 17 nodes.
+    with pytest.raises(ScaleGuardExceeded):
+        is_isomorphic(token_graph(shrikhande(), 2).graph,
+                      token_graph(rook_graph(), 2).graph, max_nodes=0)
+    with pytest.raises(ScaleGuardExceeded):
+        is_isomorphic(shrikhande(), rook_graph(), max_nodes=16)
 
 
 def test_is_isomorphic_certificates():
@@ -243,6 +250,16 @@ def test_is_isomorphic_agrees_with_networkx_vf2():
         out.add_nodes_from(range(graph.n))
         return out
 
+    def check(g, others, trial):
+        for other in others:
+            mapping = is_isomorphic(g, other)
+            assert (mapping is not None) == \
+                nx.is_isomorphic(to_nx(g), to_nx(other)), trial
+            if mapping is not None:
+                assert sorted(mapping) == list(range(g.n)), trial
+                for u, v in g.edges():
+                    assert other.has_edge(mapping[u], mapping[v]), trial
+
     rng = random.Random(808)
     for trial in range(120):
         n = rng.randint(4, 12)
@@ -256,14 +273,23 @@ def test_is_isomorphic_agrees_with_networkx_vf2():
             except nx.NetworkXAlgorithmError:
                 pass
         h = graph_from_edges(n, list(nh.edges()))
-        for other in (h, shuffled_copy(h, rng)[0]):
-            mapping = is_isomorphic(g, other)
-            assert (mapping is not None) == \
-                nx.is_isomorphic(to_nx(g), to_nx(other)), trial
-            if mapping is not None:
-                assert sorted(mapping) == list(range(n)), trial
-                for u, v in g.edges():
-                    assert other.has_edge(mapping[u], mapping[v]), trial
+        check(g, (h, shuffled_copy(h, rng)[0]), trial)
+    # Two of the A + A + B cubic graphs of the orbit-pruning pins (one per
+    # group order there) against a relabeling of themselves and a cubic
+    # A + B + B partner.
+    for seed in (13, 16):
+        rng = random.Random(seed)
+        n = rng.choice((6, 8, 10))
+        a, b = random_cubic_edges(rng, n), random_cubic_edges(rng, n)
+
+        def union(*parts):
+            return graph_from_edges(3 * n, [(u + i * n, v + i * n)
+                                            for i, part in enumerate(parts)
+                                            for u, v in part])
+
+        g, _ = shuffled_copy(union(a, a, b), rng)
+        check(g, (shuffled_copy(g, rng)[0],
+                  shuffled_copy(union(a, b, b), rng)[0]), seed)
 
 
 def test_search_chain_rejects_non_members():
