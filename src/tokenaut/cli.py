@@ -1,9 +1,10 @@
 """Command-line entry point.
 
 Subcommands: build (token-graph edge list plus rank mapping), aut
-(automorphism group of an edge-list file), generators (explicit
-generator families with their predicted order), factor (prime factor
-decomposition), verify (theorem-level pipelines).
+(automorphism group of an edge-list file), generators (the explicit
+generators of one ``tokenaut.verify`` pipeline run, with their predicted
+and generated orders), factor (prime factor decomposition), verify
+(theorem-level pipelines, run one instance after another).
 
 Exit codes are stable: 0 success, 2 usage or parse error, 3 scale-guard
 refusal, 4 verification failure. Graphs are named by a small constructor
@@ -18,28 +19,23 @@ import os
 import re
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from itertools import product as iter_product
 from math import comb
 from typing import Sequence
 
 from . import __version__
-from . import subsets
-from .constructions import (predicted_order, predicted_order_cube,
-                            predicted_order_product, bipartite_generators,
-                            product_subgroup_generators,
-                            singleton_swap_families)
+from .constructions import singleton_swap_families
 from .errors import CertificationError, ScaleGuardExceeded
 from .factorization import prime_factor_decomposition
 from .graphs import (BipartiteSpec, Graph, cartesian_product,
                      complete_bipartite, complete_graph, cycle_graph,
                      format_edge_list, hypercube, parse_edge_list,
                      path_graph, star_graph)
-from .perms import permutation_to_str, schreier_sims
+from .perms import permutation_to_str
 from .search import automorphism_group
 from .tokens import token_graph
-from .verify import (DEFAULT_GUARD, ScaleGuard, VerificationReport,
-                     verify_bipartite, verify_cube, verify_product)
+from .verify import (DEFAULT_GUARD, ScaleGuard, verify_bipartite,
+                     verify_cube, verify_product)
 
 GRAMMAR = ("kmn:M,N | kn:N | kN | path:N | cycle:N | star:N | cube:R | "
            "prod:<spec>+<spec>+... | file:PATH")
@@ -182,51 +178,45 @@ def cmd_generators(args) -> int:
              args.r is not None, args.factors is not None]
     if sum(modes) != 1:
         raise UsageError("choose exactly one of --m/--n/--k, --r, --factors")
+    guard = _guard(args)
     if modes[0]:
         if args.m is None or args.n is None or args.k is None:
             raise UsageError("bipartite generators need all of --m --n --k")
         m, n, k = _single(args.m, "--m"), _single(args.n, "--n"), _single(args.k, "--k")
-        _guard(args).require_vertices(comb(m + n, k), f"{k}-token graph of K{m},{n}")
-        gens = bipartite_generators(m, n, k)
-        pred = predicted_order(m, n, k)
+        report = verify_bipartite(m, n, k, guard)
+        instance = report.instance
         families = []
         if m == 2 and n > 2:
             families = [fam.to_sorted_lists()
                         for fam in singleton_swap_families(BipartiteSpec(m, n), k)]
-        payload = {
-            "instance": f"bipartite(m={m},n={n},k={k})",
-            "predicted_order": str(pred.order),
-            "structure_tag": pred.structure_tag,
-            "swap_families": families,
-        }
+    elif modes[1]:
+        r = _single(args.r, "--r")
+        report = verify_cube(r, guard)
+        instance = report.instance
+        families = [[ax] for ax in range(r - 1)]
     else:
-        if modes[1]:
-            r = _single(args.r, "--r")
-            factors = [complete_graph(2) for _ in range(r)]
-            pred = predicted_order_cube(r)
-            instance = f"cube(r={r})"
-        else:
-            factors = parse_factor_specs(args.factors)
-            instance = f"product({'+'.join(_name(f) for f in factors)})"
-            pred = None
-        base = cartesian_product(factors)
-        _guard(args).require_vertices(comb(base.n, 2), instance)
-        base_group = None
-        if pred is None:
-            base_group = automorphism_group(base).group
-            pred = predicted_order_product(factors, base_group)
-        gens = product_subgroup_generators(factors, base_group=base_group)
-        payload = {
-            "instance": instance,
-            "predicted_order": str(pred.order),
-            "structure_tag": pred.structure_tag,
-            "swap_families": [[ax] for ax in range(len(factors) - 1)],
-        }
-    payload["generated_order"] = str(schreier_sims(gens, degree=gens[0].degree).order())
-    payload["generators"] = [permutation_to_str(p) for p in gens]
+        factors = parse_factor_specs(args.factors)
+        report = verify_product(factors, guard)
+        instance = f"product({'+'.join(_name(f) for f in factors)})"
+        families = [[ax] for ax in range(len(factors) - 1)]
+    if not report.generators_certified:
+        raise CertificationError(
+            f"{instance}: a constructed generator failed the edge check")
+    if report.generated_order is None:
+        raise CertificationError(
+            f"{instance}: a constructed generator is outside the computed group")
+    gens = report.generators
+    payload = {
+        "instance": instance,
+        "predicted_order": report.predicted_order,
+        "structure_tag": report.structure_tag,
+        "swap_families": families,
+        "generated_order": str(report.generated_order),
+        "generators": [permutation_to_str(p) for p in gens],
+    }
     if args.report:
         _write_report(args.report, payload)
-    print(f"{payload['instance']}: {len(gens)} generators, "
+    print(f"{instance}: {len(gens)} generators, "
           f"generated order {payload['generated_order']}, "
           f"predicted {payload['predicted_order']} [{payload['structure_tag']}]")
     return 0
@@ -264,7 +254,7 @@ def _int_list(text: str, flag: str) -> list[int]:
 
 
 def _verify_instances(args) -> list[tuple[str, object]]:
-    """(description, thunk-args) pairs for the requested fan-out."""
+    """(description, thunk) pairs for the requested fan-out."""
     guard = _guard(args)
     instances = []
     if args.mode == "bipartite":
@@ -299,33 +289,18 @@ def _report_path(base: str, index: int, total: int) -> str:
 
 def cmd_verify(args) -> int:
     instances = _verify_instances(args)
-    outcomes: list = [None] * len(instances)
-
-    def run(idx: int) -> None:
-        desc, thunk = instances[idx]
-        try:
-            outcomes[idx] = (desc, thunk())
-        except (ScaleGuardExceeded, ValueError) as exc:
-            outcomes[idx] = (desc, exc)
-
-    if args.jobs > 1 and len(instances) > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            list(pool.map(run, range(len(instances))))
-    else:
-        for i in range(len(instances)):
-            run(i)
-
     worst = 0
-    for idx, (desc, outcome) in enumerate(outcomes):
-        if isinstance(outcome, ScaleGuardExceeded):
-            print(f"{desc}: REFUSED ({outcome})")
+    for idx, (desc, run) in enumerate(instances):
+        try:
+            report = run()
+        except ScaleGuardExceeded as exc:
+            print(f"{desc}: REFUSED ({exc})")
             worst = max(worst, 3)
             continue
-        if isinstance(outcome, Exception):
-            print(f"{desc}: ERROR ({outcome})", file=sys.stderr)
+        except ValueError as exc:
+            print(f"{desc}: ERROR ({exc})", file=sys.stderr)
             worst = max(worst, 2)
             continue
-        report = outcome
         if args.report:
             _write_report(_report_path(args.report, idx, len(instances)),
                           report.to_dict())
@@ -405,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="product factors, e.g. k2+path:3 (repeatable)")
     p.add_argument("--report", help="JSON report path (indexed when fanned out)")
     p.add_argument("--jobs", type=int, default=1,
-                   help="worker threads for fanned-out instances")
+                   help="accepted and ignored; instances run one after another")
     common(p)
     p.set_defaults(func=cmd_verify)
     return parser

@@ -12,22 +12,25 @@ the search oracle, builds the matching explicit generators, and reports:
 
 For Cartesian products the predicted subgroup order is asserted but full
 equality is a recorded observation only (conjecture_flag), never a
-failure. Scale guards turn oversized requests into refusals, not
-crashes.
+failure. The cube and product pipelines share one body, whose searches
+run under the guard's node budget; scale guards turn oversized requests
+into refusals, not crashes. Outside its JSON form, a report carries what
+``tokenaut generators`` prints, so both commands run one pipeline.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import comb
 
-from .constructions import (bipartite_generators, predicted_order,
-                            predicted_order_cube, predicted_order_product,
+from .constructions import (PredictedAut, bipartite_generators,
+                            predicted_order, predicted_order_cube,
+                            predicted_order_product,
                             product_subgroup_generators)
 from .errors import CertificationError, ScaleGuardExceeded
 from .graphs import BipartiteSpec, Graph, cartesian_product, complete_graph
-from .perms import bounded_order
+from .perms import Permutation, bounded_order
 from .search import automorphism_group
 from .tokens import token_graph
 
@@ -61,6 +64,12 @@ class VerificationReport:
     conjecture_flag: bool | None
     wall_time: float
     node_count: int
+    # Left out of to_dict: the prediction's tag, the certified generators
+    # (None when one failed the edge check) and the order they generate
+    # (None unless all of them lie in the computed group).
+    structure_tag: str = ""
+    generators: tuple[Permutation, ...] | None = field(default=None, repr=False)
+    generated_order: int | None = None
 
     @property
     def passed(self) -> bool:
@@ -94,7 +103,7 @@ def _constructed(build, *args, **kwargs):
         return None
 
 
-def _finish(instance: str, graph: Graph, gens, predicted: int,
+def _finish(instance: str, graph: Graph, gens, pred: PredictedAut,
             conjectured: bool, started: float, aut_result) -> VerificationReport:
     """Report on the generators from ``_constructed``: certified ones, or
     None for a construction whose generator failed the edge check."""
@@ -103,21 +112,24 @@ def _finish(instance: str, graph: Graph, gens, predicted: int,
     certified = gens is not None
     contained = certified and all(group.contains(p) for p in gens)
     # Inside the computed group, |Aut| bounds the subgroup's order.
-    sub_order = bounded_order(gens, computed, degree=graph.n) if contained else 0
+    sub_order = bounded_order(gens, computed, degree=graph.n) if contained else None
     if contained and computed % sub_order != 0:
         raise AssertionError("subgroup order fails Lagrange divisibility")
-    subgroup_certified = contained and sub_order == predicted
-    equality = computed == predicted and subgroup_certified
+    subgroup_certified = sub_order == pred.order
+    equality = computed == pred.order and subgroup_certified
     return VerificationReport(
         instance=instance,
         computed_order=str(computed),
-        predicted_order=str(predicted),
+        predicted_order=str(pred.order),
         generators_certified=certified,
         subgroup_certified=subgroup_certified,
         equality=equality,
-        conjecture_flag=(computed == predicted) if conjectured else None,
+        conjecture_flag=(computed == pred.order) if conjectured else None,
         wall_time=time.perf_counter() - started,
         node_count=aut_result.node_count,
+        structure_tag=pred.structure_tag,
+        generators=tuple(gens) if certified else None,
+        generated_order=sub_order,
     )
 
 
@@ -131,9 +143,8 @@ def verify_bipartite(m: int, n: int, k: int,
     tg = token_graph(spec.graph(), k)
     aut = automorphism_group(tg.graph, max_nodes=guard.max_nodes)
     gens = _constructed(bipartite_generators, m, n, k, tg)
-    pred = predicted_order(m, n, k)
     return _finish(f"bipartite(m={m},n={n},k={k})", tg.graph, gens,
-                   pred.order, False, started, aut)
+                   predicted_order(m, n, k), False, started, aut)
 
 
 def verify_cube(r: int, guard: ScaleGuard = DEFAULT_GUARD) -> VerificationReport:
@@ -142,14 +153,9 @@ def verify_cube(r: int, guard: ScaleGuard = DEFAULT_GUARD) -> VerificationReport
     r = 3 and r = 4 only."""
     pred = predicted_order_cube(r)
     guard.require_vertices(comb(1 << r, 2), f"2-token graph of Q{r}")
-    started = time.perf_counter()
     factors = [complete_graph(2) for _ in range(r)]
-    product = cartesian_product(factors)
-    tg = token_graph(product, 2)
-    aut = automorphism_group(tg.graph, max_nodes=guard.max_nodes)
-    gens = _constructed(product_subgroup_generators, factors, tg=tg)
-    return _finish(f"cube(r={r})", tg.graph, gens, pred.order, False,
-                   started, aut)
+    return _verify_2_token(factors, cartesian_product(factors),
+                           f"cube(r={r})", guard, pred)
 
 
 def verify_product(factors: list[Graph],
@@ -162,17 +168,26 @@ def verify_product(factors: list[Graph],
     product = cartesian_product(factors)
     if not product.is_connected():
         raise ValueError("product is disconnected; every factor must be connected")
-    guard.require_vertices(comb(product.n, 2),
-                           f"2-token graph of {_describe(product)}")
+    name = _describe(product)
+    guard.require_vertices(comb(product.n, 2), f"2-token graph of {name}")
+    return _verify_2_token(factors, product, f"product({name})", guard)
+
+
+def _verify_2_token(factors: list[Graph], product: Graph, instance: str,
+                    guard: ScaleGuard,
+                    closed_form: PredictedAut | None = None) -> VerificationReport:
+    """The pipeline behind ``verify_cube`` and ``verify_product``. A
+    closed-form prediction is asserted; without one, the prediction is
+    2^(r-1) * |Aut(base)| and equality with it is the conjecture."""
     started = time.perf_counter()
     tg = token_graph(product, 2)
     aut = automorphism_group(tg.graph, max_nodes=guard.max_nodes)
     base_group = automorphism_group(product, max_nodes=guard.max_nodes).group
     gens = _constructed(product_subgroup_generators, factors, tg=tg,
                         base_group=base_group)
-    predicted = predicted_order_product(factors, base_group).order
-    return _finish(f"product({_describe(product)})", tg.graph, gens,
-                   predicted, True, started, aut)
+    pred = closed_form or predicted_order_product(factors, base_group)
+    return _finish(instance, tg.graph, gens, pred, closed_form is None,
+                   started, aut)
 
 
 def _describe(g: Graph) -> str:

@@ -7,7 +7,8 @@ import os
 import pytest
 
 from tokenaut import (Permutation, cartesian_product, complete_graph,
-                      parse_edge_list, permutation_from_str, token_graph)
+                      parse_edge_list, permutation_from_str, schreier_sims,
+                      token_graph)
 from tokenaut import constructions
 from tokenaut.cli import main, parse_graph_spec, UsageError
 from tokenaut.verify import VerificationReport
@@ -192,18 +193,41 @@ def test_generators_cube_and_product(tmp_path):
     assert payload["predicted_order"] == "8"
     assert payload["swap_families"] == [[0]]
 
+    # generated_order comes from the verify pipeline's bounded order; it
+    # must be the full chain's order of the printed generators. K2 x K2
+    # generates 16 of its 48 automorphisms, so its bound falls back.
+    for argv, order in ((["--m", "2", "--n", "4", "--k", "3"], 3072),
+                        (["--m", "3", "--n", "3", "--k", "3"], 144),
+                        (["--m", "2", "--n", "2", "--k", "2"], 48),
+                        (["--r", "3"], 192),
+                        (["--factors", "k2+k3"], 24),
+                        (["--factors", "k2+k2"], 16)):
+        assert run(["generators"] + argv + ["--report", str(report)]) == 0
+        payload = json.loads(report.read_text())
+        gens = [permutation_from_str(t) for t in payload["generators"]]
+        assert payload["generated_order"] == str(order), argv
+        assert schreier_sims(gens, degree=gens[0].degree).order() == order, argv
+
 
 def test_generators_factors_searches_the_base_once(monkeypatch):
-    from tokenaut import constructions
+    from tokenaut import verify
 
     calls = []
-    for module in (cli_module, constructions):
+    for module in (verify, constructions):
         def counted(g, *args, _real=module.automorphism_group, **kw):
             calls.append(g.n)
             return _real(g, *args, **kw)
         monkeypatch.setattr(module, "automorphism_group", counted)
+    # the token graph of K2 x P3 (15 vertices), then the base (6)
     assert run(["generators", "--factors", "k2+path:3"]) == 0
-    assert calls == [6]
+    assert calls == [15, 6]
+
+
+def test_generators_respect_the_node_budget(capsys):
+    for argv in (["--r", "3"], ["--factors", "k2+path:3"],
+                 ["--m", "2", "--n", "4", "--k", "3"]):
+        assert run(["generators"] + argv + ["--max-nodes", "1"]) == 3, argv
+        assert "refused" in capsys.readouterr().err
 
 
 def test_generators_mode_exclusivity(capsys):
@@ -243,9 +267,10 @@ def test_factor_prefix_override(tmp_path):
 
 def test_factor_rejects_disconnected(tmp_path, capsys):
     bad = tmp_path / "bad.el"
-    bad.write_text("4 2\n0 1\n2 3\n")
+    bad.write_text("n 4\n0 1\n2 3\n")
     rc = run(["factor", "--in", str(bad)])
     assert rc == 2
+    assert "connected" in capsys.readouterr().err
 
 
 # -- verify -------------------------------------------------------------------
@@ -311,6 +336,8 @@ def test_verify_product_records_conjecture(capsys):
 
 
 def test_verify_parallel_jobs_match_serial(tmp_path, capsys):
+    # Instances run one after another whatever --jobs says; this checks
+    # that the old flag is still accepted and changes nothing.
     argv = ["verify", "bipartite", "--m", "2", "--n", "3,4", "--k", "2"]
     assert run(argv) == 0
     serial = capsys.readouterr().out
@@ -343,6 +370,10 @@ def test_verify_failure_exit_code(monkeypatch, capsys):
     rc = run(["verify", "bipartite", "--m", "2", "--n", "3", "--k", "2"])
     assert rc == 4
     assert "FAIL" in capsys.readouterr().out
+    # the report has no generated order: its generators are not all in
+    # the computed group, which generators refuses as well
+    assert run(["generators", "--m", "2", "--n", "3", "--k", "2"]) == 4
+    assert "outside the computed group" in capsys.readouterr().err
 
 
 def test_failed_generator_certificate_is_a_fail_report(monkeypatch, capsys,
