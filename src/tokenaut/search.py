@@ -42,7 +42,7 @@ are a strong generating set relative to the path (McKay & Piperno,
 turns that into a chain by orbit enumeration alone, and |Aut| is the product
 of the orbit lengths.
 
-The walker keeps one backtrackable ``Partition`` (``_refine_py``) for its
+The walker keeps one backtrackable ``Partition`` (``refinement``) for its
 whole run: a node individualizes a vertex of its target cell in place,
 refines, recurses, and undoes the trail back to its mark, so the partition
 is the node's own again for the next candidate. A node costs its splitting
