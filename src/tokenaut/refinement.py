@@ -25,20 +25,21 @@ queued, which is the caller's side of the contract stated on
 
 The search keeps one ``Partition`` for its whole run, the layout
 of nauty and Traces. Cells are contiguous segments of one vertex array
-and are named by their start position. Refining and individualizing
-split cells in place and push each split cell's old segment onto a
-trail; returning from a search node undoes the trail back to the node's
-mark. So a node costs its splitting work (the splitters' degree sums and
-the cells that split, once to split and once to undo), not a pass over
-all n vertices. Building the kernel costs one pass over every adjacency
+and are named by their start position alone, which is also what the
+trace records for a split cell. Refining and individualizing split cells
+in place and push each split cell's old segment onto a trail; returning
+from a search node undoes the trail back to the node's mark. So a node
+costs its splitting work (the splitters' degree sums and the cells that
+split, once to split and once to undo), not a pass over all n vertices.
+Only choosing a target cell walks every cell, and the search does that
+once per depth. Building the kernel costs one pass over every adjacency
 row.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from collections import Counter, deque
-from itertools import chain
+from itertools import accumulate, chain
 from typing import Sequence
 
 
@@ -84,7 +85,8 @@ class RefineKernel:
 
     def refine(self, cells, active):
         part = self.partition(cells)
-        trace = part.refine([part.starts[i] for i in active])
+        starts = list(accumulate(map(len, cells), initial=0))
+        trace = part.refine([starts[i] for i in active])
         return part.cells(), trace
 
 
@@ -92,18 +94,16 @@ class Partition:
     """An ordered partition refined in place and undone from a trail.
 
     ``order`` lists the vertices cell by cell. A cell is named by its start
-    position in ``order``: ``starts`` holds the starts in ascending order,
-    so a cell's index is the rank of its start, ``size[s]`` is the length
-    of the cell at ``s`` (stale for positions that start no cell), and
-    ``start_of[v]`` is the start of v's cell. ``wide`` holds the starts of
-    the non-singleton cells, so choosing a target cell scans only those,
-    which deep in a search are few. Each split pushes ``(start,
-    old segment)`` onto ``trail``; ``undo(mark)`` pops back to a length the
-    caller recorded, restoring the vertex order within every cell exactly.
-    Cells must be non-empty.
+    position in ``order``: ``size[s]`` is the length of the cell at ``s``
+    (stale for positions that start no cell), so the cells are walked by
+    ``s += size[s]`` from 0, and ``start_of[v]`` is the start of v's cell.
+    ``cell_count`` is the number of cells. Each split pushes ``(start,
+    old segment, fragment count)`` onto ``trail``; ``undo(mark)`` pops back
+    to a length the caller recorded, restoring the vertex order within
+    every cell and the cell count exactly. Cells must be non-empty.
     """
 
-    __slots__ = ("n", "nbrs", "order", "start_of", "size", "starts", "wide",
+    __slots__ = ("n", "nbrs", "order", "start_of", "size", "cell_count",
                  "trail")
 
     def __init__(self, n: int, nbrs: tuple[tuple[int, ...], ...], cells):
@@ -112,35 +112,46 @@ class Partition:
         self.order: list[int] = []
         self.start_of = [0] * n
         self.size = [0] * n
-        self.starts: list[int] = []
-        self.trail: list[tuple[int, list[int]]] = []
+        self.cell_count = 0
+        self.trail: list[tuple[int, list[int], int]] = []
         for cell in cells:
             if not cell:
                 raise ValueError("partition cells must be non-empty")
             s = len(self.order)
-            self.starts.append(s)
             self.size[s] = len(cell)
             for v in cell:
                 self.start_of[v] = s
             self.order.extend(cell)
-        self.wide = {s for s in self.starts if self.size[s] > 1}
+            self.cell_count += 1
 
     def cells(self) -> list[list[int]]:
         order, size = self.order, self.size
-        return [order[s:s + size[s]] for s in self.starts]
+        out = []
+        s = 0
+        while s < self.n:
+            out.append(order[s:s + size[s]])
+            s += size[s]
+        return out
 
     def cell(self, start: int) -> list[int]:
         return self.order[start:start + self.size[start]]
 
     def is_discrete(self) -> bool:
-        return len(self.starts) == self.n
+        return self.cell_count == self.n
 
     def target(self) -> int:
         """Start of the first smallest non-singleton cell (the partition
-        must not be discrete)."""
-        size = self.size
-        least = min(map(size.__getitem__, self.wide))
-        return min(s for s in self.wide if size[s] == least)
+        must not be discrete). It walks every cell, which the search does
+        once per depth, on the reference path."""
+        n, size = self.n, self.size
+        best, least = -1, n + 1
+        s = 0
+        while s < n:
+            k = size[s]
+            if 1 < k < least:
+                best, least = s, k
+            s += k
+        return best
 
     def individualize(self, start: int, v: int) -> tuple:
         """Split v off the front of the non-singleton cell at start, keeping
@@ -148,20 +159,17 @@ class Partition:
         meets ``refine``'s contract when the partition is equitable."""
         order, size = self.order, self.size
         seg = order[start:start + size[start]]
-        self.trail.append((start, seg))
+        self.trail.append((start, seg, 2))
         i = seg.index(v)
         order[start] = v
         order[start + 1:start + i + 1] = seg[:i]
         size[start + 1] = size[start] - 1
         size[start] = 1
-        self.wide.discard(start)
-        if size[start + 1] > 1:
-            self.wide.add(start + 1)
         start_of = self.start_of
         for u in seg:
             start_of[u] = start + 1
         start_of[v] = start
-        self.starts.insert(bisect_right(self.starts, start), start + 1)
+        self.cell_count += 1
         return self.refine([start, start + 1])
 
     def refine(self, active) -> tuple:
@@ -181,7 +189,7 @@ class Partition:
         popped, which is how a queued cell that splits keeps its first
         fragment queued.
 
-        Returns the trace. It records each split event as (cell index,
+        Returns the trace. It records each split event as (cell start,
         fragment count, then (count, size) per fragment), in ascending cell
         order within one splitter, and a -1 marker after each drained
         splitter. Given the input cell sizes the events determine the
@@ -192,12 +200,13 @@ class Partition:
         nbrs = self.nbrs
         neighbours = nbrs.__getitem__
         order, size, start_of = self.order, self.size, self.start_of
-        starts, wide, trail = self.starts, self.wide, self.trail
+        trail = self.trail
         cell_of = start_of.__getitem__
         queue = deque(active)
         pending = set(queue)
         trace = []
-        while queue and len(starts) < n:
+        cell_count = self.cell_count
+        while queue and cell_count < n:
             s = queue.popleft()
             pending.discard(s)
             single = size[s] == 1
@@ -219,7 +228,6 @@ class Partition:
                 split = {t for (t, _), k in hits.items() if k != size[t]}
             for t in sorted(split):
                 cell = order[t:t + size[t]]
-                trail.append((t, cell))
                 if single:
                     frags = [(0, [v for v in cell if v not in count]),
                              (1, [v for v in cell if v in count])]
@@ -228,15 +236,15 @@ class Partition:
                     for v in cell:
                         groups.setdefault(count.get(v, 0), []).append(v)
                     frags = sorted(groups.items())
+                trail.append((t, cell, len(frags)))
+                cell_count += len(frags) - 1
                 if t in pending:
                     skip = 0
                 else:
                     sizes = [len(frag) for _, frag in frags]
                     skip = sizes.index(max(sizes))
-                j = bisect_left(starts, t)
-                trace.append(j)
+                trace.append(t)
                 trace.append(len(frags))
-                new_starts = []
                 u = t
                 for i, (c, frag) in enumerate(frags):
                     k = len(frag)
@@ -244,36 +252,28 @@ class Partition:
                     trace.append(k)
                     order[u:u + k] = frag
                     size[u] = k
-                    if k > 1:
-                        wide.add(u)
-                    elif u == t:
-                        wide.discard(t)
                     if u != t:
-                        new_starts.append(u)
                         for v in frag:
                             start_of[v] = u
                     if i != skip:
                         queue.append(u)
                         pending.add(u)
                     u += k
-                starts[j + 1:j + 1] = new_starts
             trace.append(-1)
+        self.cell_count = cell_count
         return tuple(trace)
 
     def undo(self, mark: int) -> None:
         """Undo every split recorded after the trail had length mark."""
         order, size, start_of = self.order, self.size, self.start_of
-        starts, wide, trail = self.starts, self.wide, self.trail
+        trail = self.trail
         while len(trail) > mark:
-            t, seg = trail.pop()
+            t, seg, frags = trail.pop()
             k = len(seg)
-            j = bisect_right(starts, t)
-            i = bisect_left(starts, t + k, j)
-            # The first fragment already maps to t.
-            for v in order[starts[j]:t + k]:
+            # The first fragment already maps to t, and its size is back
+            # at size[t], since the later splits inside it are undone.
+            for v in order[t + size[t]:t + k]:
                 start_of[v] = t
             order[t:t + k] = seg
             size[t] = k
-            wide.difference_update(starts[j:i])
-            del starts[j:i]
-            wide.add(t)
+            self.cell_count -= frags - 1

@@ -12,7 +12,9 @@ explicit edge-by-edge check:
   lazily, and each accepted map is a generator;
 * an isomorphism from g to h: the walk is over h's tree, and the reference
   is g's first path (at every level, the first vertex of the target cell),
-  computed up front with its traces. The first accepted map ends the walk.
+  taken in a partition of g one level at a time, when h's walk first
+  reaches that depth, so a pair rejected near h's root never pays for the
+  rest of g's path. The first accepted map ends the walk.
 
 Pruning never drops a map the walk is looking for:
 
@@ -114,24 +116,11 @@ def refine(g: Graph,
     return refined
 
 
-def _first_path(g: Graph) -> tuple[list[tuple], list[int], list[int]]:
-    """Traces, target cells and discrete leaf of g's first path: from the
-    refined unit partition, individualize the first vertex of the target
-    cell per level."""
-    part = make_kernel(g.n, g.adj).partition([list(range(g.n))])
-    traces = [part.refine([0])]
-    targets = []
-    while not part.is_discrete():
-        t = part.target()
-        targets.append(t)
-        traces.append(part.individualize(t, part.order[t]))
-    return traces, targets, part.order
-
-
 class _Search:
     """Walk the tree of g, comparing each leaf with a reference leaf: g's
-    own first leaf, found lazily, or the first leaf of ``source``, an
-    isomorphism candidate for g, computed up front."""
+    own first leaf, or the first leaf of ``source``, an isomorphism
+    candidate for g. Either way the reference path is extended one level
+    the first time the walk reaches a depth."""
 
     def __init__(self, g: Graph, max_nodes: int | None,
                  source: Graph | None = None):
@@ -139,20 +128,23 @@ class _Search:
         self.iso = source is not None
         self.source = source if self.iso else g
         self.part = make_kernel(g.n, g.adj).partition([list(range(g.n))])
+        # The partition the reference path is taken in: the walk's own, or
+        # one of the source graph, whose order ends as the reference leaf.
+        self.ref = (make_kernel(source.n, source.adj).partition(
+            [list(range(source.n))]) if self.iso else self.part)
         self.max_nodes = max_nodes
         self.node_count = 0
         self.path: list[int] = []
         self.base: list[int] = []
-        self.traces, self.targets, self.first_leaf = (
-            _first_path(source) if self.iso else ([], [], None))
+        self.traces: list[tuple] = []
+        self.targets: list[int] = []
+        self.first_leaf = self.ref.order if self.iso else None
         self.gens: list[Permutation] = []
         self.mapping: list[int] | None = None
 
     def run(self) -> None:
-        root = self.part.refine([0])
-        if self.first_leaf is None:
-            self.traces.append(root)
-        elif root != self.traces[0]:
+        self.traces.append(self.ref.refine([0]))
+        if self.iso and self.part.refine([0]) != self.traces[0]:
             return
         self._node(0)
 
@@ -173,11 +165,9 @@ class _Search:
             return self._leaf(part.order)
         # Equal traces give equal cell starts and sizes, so a node has the
         # target cell of the reference path's node at its depth.
-        if depth < len(self.targets):
-            t = self.targets[depth]
-        else:
-            t = part.target()
-            self.targets.append(t)
+        if depth == len(self.targets):
+            self._extend()
+        t = self.targets[depth]
         candidates = part.cell(t)
         # Union-find over the target cell (see the module docstring);
         # done_roots holds the roots of the done candidates, refreshed after
@@ -212,7 +202,7 @@ class _Search:
                 continue
             mark = len(part.trail)
             trace = part.individualize(t, v)
-            if self.first_leaf is None:
+            if depth + 1 == len(self.traces):
                 self.traces.append(trace)
             elif trace != self.traces[depth + 1]:
                 part.undo(mark)
@@ -226,6 +216,17 @@ class _Search:
             part.undo(mark)
             done_roots.add(root)
         return None
+
+    def _extend(self) -> None:
+        """Take the reference path one level deeper. The walk's own first
+        descent is its reference path, so it records the trace of its
+        first child itself; the source's path individualizes the first
+        vertex of its target cell here."""
+        ref = self.ref
+        t = ref.target()
+        self.targets.append(t)
+        if self.iso:
+            self.traces.append(ref.individualize(t, ref.order[t]))
 
     def _leaf(self, leaf: list[int]) -> int | None:
         if self.first_leaf is None:

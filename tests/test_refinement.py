@@ -142,7 +142,7 @@ def hopcroft_scan_refine(n, adj, cells, active):
             keys = sorted(counts)
             frags = [counts[c] for c in keys]
             cells[j:j + 1] = frags
-            trace += [j, len(frags)]
+            trace += [at, len(frags)]
             for c in keys:
                 trace += [c, len(counts[c])]
             sizes = [len(f) for f in frags]
@@ -235,11 +235,21 @@ def test_kernels_match_reference_on_individualized_vertices():
             assert as_set_partition(got) == as_set_partition(want), (name, v)
 
 
+def live_starts(part):
+    """Cell starts, found by walking the sizes from position 0."""
+    starts = []
+    s = 0
+    while s < part.n:
+        starts.append(s)
+        s += part.size[s]
+    return starts
+
+
 def snapshot(part):
     """The partition's state, with sizes read at live cell starts only."""
+    starts = live_starts(part)
     return (list(part.order), list(part.start_of),
-            [part.size[s] for s in part.starts], list(part.starts),
-            set(part.wide))
+            [part.size[s] for s in starts], starts, part.cell_count)
 
 
 def test_partition_trail_undo_and_in_place_refines():
@@ -255,7 +265,8 @@ def test_partition_trail_undo_and_in_place_refines():
         part = kernel.partition(cells)
         initial = snapshot(part)
         active = rng.sample(range(len(cells)), rng.randint(1, len(cells)))
-        trace = part.refine([part.starts[i] for i in active])
+        starts = live_starts(part)
+        trace = part.refine([starts[i] for i in active])
         assert (part.cells(), trace) == kernel.refine(cells, active), trial
         marks = []
         for step in range(40):
@@ -266,10 +277,12 @@ def test_partition_trail_undo_and_in_place_refines():
                 continue
             if part.is_discrete():
                 break
-            start = rng.choice(sorted(part.wide))
+            starts = live_starts(part)
+            t = rng.choice([i for i, s in enumerate(starts)
+                            if part.size[s] > 1])
+            start = starts[t]
             v = rng.choice(part.cell(start))
             cells = part.cells()
-            t = part.starts.index(start)
             child = (cells[:t] + [[v], [u for u in cells[t] if u != v]]
                      + cells[t + 1:])
             marks.append((len(part.trail), snapshot(part)))

@@ -129,6 +129,27 @@ def test_node_budget_is_enforced():
         is_isomorphic(shrikhande(), rook_graph(), max_nodes=16)
 
 
+def test_isomorphism_reference_path_is_taken_lazily(monkeypatch):
+    # The 2-token graphs of the strongly regular pair are told apart at
+    # depth 1 of h's tree, so g's reference path is refined only to depth
+    # 1 too: g's and h's roots (2), one individualization of g (1) and
+    # h's 48 root children, all rejected. Taking g's whole path up front
+    # cost two more.
+    from tokenaut.refinement import Partition
+
+    calls = []
+    refine = Partition.refine
+
+    def counting(self, active):
+        calls.append(1)
+        return refine(self, active)
+
+    monkeypatch.setattr(Partition, "refine", counting)
+    assert is_isomorphic(token_graph(shrikhande(), 2).graph,
+                         token_graph(rook_graph(), 2).graph) is None
+    assert len(calls) == 51
+
+
 def test_is_isomorphic_certificates():
     rng = random.Random(21)
     for name, g in fixtures():
