@@ -315,6 +315,8 @@ def product_subgroup_generators(factors: Sequence[Graph],
     if r < 2:
         raise ValueError("need at least two factors")
     for i, f in enumerate(factors):
+        if f.n < 2:
+            raise ValueError(f"factor {i} has fewer than 2 vertices")
         if not f.is_connected():
             raise ValueError(f"factor {i} is disconnected")
         if not is_prime(f):

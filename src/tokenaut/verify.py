@@ -165,6 +165,9 @@ def verify_product(factors: list[Graph],
     is the whole group is recorded as the conjecture observation."""
     if len(factors) < 2:
         raise ValueError("need at least two factors")
+    for i, f in enumerate(factors):
+        if f.n < 2:
+            raise ValueError(f"factor {i} has fewer than 2 vertices")
     product = cartesian_product(factors)
     if not product.is_connected():
         raise ValueError("product is disconnected; every factor must be connected")

@@ -230,6 +230,15 @@ def test_generators_respect_the_node_budget(capsys):
         assert "refused" in capsys.readouterr().err
 
 
+def test_one_vertex_factor_is_named(capsys):
+    # K1 gives a 2-vertex product, which has no 2-token graph; the error
+    # names the factor instead of the token graph.
+    for argv in (["verify", "product"], ["generators"]):
+        assert run(argv + ["--factors", "k2+k1"]) == 2, argv
+        assert "factor 1 has fewer than 2 vertices" in \
+            capsys.readouterr().err, argv
+
+
 def test_generators_mode_exclusivity(capsys):
     assert run(["generators", "--m", "2", "--r", "3"]) == 2
     assert run(["generators", "--m", "2", "--n", "3"]) == 2

@@ -436,6 +436,8 @@ def test_product_subgroup_input_validation():
     with pytest.raises(ValueError):
         product_subgroup_generators(
             [graph_from_edges(2, []), complete_graph(2)])
+    with pytest.raises(ValueError, match="factor 0 has fewer than 2"):
+        product_subgroup_generators([complete_graph(1), complete_graph(2)])
 
 
 PRODUCT_GENERATOR_PINS = [

@@ -117,6 +117,8 @@ def test_verify_product_input_validation():
         verify_product([complete_graph(2)])
     with pytest.raises(ValueError):
         verify_product([complete_graph(2), graph_from_edges(2, [])])
+    with pytest.raises(ValueError, match="factor 1 has fewer than 2"):
+        verify_product([complete_graph(2), complete_graph(1)])
     with pytest.raises(ValueError):
         verify_cube(2)
 
