@@ -4,7 +4,8 @@
 Three kinds of cases: raw kernel calls, end-to-end automorphism searches,
 where chain building and certification dilute the kernel's share, and
 isomorphism tests, which walk the same search tree against another
-graph's first path. The kernel calls cover a unit partition, a long cycle
+graph's first path, extended one level whenever the walk first reaches a
+depth. The kernel calls cover a unit partition, a long cycle
 and a search-shaped call: one vertex individualized in the root partition,
 so that the splitters are small. The isomorphism tests are one match
 against a seeded relabeling and one rejection of a pair with equal
