@@ -133,8 +133,7 @@ def test_isomorphism_reference_path_is_taken_lazily(monkeypatch):
     # The 2-token graphs of the strongly regular pair are told apart at
     # depth 1 of h's tree, so g's reference path is refined only to depth
     # 1 too: g's and h's roots (2), one individualization of g (1) and
-    # h's 48 root children, all rejected. Taking g's whole path up front
-    # cost two more.
+    # h's 48 root children, all rejected. g's whole path reaches depth 3.
     from tokenaut.refinement import Partition
 
     calls = []
