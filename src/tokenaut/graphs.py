@@ -14,9 +14,12 @@ unreachable pairs.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
+from operator import ne
 from typing import Iterable, Iterator, Sequence
 
 
@@ -69,16 +72,39 @@ class Graph:
         return [(u, v) for u in range(self.n) for v in _bits(self.adj[u] >> (u + 1) << (u + 1))]
 
     @cached_property
-    def _edge_pairs(self) -> tuple[tuple[int, int], ...]:
-        return tuple(self.edges())
+    def _nbrs(self) -> tuple[tuple[int, ...], ...]:
+        """Each vertex's neighbours in ascending order, built on first use."""
+        return tuple(tuple(_bits(row)) for row in self.adj)
 
     def maps_edges_into(self, images: Sequence[int], target: "Graph") -> bool:
         """Whether u -> images[u] sends every edge of this graph to an edge
         of ``target``. For a bijection onto a graph with as many edges this
-        is exactly an isomorphism check. The edge tuple is cached on first
-        use."""
+        is exactly an isomorphism check.
+
+        When ``target`` is this graph, ``images`` must be a permutation, and
+        only the edges at moved vertices are checked, each once: from its
+        smaller endpoint, or from its moved endpoint when the other is
+        fixed. An edge between fixed vertices maps to itself, so this is
+        still the whole automorphism check, at the cost of the support."""
         adj = target.adj
-        return all(adj[images[u]] >> images[v] & 1 for u, v in self._edge_pairs)
+        nbrs = self._nbrs
+        if target is self:
+            points = range(self.n)
+            for u in compress(points, map(ne, images, points)):
+                row = adj[images[u]]
+                for v in nbrs[u]:
+                    iv = images[v]
+                    if v < u and iv != v:
+                        continue
+                    if not row >> iv & 1:
+                        return False
+            return True
+        for u, nu in enumerate(nbrs):
+            row = adj[images[u]]
+            for v in nu[bisect_right(nu, u):]:
+                if not row >> images[v] & 1:
+                    return False
+        return True
 
     def edge_count(self) -> int:
         return sum(row.bit_count() for row in self.adj) // 2

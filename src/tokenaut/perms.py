@@ -208,9 +208,12 @@ class _Level:
             for g in gens[done[p]:]:
                 y = g[x]
                 if y not in inv:
-                    if ux is None:
-                        ux = _invert(inv[x])
-                    inv[y] = _invert(tuple([g[j] for j in ux]))  # u_y = g u_x
+                    if p == 0:  # x is the base point: u_x = 1, so u_y = g
+                        inv[y] = _invert(g)
+                    else:
+                        if ux is None:
+                            ux = _invert(inv[x])
+                        inv[y] = _invert(tuple([g[j] for j in ux]))  # u_y = g u_x
                     orbit.append(y)
                     done.append(0)
             done[p] = len(gens)
@@ -219,10 +222,12 @@ class _Level:
 def _distinct(degree: int, generators: Iterable[Permutation]) -> tuple[Permutation, ...]:
     """The non-identity generators, each once, in first-seen order."""
     gens = []
+    seen = {_id_images(degree)}
     for g in generators:
         if g.degree != degree:
             raise ValueError(f"generator degree {g.degree} != group degree {degree}")
-        if not g.is_identity() and g not in gens:
+        if g.images not in seen:
+            seen.add(g.images)
             gens.append(g)
     return tuple(gens)
 

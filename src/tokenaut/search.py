@@ -1,9 +1,10 @@
 """Automorphism-group and isomorphism search by individualization-refinement.
 
 One walker serves both questions. It starts from the equitable refinement of
-the unit partition, whose first split is by degree and is recorded in the
-root trace, and individualizes one vertex of a deterministically chosen
-target cell (first smallest non-singleton) per level, re-refining each time.
+the unit partition (of the colour cells, on a twin quotient), whose first
+split is by degree and is recorded in the root trace, and individualizes
+one vertex of a deterministically chosen target cell (first smallest
+non-singleton) per level, re-refining each time.
 Leaves are discrete partitions. Each leaf is compared position by position
 with a reference leaf, and the resulting map is accepted only after an
 explicit edge-by-edge check:
@@ -44,6 +45,48 @@ are a strong generating set relative to the path (McKay & Piperno,
 turns that into a chain by orbit enumeration alone, and |Aut| is the product
 of the orbit lengths.
 
+Graphs with twins are searched in their twin quotient (Anders, Schweitzer &
+Stiess, "Engineering a Preprocessor for Symmetry Detection", SEA 2023). Two
+vertices are open twins when their adjacency rows are equal; twins are
+never adjacent, since there are no loops. The twin classes C_1, ..., C_r
+each list their members c_0 < c_1 < ... in ascending order, and the
+quotient Q is the subgraph induced on the classes' first members, searched
+from initial cells that group the classes by size, in ascending size order.
+An automorphism of g maps twins to twins, so Aut(g) acts on the classes,
+and what it induces is an automorphism of Q that keeps every class size:
+a coloured automorphism. Any permutation that maps each class onto itself
+keeps every adjacency row, so the kernel of the action is T = prod Sym(C).
+Conversely, the order-preserving lift of a coloured automorphism s of Q,
+c_j of C_i to c_j of C_s(i), keeps adjacency (between different classes it
+is Q's, inside one there is none), and lifting is a homomorphism. So Aut(g)
+is T extended by the lifted group L, and |Aut(g)| = prod |C|! * |Aut(Q)|.
+
+The chain's base is the lifted quotient base (the first members of the
+quotient base's classes), then, for each class with more than one member,
+in class order, its members after the first if the class is on the
+quotient base, or all its members but the last if it is not. The strong
+generators are the lifted quotient generators and, for every class, the
+adjacent transpositions (c_j c_{j+1}). An element t * l (t in T, l in L
+lifting s) fixes the first member of C_i exactly when s fixes C_i and t
+fixes that member. So the stabilizer of the first i lifted base points is
+the stabilizer of the first i quotient base points, lifted, times T's
+elements that fix the first members of those classes. The lifted
+generators that fix those points are the lifts of the quotient generators
+that fix the quotient points, which generate the quotient stabilizer by the
+search's own argument above. The transpositions that fix them are all of
+those of the other classes, and those of each fixed class that leave its
+first member alone, (c_1 c_2), (c_2 c_3), ...; together they generate the
+stabilizer's part in T. Past the quotient base the lifted part is trivial,
+and what is left is a direct product over the classes of the symmetric
+group on the members not yet fixed. The adjacent transpositions of
+c_a, ..., c_b are a strong generating set of Sym{c_a, ..., c_b} relative to
+the base c_a, c_{a+1}, ...: those that fix c_a, ..., c_j are
+(c_{j+1} c_{j+2}), ..., (c_{b-1} c_b), which generate the symmetric group
+on the rest. So the generators are a strong generating set relative to
+that base, and ``from_strong_generators`` applies. Every generator, lifted
+or transposition, is still certified edge by edge on g. A twin-free graph,
+with every class a singleton, is searched as it is.
+
 The walker keeps one backtrackable ``Partition`` (``refinement``) for its
 whole run: a node individualizes a vertex of its target cell in place,
 refines, recurses, and undoes the trail back to its mark, so the partition
@@ -68,8 +111,9 @@ independent count for fixtures with small groups.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
-from .errors import ScaleGuardExceeded
+from .errors import CertificationError, ScaleGuardExceeded
 from .graphs import Graph
 from .perms import PermGroup, Permutation
 from .refinement import make_kernel
@@ -81,7 +125,9 @@ OrderedPartition = list[list[int]]
 
 @dataclass(frozen=True)
 class AutResult:
-    """Automorphism group plus search telemetry."""
+    """Automorphism group plus search telemetry. ``node_count`` counts the
+    nodes of the search tree that was walked: g's own, or, when g has twins,
+    that of its twin quotient."""
 
     group: PermGroup
     node_count: int
@@ -89,7 +135,8 @@ class AutResult:
 
 def is_automorphism(g: Graph, p: Permutation) -> bool:
     """Edge-by-edge check that p preserves adjacency of g: a permutation
-    that maps every edge to an edge maps the edge set onto itself."""
+    that maps every edge to an edge maps the edge set onto itself. Only
+    the edges at the vertices p moves are visited (``Graph.maps_edges_into``)."""
     return p.degree == g.n and g.maps_edges_into(p.images, g)
 
 
@@ -120,14 +167,20 @@ class _Search:
     """Walk the tree of g, comparing each leaf with a reference leaf: g's
     own first leaf, or the first leaf of ``source``, an isomorphism
     candidate for g. Either way the reference path is extended one level
-    the first time the walk reaches a depth."""
+    the first time the walk reaches a depth. ``cells`` colours g's
+    automorphism search: the tree starts from them instead of the unit
+    partition, and every leaf map keeps each of them in place."""
 
     def __init__(self, g: Graph, max_nodes: int | None,
-                 source: Graph | None = None):
+                 source: Graph | None = None,
+                 cells: OrderedPartition | None = None):
         self.g = g
         self.iso = source is not None
         self.source = source if self.iso else g
-        self.part = make_kernel(g.n, g.adj).partition([list(range(g.n))])
+        cells = cells or [list(range(g.n))]
+        # The root refines against every initial cell.
+        self.starts = list(accumulate(map(len, cells[:-1]), initial=0))
+        self.part = make_kernel(g.n, g.adj).partition(cells)
         # The partition the reference path is taken in: the walk's own, or
         # one of the source graph, whose order ends as the reference leaf.
         self.ref = (make_kernel(source.n, source.adj).partition(
@@ -143,8 +196,8 @@ class _Search:
         self.mapping: list[int] | None = None
 
     def run(self) -> None:
-        self.traces.append(self.ref.refine([0]))
-        if self.iso and self.part.refine([0]) != self.traces[0]:
+        self.traces.append(self.ref.refine(self.starts))
+        if self.iso and self.part.refine(self.starts) != self.traces[0]:
             return
         self._node(0)
 
@@ -250,17 +303,78 @@ class _Search:
         return fork
 
 
+def _twin_classes(g: Graph) -> list[list[int]]:
+    """Open-twin classes of g: vertices with equal adjacency rows, so the
+    isolated vertices form one class. Each class is ascending, and the
+    classes come in order of their first member."""
+    classes: dict[int, list[int]] = {}
+    for v, row in enumerate(g.adj):
+        classes.setdefault(row, []).append(v)
+    return list(classes.values())
+
+
+def _quotient_search(g: Graph, classes: list[list[int]],
+                     max_nodes: int | None) -> _Search:
+    """The walk over g's twin quotient: the graph induced on each class's
+    first member, coloured by class size in ascending order."""
+    sizes = sorted({len(c) for c in classes})
+    cells = [[i for i, c in enumerate(classes) if len(c) == s] for s in sizes]
+    search = _Search(g.induced([c[0] for c in classes]), max_nodes,
+                     cells=cells)
+    search.run()
+    return search
+
+
+def _lift(g: Graph, classes: list[list[int]],
+          search: _Search) -> tuple[list[int], list[Permutation]]:
+    """Base and strong generators of Aut(g) from its twin quotient's
+    search (see the module docstring), every generator certified on g."""
+    # The quotient's maps keep its initial cells, so each lifts class onto
+    # class of the same size, member by member in ascending order.
+    gens = []
+    for p in search.gens:
+        images = [0] * g.n
+        for c, d in zip(classes, map(classes.__getitem__, p.images)):
+            for u, w in zip(c, d):
+                images[u] = w
+        gens.append(Permutation(tuple(images)))
+    identity = list(range(g.n))
+    for c in classes:
+        for a, b in zip(c, c[1:]):
+            images = identity.copy()
+            images[a], images[b] = b, a
+            gens.append(Permutation._raw(tuple(images)))
+    for p in gens:
+        if not g.maps_edges_into(p.images, g):
+            raise CertificationError("a lifted quotient generator or twin "
+                                     "transposition failed the edge check")
+    on_base = set(search.base)
+    base = [classes[b][0] for b in search.base]
+    for i, c in enumerate(classes):
+        if len(c) > 1:
+            base.extend(c[1:] if i in on_base else c[:-1])
+    return base, gens
+
+
 def automorphism_group(g: Graph, max_nodes: int | None = None) -> AutResult:
     """Automorphism group of g with every generator certified edge-by-edge.
 
     The group's chain is built from the search itself, with no Schreier
     sifting: its base is the first-leaf path, without the points that
     every generator fixes, and its strong generators are the certified
-    generators.
+    generators. When g has twins, the search runs on the twin quotient,
+    and the chain is the quotient's lifted, followed by the twin classes'
+    own (see the module docstring).
     """
-    search = _Search(g, max_nodes)
-    search.run()
-    group = PermGroup.from_strong_generators(g.n, search.base, search.gens)
+    classes = _twin_classes(g)
+    if len(classes) == g.n:
+        search = _Search(g, max_nodes)
+        search.run()
+        base, gens = search.base, search.gens
+    else:
+        search = _quotient_search(g, classes, max_nodes)
+        base, gens = _lift(g, classes, search)
+    group = PermGroup.from_strong_generators(g.n, base, gens)
     return AutResult(group, search.node_count)
 
 

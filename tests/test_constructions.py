@@ -290,10 +290,10 @@ def _digest(obj):
 # Per m, the first 16 hex digits of the sha256 of repr of the generators'
 # image tuples for every n in m..7 and every k, in that order.
 BIPARTITE_GENERATOR_PINS = {
-    1: "6329d0852f5ccc53",
-    2: "ae66303d841a10fc",
-    3: "87dfa7d039dc5588",
-    4: "dd2b99302b96bf47",
+    1: "6e0f0feec406b04f",
+    2: "29fd6e2cc122ed6e",
+    3: "387b1b44bce889f8",
+    4: "1e888935ccfbc86c",
 }
 
 
@@ -441,7 +441,7 @@ def test_product_subgroup_input_validation():
 
 
 PRODUCT_GENERATOR_PINS = [
-    ("Q2", [complete_graph(2)] * 2, "37998ae80b216544"),
+    ("Q2", [complete_graph(2)] * 2, "f4e769d0eed5d06f"),
     ("Q3", [complete_graph(2)] * 3, "6a2326843f299332"),
     ("Q4", [complete_graph(2)] * 4, "3d3bc554dc5c0e3c"),
     ("Q5", [complete_graph(2)] * 5, "7308462ca9ac0304"),

@@ -1,5 +1,6 @@
 """Graph construction, products, distances, and the edge-list format."""
 
+import random
 from itertools import combinations
 
 import pytest
@@ -220,3 +221,36 @@ def test_edges_are_sorted_unique():
     assert len(es) == len(set(es))
     assert all(u < v for u, v in es)
     assert set(es) == {(u, v) for u, v in combinations(range(8), 2) if g.has_edge(u, v)}
+
+
+def test_edge_check_covers_edges_between_moved_and_fixed_vertices():
+    # On the path 0-1-2-3, each transposition below keeps every edge
+    # among its moved vertices and breaks exactly one edge to a fixed
+    # vertex: (0 1) sends 1-2 to 0-2 (moved endpoint smaller), and (2 3)
+    # sends 1-2 to 1-3 (fixed endpoint smaller).
+    g = path_graph(4)
+    assert not g.maps_edges_into([1, 0, 2, 3], g)
+    assert not g.maps_edges_into([0, 1, 3, 2], g)
+    assert g.maps_edges_into([3, 2, 1, 0], g)
+    assert g.maps_edges_into([0, 1, 2, 3], g)
+    # The same maps into a relabeled copy are checked edge by edge in full.
+    h = g.relabel([0, 1, 2, 3])
+    assert not g.maps_edges_into([1, 0, 2, 3], h)
+    assert g.maps_edges_into([3, 2, 1, 0], h)
+
+
+def test_edge_check_agrees_with_the_edge_list():
+    # Support check (target is the graph itself) and full check (an equal
+    # copy) against a direct test of every edge, on random permutations.
+    rng = random.Random(5)
+    for g in (hypercube(3), complete_bipartite(2, 4), cycle_graph(7),
+              graph_from_edges(6, [(0, 1), (1, 2), (3, 4)])):
+        copy = Graph(g.n, g.adj)
+        for _ in range(200):
+            images = list(range(g.n))
+            for _ in range(rng.randint(1, 3)):
+                a, b = rng.sample(range(g.n), 2)
+                images[a], images[b] = images[b], images[a]
+            want = all(g.has_edge(images[u], images[v]) for u, v in g.edges())
+            assert g.maps_edges_into(images, g) == want
+            assert g.maps_edges_into(images, copy) == want

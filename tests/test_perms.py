@@ -331,3 +331,14 @@ def test_chain_from_strong_generators():
         PermGroup.from_strong_generators(4, (0,), gens[4:])  # (2 3) fixes 0
     with pytest.raises(ValueError):
         PermGroup.from_strong_generators(4, (0, 0), gens[:1])
+
+
+def test_generators_are_deduplicated_in_first_seen_order():
+    a = Permutation.from_cycles(4, [(0, 1)])
+    b = Permutation.from_cycles(4, [(1, 2, 3)])
+    c = Permutation.from_cycles(4, [(0, 3)])
+    ident = Permutation.identity(4)
+    listed = [ident, b, a, Permutation(b.images), ident, c, a, b]
+    assert PermGroup(4, listed).generators == (b, a, c)
+    assert PermGroup.from_strong_generators(4, (0, 1, 2), listed).generators == (b, a, c)
+    assert PermGroup(4, [ident, ident]).generators == ()
