@@ -1,26 +1,33 @@
 #!/usr/bin/env python3
 """Time the equitable refinement kernel and the searches built on it.
 
-Three kinds of cases: raw kernel calls, end-to-end automorphism searches,
-where chain building and certification dilute the kernel's share, and
-isomorphism tests, which walk the same search tree against another
-graph's first path, extended one level whenever the walk first reaches a
-depth. The kernel calls cover a unit partition, a long cycle
-and a search-shaped call: one vertex individualized in the root partition,
-so that the splitters are small. The isomorphism tests are one match
-against a seeded relabeling and one rejection of a pair with equal
-strongly regular parameters. Each figure is the best of --repeat runs and
-counts the kernel's construction.
+Three kinds of cases: raw ``Partition.refine`` calls, end-to-end
+automorphism searches, where chain building and certification dilute the
+kernel's share, and isomorphism tests, which walk the same search tree
+against another graph's first path, extended one level whenever the walk
+first reaches a depth. The kernel calls cover a unit partition, a long
+cycle and a search-shaped call: one vertex individualized in the root
+partition, so that the splitters are small. The isomorphism tests are one
+match against a seeded relabeling and one rejection of a pair with equal
+strongly regular parameters.
+
+Each figure is the best of --repeat runs. Every case builds its
+``Partition`` in each run, but the graph's neighbour table,
+``Graph.nbrs``, is built only in the first run and then cached on the
+graph, so with --repeat above 1 no figure counts building the table.
+
+    PYTHONPATH=src python benchmarks/bench_refine.py [--repeat N] [--skip-large]
 """
 
 import argparse
 import random
 import time
+from itertools import accumulate
 
 from tokenaut import (automorphism_group, cartesian_product, complete_graph,
                       cycle_graph, graph_from_edges, hypercube,
                       is_isomorphic, refine, token_graph)
-from tokenaut.refinement import make_kernel
+from tokenaut.refinement import Partition
 
 
 def timed(fn, repeat):
@@ -35,10 +42,12 @@ def timed(fn, repeat):
 
 
 def kernel_case(g, cells, active=None):
-    active = list(range(len(cells))) if active is None else active
+    active = range(len(cells)) if active is None else active
+    starts = list(accumulate(map(len, cells), initial=0))
+    active = [starts[i] for i in active]
 
     def run():
-        make_kernel(g.n, g.adj).refine([list(c) for c in cells], active)
+        Partition(g.nbrs, cells).refine(active)
     return run
 
 

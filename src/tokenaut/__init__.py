@@ -22,7 +22,7 @@ from .tokens import TokenGraph, complement_map, token_graph
 from .perms import (PermGroup, Permutation, bounded_order, compose, inverse,
                     is_subgroup, permutation_from_str, permutation_to_str,
                     schreier_sims)
-from .refinement import available_backends, default_backend, make_kernel
+from .refinement import available_backends, default_backend
 from .search import (AutResult, automorphism_group, count_automorphisms_brute,
                      is_automorphism, is_isomorphic, refine)
 from .constructions import (PredictedAut, SwapFamily, bipartite_family,
@@ -50,7 +50,7 @@ __all__ = [
     "Permutation", "PermGroup", "compose", "inverse", "schreier_sims",
     "bounded_order",
     "is_subgroup", "permutation_to_str", "permutation_from_str",
-    "available_backends", "default_backend", "make_kernel",
+    "available_backends", "default_backend",
     "AutResult", "refine", "automorphism_group", "is_automorphism",
     "is_isomorphic", "count_automorphisms_brute",
     "SwapFamily", "PredictedAut", "bipartite_family", "product_family",

@@ -235,7 +235,7 @@ def cmd_factor(args) -> int:
     guard = _guard(args)
     guard.require_vertices(g.n, _name(g))
     try:
-        fac = prime_factor_decomposition(g)
+        fac = prime_factor_decomposition(g, guard.max_nodes)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     prefix = args.out if args.out else os.path.splitext(args.inp)[0]

@@ -199,10 +199,9 @@ def bipartite_generators(m: int, n: int, k: int,
         y0 = spec.m
         for fam in singleton_swap_families(spec, k):
             gens.append(side_swap_bipartite(spec, k, fam))
-        gens.append(y_permutation_lift(
-            spec, k, Permutation.from_cycles(total, [(y0, y0 + 1)])))
-        gens.append(y_permutation_lift(
-            spec, k, Permutation.from_cycles(total, [tuple(spec.y_vertices)])))
+        for cycle in ((y0, y0 + 1), tuple(spec.y_vertices)):
+            pi = Permutation.from_cycles(total, [cycle])
+            gens.append(lift_to_token_graph(pi, tg))
         if 2 * k == total:
             gens.append(complement_automorphism(tg))
     else:

@@ -131,14 +131,16 @@ def _factor_key(f: Graph) -> tuple[int, int, str]:
     return (f.n, f.edge_count(), format_edge_list(f))
 
 
-def prime_factor_decomposition(g: Graph) -> Factorization:
+def prime_factor_decomposition(g: Graph,
+                               max_nodes: int | None = None) -> Factorization:
     """Prime factors of g in (vertex count, edge count, edge list) order,
-    with a witness certifying the product reconstruction."""
+    with a witness certifying the product reconstruction. ``max_nodes``
+    bounds the isomorphism search that matches the product to g."""
     _check_input(g)
     factors = sorted((_layer_through_0(g, c) for c in _edge_classes(g)),
                      key=_factor_key)
     product = cartesian_product(factors)
-    iso = is_isomorphic(product, g)
+    iso = is_isomorphic(product, g, max_nodes)
     if iso is None:
         raise AssertionError("factor product failed to match the input graph")
     sizes = [f.n for f in factors]

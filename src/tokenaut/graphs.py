@@ -72,9 +72,18 @@ class Graph:
         return [(u, v) for u in range(self.n) for v in _bits(self.adj[u] >> (u + 1) << (u + 1))]
 
     @cached_property
-    def _nbrs(self) -> tuple[tuple[int, ...], ...]:
-        """Each vertex's neighbours in ascending order, built on first use."""
-        return tuple(tuple(_bits(row)) for row in self.adj)
+    def nbrs(self) -> tuple[tuple[int, ...], ...]:
+        """Each vertex's neighbours in ascending order, built on first use.
+        Refinement partitions and the edge checks all read this one table."""
+        out = []
+        for row in self.adj:
+            nb = []
+            while row:
+                low = row & -row
+                nb.append(low.bit_length() - 1)
+                row ^= low
+            out.append(tuple(nb))
+        return tuple(out)
 
     def maps_edges_into(self, images: Sequence[int], target: "Graph") -> bool:
         """Whether u -> images[u] sends every edge of this graph to an edge
@@ -87,7 +96,7 @@ class Graph:
         fixed. An edge between fixed vertices maps to itself, so this is
         still the whole automorphism check, at the cost of the support."""
         adj = target.adj
-        nbrs = self._nbrs
+        nbrs = self.nbrs
         if target is self:
             points = range(self.n)
             for u in compress(points, map(ne, images, points)):

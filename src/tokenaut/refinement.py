@@ -1,8 +1,12 @@
-"""Equitable refinement kernel.
+"""Equitable refinement of ordered partitions.
 
-There is one kernel, in pure Python. ``available_backends``,
-``default_backend`` and ``RefineKernel.backend`` name it, so that callers
-and tools that report which kernel ran keep working.
+There is one refinement kernel, ``Partition.refine``, in pure Python.
+``available_backends`` and ``default_backend`` name it, so that tools that
+report which kernel ran keep working.
+
+A ``Partition`` reads the neighbour table of its graph, ``Graph.nbrs``,
+which is built once per graph and cached on it; the edge checks of the
+search and of the certificates read the same table.
 
 The kernel is neighbour-driven (McKay & Piperno, "Practical graph
 isomorphism II", 2014): it counts neighbours by walking the splitter's
@@ -32,15 +36,15 @@ from a search node undoes the trail back to the node's mark. So a node
 costs its splitting work (the splitters' degree sums and the cells that
 split, once to split and once to undo), not a pass over all n vertices.
 Only choosing a target cell walks every cell, and the search does that
-once per depth. Building the kernel costs one pass over every adjacency
-row.
+once per depth. Starting a partition costs one pass over the vertices;
+the neighbour table costs one pass over every adjacency row, the first
+time the graph is asked for it.
 """
 
 from __future__ import annotations
 
 from collections import Counter, deque
-from itertools import accumulate, chain
-from typing import Sequence
+from itertools import chain
 
 
 def available_backends() -> tuple[str, ...]:
@@ -49,45 +53,6 @@ def available_backends() -> tuple[str, ...]:
 
 def default_backend() -> str:
     return "pure"
-
-
-def make_kernel(n: int, adj: Sequence[int]) -> RefineKernel:
-    """Refinement kernel for one graph; not shareable across threads."""
-    return RefineKernel(n, adj)
-
-
-class RefineKernel:
-    """Neighbour tuples of one graph, and the partitions refined over them.
-
-    ``partition(cells)`` starts a backtrackable partition for a search.
-    ``refine(cells, active)`` is the one-shot form: it builds a partition
-    from the cells, refines it with the cells at the ``active`` indices as
-    the first splitters, and returns ``(cells, trace)`` as described on
-    ``Partition.refine``.
-    """
-
-    backend = "pure"
-
-    def __init__(self, n: int, adj: Sequence[int]):
-        self.n = n
-        nbrs = []
-        for row in adj:
-            out = []
-            while row:
-                low = row & -row
-                out.append(low.bit_length() - 1)
-                row ^= low
-            nbrs.append(tuple(out))
-        self.nbrs = tuple(nbrs)
-
-    def partition(self, cells) -> Partition:
-        return Partition(self.n, self.nbrs, cells)
-
-    def refine(self, cells, active):
-        part = self.partition(cells)
-        starts = list(accumulate(map(len, cells), initial=0))
-        trace = part.refine([starts[i] for i in active])
-        return part.cells(), trace
 
 
 class Partition:
@@ -106,8 +71,8 @@ class Partition:
     __slots__ = ("n", "nbrs", "order", "start_of", "size", "cell_count",
                  "trail")
 
-    def __init__(self, n: int, nbrs: tuple[tuple[int, ...], ...], cells):
-        self.n = n
+    def __init__(self, nbrs: tuple[tuple[int, ...], ...], cells):
+        n = self.n = len(nbrs)
         self.nbrs = nbrs
         self.order: list[int] = []
         self.start_of = [0] * n
@@ -180,8 +145,8 @@ class Partition:
         The partition must already be equitable with respect to every cell
         not in ``active``; otherwise the result may not be equitable. The
         search meets this by individualizing in an equitable partition,
-        and the kernel's ``refine`` is called with every cell by
-        ``refine()``.
+        and ``search.refine`` and the search's root start from every
+        cell.
 
         Fragments of a split cell replace it in place, ordered by ascending
         count and keeping the cell's vertex order. The queue holds cell

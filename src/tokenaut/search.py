@@ -116,7 +116,7 @@ from itertools import accumulate
 from .errors import CertificationError, ScaleGuardExceeded
 from .graphs import Graph
 from .perms import PermGroup, Permutation
-from .refinement import make_kernel
+from .refinement import Partition
 
 # An ordered partition is a list of disjoint vertex lists covering 0..n-1;
 # cell order is significant and each cell is kept sorted ascending.
@@ -158,9 +158,14 @@ def refine(g: Graph,
     """
     cells = _check_partition(g, partition if partition is not None
                              else [list(range(g.n))])
-    kernel = make_kernel(g.n, g.adj)
-    refined, _ = kernel.refine(cells, list(range(len(cells))))
-    return refined
+    part = Partition(g.nbrs, cells)
+    part.refine(_starts(cells))
+    return part.cells()
+
+
+def _starts(cells: OrderedPartition) -> list[int]:
+    """The start position of each cell in the partition's vertex order."""
+    return list(accumulate(map(len, cells[:-1]), initial=0))
 
 
 class _Search:
@@ -179,12 +184,12 @@ class _Search:
         self.source = source if self.iso else g
         cells = cells or [list(range(g.n))]
         # The root refines against every initial cell.
-        self.starts = list(accumulate(map(len, cells[:-1]), initial=0))
-        self.part = make_kernel(g.n, g.adj).partition(cells)
+        self.starts = _starts(cells)
+        self.part = Partition(g.nbrs, cells)
         # The partition the reference path is taken in: the walk's own, or
         # one of the source graph, whose order ends as the reference leaf.
-        self.ref = (make_kernel(source.n, source.adj).partition(
-            [list(range(source.n))]) if self.iso else self.part)
+        self.ref = (Partition(source.nbrs, [list(range(source.n))])
+                    if self.iso else self.part)
         self.max_nodes = max_nodes
         self.node_count = 0
         self.path: list[int] = []

@@ -274,6 +274,19 @@ def test_factor_prefix_override(tmp_path):
     assert (tmp_path / "out" / "fac.factor1.el").exists()
 
 
+def test_factor_respects_the_node_budget(tmp_path, capsys):
+    # The product of Q4's factors is matched to Q4 by a 5-node isomorphism
+    # search, which a 1-node budget refuses, as verify and generators do.
+    el = tmp_path / "q4.el"
+    assert run(["build", "--graph", "cube:4", "--k", "1",
+                "--out", str(el)]) == 0
+    capsys.readouterr()
+    assert run(["factor", "--in", str(el), "--max-nodes", "1"]) == 3
+    assert "refused" in capsys.readouterr().err
+    assert not (tmp_path / "q4.factor0.el").exists()
+    assert run(["factor", "--in", str(el), "--max-nodes", "5"]) == 0
+
+
 def test_factor_rejects_disconnected(tmp_path, capsys):
     bad = tmp_path / "bad.el"
     bad.write_text("n 4\n0 1\n2 3\n")

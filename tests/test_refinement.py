@@ -2,6 +2,7 @@
 
 import random
 from collections import deque
+from itertools import accumulate
 
 import pytest
 
@@ -17,7 +18,7 @@ from tokenaut import (
     unrank,
 )
 from tokenaut.graphs import Graph
-from tokenaut.refinement import available_backends, default_backend, make_kernel
+from tokenaut.refinement import Partition, available_backends, default_backend
 
 
 def corpus():
@@ -47,23 +48,26 @@ def assert_equitable(g, cells):
             assert len(counts) == 1
 
 
+def one_shot_refine(g, cells, active):
+    """Refine a new partition of g from the cells, with the cells at the
+    ``active`` indices as the first splitters; returns (cells, trace)."""
+    part = Partition(g.nbrs, cells)
+    starts = list(accumulate(map(len, cells), initial=0))
+    trace = part.refine([starts[i] for i in active])
+    return part.cells(), trace
+
+
 # -- the kernel entry point ----------------------------------------------
-
-
-def test_kernel_reports_backend():
-    g = cycle_graph(4)
-    assert make_kernel(g.n, g.adj).backend == "pure"
 
 
 def test_compiled_request_fails_loudly_when_missing():
     # There is no compiled kernel: only the pure one is advertised, and a
-    # caller that still asks for a kernel by name gets an error rather than
+    # caller that still asks for a kernel factory gets an error rather than
     # a silent fallback.
     assert available_backends() == ("pure",)
     assert default_backend() == "pure"
-    g = cycle_graph(4)
-    with pytest.raises(TypeError):
-        make_kernel(g.n, g.adj, "compiled")
+    with pytest.raises(ImportError):
+        from tokenaut.refinement import make_kernel  # noqa: F401
 
 
 # -- the kernel against references ----------------------------------------
@@ -163,7 +167,7 @@ def as_set_partition(cells):
 
 def assert_kernel_matches_reference(g, cells, active, label):
     want = hopcroft_scan_refine(g.n, g.adj, cells, active)
-    got = make_kernel(g.n, g.adj).refine([list(c) for c in cells], list(active))
+    got = one_shot_refine(g, cells, active)
     assert [list(c) for c in got[0]] == want[0], label
     assert got[1] == want[1], label
     return got[0]
@@ -260,14 +264,14 @@ def test_partition_trail_undo_and_in_place_refines():
     for trial in range(120):
         n = rng.randint(2, 40)
         g = random_graph(rng, n, rng.choice((0.1, 0.3, 0.5, 0.8)))
-        kernel = make_kernel(g.n, g.adj)
         cells = random_ordered_partition(rng, n)
-        part = kernel.partition(cells)
+        part = Partition(g.nbrs, cells)
         initial = snapshot(part)
         active = rng.sample(range(len(cells)), rng.randint(1, len(cells)))
         starts = live_starts(part)
         trace = part.refine([starts[i] for i in active])
-        assert (part.cells(), trace) == kernel.refine(cells, active), trial
+        assert (part.cells(), trace) == one_shot_refine(g, cells, active), \
+            trial
         marks = []
         for step in range(40):
             if marks and (part.is_discrete() or rng.random() < 0.35):
@@ -287,8 +291,8 @@ def test_partition_trail_undo_and_in_place_refines():
                      + cells[t + 1:])
             marks.append((len(part.trail), snapshot(part)))
             trace = part.individualize(start, v)
-            assert (part.cells(), trace) == kernel.refine(child, [t, t + 1]), \
-                (trial, step)
+            assert (part.cells(), trace) == \
+                one_shot_refine(g, child, [t, t + 1]), (trial, step)
         part.undo(0)
         assert snapshot(part) == initial, trial
 
@@ -296,7 +300,7 @@ def test_partition_trail_undo_and_in_place_refines():
 def test_pure_kernel_rejects_empty_cells():
     g = cycle_graph(4)
     with pytest.raises(ValueError):
-        make_kernel(g.n, g.adj).refine([[0, 1, 2, 3], []], [0])
+        Partition(g.nbrs, [[0, 1, 2, 3], []])
 
 
 # -- refinement results --------------------------------------------------
@@ -356,11 +360,8 @@ def test_trace_is_relabeling_equivariant():
         h = g.relabel(p.images)
         for cells in ([list(range(g.n))], [[0], list(range(1, g.n))]):
             mapped = [sorted(p(v) for v in c) for c in cells]
-            kg = make_kernel(g.n, g.adj)
-            kh = make_kernel(h.n, h.adj)
-            rc, rt = kg.refine([list(c) for c in cells],
-                               list(range(len(cells))))
-            mc, mt = kh.refine(mapped, list(range(len(mapped))))
+            rc, rt = one_shot_refine(g, cells, range(len(cells)))
+            mc, mt = one_shot_refine(h, mapped, range(len(mapped)))
             assert tuple(rt) == tuple(mt), name
             assert [sorted(p(v) for v in c) for c in rc] == \
                 [sorted(c) for c in mc], name

@@ -1,6 +1,7 @@
 """Automorphism/isomorphism search against the brute-force oracle."""
 
 import random
+from math import factorial
 
 import pytest
 
@@ -405,3 +406,33 @@ def test_twin_classes():
     assert _twin_classes(path_graph(4)) == [[0], [1], [2], [3]]
     # isolated vertices form one class
     assert _twin_classes(graph_from_edges(5, [(1, 3)])) == [[0, 2, 4], [1], [3]]
+
+
+def test_complete_bipartite_searches_take_at_most_three_nodes():
+    # K_{m,n} is two twin classes, so its search runs on the quotient K2;
+    # this is what bounds the unbudgeted base search of the bipartite
+    # generators for m >= 3.
+    for m in range(1, 9):
+        for n in range(m, 9):
+            res = automorphism_group(complete_bipartite(m, n))
+            assert res.node_count <= 3, (m, n)
+            want = factorial(m) * factorial(n) * (2 if m == n else 1)
+            assert res.group.order() == want, (m, n)
+
+
+def test_one_neighbour_table_per_graph():
+    # Graph.nbrs lists each vertex's neighbours in ascending order, and the
+    # walker's partitions read the graphs' own cached tables, not copies.
+    from tokenaut.search import _Search
+
+    graphs = fixtures() + [("isolated", graph_from_edges(6, [(1, 3), (3, 4)])),
+                           ("K1", complete_graph(1))]
+    for name, g in graphs:
+        assert g.nbrs == tuple(tuple(g.neighbors(v)) for v in range(g.n)), name
+        assert g.nbrs is g.nbrs, name
+    g = shrikhande()
+    h, _ = shuffled_copy(g, random.Random(3))
+    assert _Search(g, None).part.nbrs is g.nbrs
+    search = _Search(h, None, source=g)
+    assert search.ref.nbrs is g.nbrs
+    assert search.part.nbrs is h.nbrs
