@@ -27,3 +27,11 @@ def test_bench_search_case_matches_the_closed_form():
     assert row["case"] == "F3(K2,6)"
     assert row["vertices"] == 56
     assert row["nodes"] >= 1
+
+
+def test_bench_search_cube_matches_the_closed_form():
+    # run_cube raises when the order differs from 2^(r-1) * 2^r * r!.
+    row = load("bench_search").run_cube(3)
+    assert (row["case"], row["vertices"]) == ("F2(Q3)", 28)
+    assert row["nodes"] >= 1
+    assert 0 <= row["inner"] <= row["generators"]

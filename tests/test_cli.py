@@ -120,9 +120,9 @@ def test_aut_reports_group(tmp_path, capsys):
 # newline-joined generators). Orders and generator counts are those of the
 # Schreier-Sims chain; the generators follow the refinement's cell order.
 AUT_REPORTS = {
-    ("kmn:2,3", 2): ("48", 6, 5, "fe799fa9674065ff"),
-    ("kmn:2,5", 3): ("122880", 15, 14, "83604ad54616ab24"),
-    ("cube:3", 2): ("192", 28, 6, "8a7bf8449659db68"),
+    ("kmn:2,3", 2): ("48", 5, 5, "fe799fa9674065ff"),
+    ("kmn:2,5", 3): ("122880", 9, 14, "83604ad54616ab24"),
+    ("cube:3", 2): ("192", 21, 6, "8a7bf8449659db68"),
     ("cycle:7", 2): ("14", 6, 2, "ec0ad8fb7785a6bd"),
     ("path:5", 2): ("2", 3, 1, "0ee1cbda48adf970"),
 }
@@ -325,17 +325,17 @@ def test_verify_single_report_not_indexed(tmp_path):
 # subgroup (16) is smaller than the computed group (48).
 VERIFY_REPORTS = [
     (["bipartite", "--m", "2", "--n", "5", "--k", "3"],
-     ("bipartite(m=2,n=5,k=3)", "122880", "122880", True, True, True, None, 15)),
+     ("bipartite(m=2,n=5,k=3)", "122880", "122880", True, True, True, None, 9)),
     (["bipartite", "--m", "3", "--n", "3", "--k", "3"],
-     ("bipartite(m=3,n=3,k=3)", "144", "144", True, True, True, None, 15)),
+     ("bipartite(m=3,n=3,k=3)", "144", "144", True, True, True, None, 9)),
     (["bipartite", "--m", "2", "--n", "2", "--k", "2"],
      ("bipartite(m=2,n=2,k=2)", "48", "48", True, True, True, None, 1)),
     (["cube", "--r", "3"],
-     ("cube(r=3)", "192", "192", True, True, True, None, 28)),
+     ("cube(r=3)", "192", "192", True, True, True, None, 21)),
     (["product", "--factors", "k2+k2"],
      ("product(K2 x K2)", "48", "16", True, True, False, False, 1)),
     (["product", "--factors", "k2+path:3"],
-     ("product(K2 x P3)", "8", "8", True, True, True, True, 10)),
+     ("product(K2 x P3)", "8", "8", True, True, True, True, 7)),
 ]
 
 

@@ -23,6 +23,8 @@ from tokenaut import (
     star_graph,
     token_graph,
 )
+from tokenaut import search as search_module
+from tokenaut.search import _quotient_search, _Search, _twin_classes
 
 
 def shrikhande():
@@ -92,7 +94,51 @@ def shuffled_copy(g, rng):
     return g.relabel(images), images
 
 
-def test_order_matches_brute_oracle():
+class RecordingSearch(_Search):
+    """A walker that keeps, with each generator it finds, the depth it
+    jumps back to and the path of the node that found it."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.kept = []
+
+    def _accept(self, ref, order):
+        fork = super()._accept(ref, order)
+        if fork is not None and not self.iso:
+            self.kept.append((fork, list(self.path), self.gens[-1]))
+        return fork
+
+    def inner_gens(self):
+        """How many generators the position map found at inner nodes: the
+        leaves all sit at the depth of the first leaf, the base's length."""
+        return sum(len(path) < len(self.base) for _, path, _ in self.kept)
+
+
+def assert_generators_fix_the_prefix(search, name):
+    # A generator found below the fork fixes the first path up to it and
+    # sends the fork's first-path vertex to the vertex the node took there.
+    assert len(search.kept) == len(search.gens), name
+    base = search.base
+    for fork, path, p in search.kept:
+        assert all(p(b) == b for b in base[:fork]), name
+        assert p(base[fork]) == path[fork] != base[fork], name
+
+
+@pytest.fixture
+def searches(monkeypatch):
+    """Every walker ``automorphism_group`` starts while the test runs."""
+    made = []
+
+    class Recorded(RecordingSearch):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(search_module, "_Search", Recorded)
+    return made
+
+
+def test_order_matches_brute_oracle(searches):
     # The order comes from the search's first-leaf path and generators
     # without any sifting; check it against two independent routes.
     for name, g in oracle_cases():
@@ -104,6 +150,9 @@ def test_order_matches_brute_oracle():
         for p in group.generators:
             assert is_automorphism(g, p), name
             assert group.contains(p), name
+        assert_generators_fix_the_prefix(searches[-1], name)
+    # The position map at inner nodes found some of those generators.
+    assert sum(s.inner_gens() for s in searches) > 0
 
 
 def test_order_is_relabeling_invariant():
@@ -229,11 +278,29 @@ def test_search_node_and_generator_counts_are_pinned():
     # Deep searches whose orbit pruning and backjumps decide the node
     # count; the orders are 2^21 * 7! and 2^56 * 8!.
     for (m, n, k), nodes, gens, order in (
-            ((2, 7, 3), 28, 27, 2 ** 21 * 5040),
-            ((2, 8, 4), 36, 63, 2 ** 56 * 40320)):
+            ((2, 7, 3), 13, 27, 2 ** 21 * 5040),
+            ((2, 8, 4), 15, 63, 2 ** 56 * 40320)):
         res = automorphism_group(token_graph(complete_bipartite(m, n), k).graph)
         assert (res.node_count, len(res.group.generators)) == (nodes, gens)
         assert res.group.order() == order
+
+
+def test_inner_nodes_find_generators(monkeypatch):
+    # The position map from the first path's node at the same depth is an
+    # automorphism at some inner nodes of F2(Q4) (twin-free) and of
+    # F3(K_{2,7})'s twin quotient, so those walks stop there, not at a
+    # leaf. They find as many generators as a walk that stops only at
+    # leaves (9 and 6), in fewer nodes (34 and 13, not 50 and 28).
+    monkeypatch.setattr(search_module, "_Search", RecordingSearch)
+    q4 = RecordingSearch(token_graph(hypercube(4), 2).graph, None)
+    q4.run()
+    k27 = token_graph(complete_bipartite(2, 7), 3).graph
+    quotient = _quotient_search(k27, _twin_classes(k27), None)
+    for name, walk, nodes, found in (("F2(Q4)", q4, 34, 9),
+                                     ("F3(K2,7) quotient", quotient, 13, 6)):
+        assert 0 < walk.inner_gens() < len(walk.gens) == found, name
+        assert walk.node_count == nodes, name
+        assert_generators_fix_the_prefix(walk, name)
 
 
 def random_cubic_edges(rng, n):
@@ -251,8 +318,8 @@ def test_orbit_pruning_node_counts_are_pinned():
     # the first path's traces for a while but hold no automorphism, and
     # they are explored after generators that move the path have been
     # found; orbit pruning must merge only the generators fixing the path.
-    for seed, nodes, order in ((13, 39, 512), (16, 32, 2048),
-                               (133, 47, 512), (250, 44, 2048)):
+    for seed, nodes, order in ((13, 29, 512), (16, 26, 2048),
+                               (133, 38, 512), (250, 30, 2048)):
         rng = random.Random(seed)
         n = rng.choice((6, 8, 10))
         a, b = random_cubic_edges(rng, n), random_cubic_edges(rng, n)
@@ -350,7 +417,7 @@ def twin_cases():
     return cases
 
 
-def test_twin_quotient_matches_brute_oracle():
+def test_twin_quotient_matches_brute_oracle(searches):
     # The search runs on the twin quotient; its chain must give the brute
     # force order and the same memberships as a Schreier-Sims chain on the
     # same generators: random permutations, words in the generators, and
@@ -358,6 +425,7 @@ def test_twin_quotient_matches_brute_oracle():
     rng = random.Random(2023)
     for name, g in twin_cases():
         group = automorphism_group(g).group
+        assert_generators_fix_the_prefix(searches[-1], name)
         assert group.order() == count_automorphisms_brute(g), name
         oracle = schreier_sims(group.generators, degree=g.n)
         assert oracle.order() == group.order(), name
@@ -375,13 +443,12 @@ def test_twin_quotient_matches_brute_oracle():
             for p in (Permutation(tuple(images)), word, twisted):
                 assert group.contains(p) == oracle.contains(p), name
                 assert group.contains(p) == is_automorphism(g, p), name
+    assert sum(s.inner_gens() for s in searches) > 0
 
 
 def test_twin_free_graphs_search_the_whole_graph():
     # Graphs without twins take the plain search, so their node counts,
     # bases and generators are those of a walk over the whole graph.
-    from tokenaut.search import _Search, _twin_classes
-
     rng = random.Random(16)
     n = rng.choice((6, 8, 10))
     a, b = random_cubic_edges(rng, n), random_cubic_edges(rng, n)
@@ -400,8 +467,6 @@ def test_twin_free_graphs_search_the_whole_graph():
 
 
 def test_twin_classes():
-    from tokenaut.search import _twin_classes
-
     assert _twin_classes(complete_bipartite(2, 3)) == [[0, 1], [2, 3, 4]]
     assert _twin_classes(path_graph(4)) == [[0], [1], [2], [3]]
     # isolated vertices form one class
@@ -423,8 +488,6 @@ def test_complete_bipartite_searches_take_at_most_three_nodes():
 def test_one_neighbour_table_per_graph():
     # Graph.nbrs lists each vertex's neighbours in ascending order, and the
     # walker's partitions read the graphs' own cached tables, not copies.
-    from tokenaut.search import _Search
-
     graphs = fixtures() + [("isolated", graph_from_edges(6, [(1, 3), (3, 4)])),
                            ("K1", complete_graph(1))]
     for name, g in graphs:
