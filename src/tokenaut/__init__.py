@@ -19,9 +19,8 @@ from .graphs import (BipartiteSpec, Graph, cartesian_product,
                      hypercube, parse_edge_list, path_graph, star_graph)
 from .subsets import ksubsets, rank, unrank
 from .tokens import TokenGraph, complement_map, token_graph
-from .perms import (PermGroup, Permutation, bounded_order, compose, inverse,
-                    is_subgroup, permutation_from_str, permutation_to_str,
-                    schreier_sims)
+from .perms import (PermGroup, Permutation, bounded_order, is_subgroup,
+                    permutation_from_str, permutation_to_str, schreier_sims)
 from .refinement import available_backends, default_backend
 from .search import (AutResult, automorphism_group, count_automorphisms_brute,
                      is_automorphism, is_isomorphic, refine)
@@ -47,7 +46,7 @@ __all__ = [
     "format_edge_list", "parse_edge_list",
     "rank", "unrank", "ksubsets",
     "TokenGraph", "token_graph", "complement_map",
-    "Permutation", "PermGroup", "compose", "inverse", "schreier_sims",
+    "Permutation", "PermGroup", "schreier_sims",
     "bounded_order",
     "is_subgroup", "permutation_to_str", "permutation_from_str",
     "available_backends", "default_backend",

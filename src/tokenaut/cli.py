@@ -250,7 +250,10 @@ def cmd_factor(args) -> int:
 # --- verify -----------------------------------------------------------
 
 def _int_list(text: str, flag: str) -> list[int]:
-    return [_positive(p, flag) for p in text.split(",") if p.strip()]
+    values = [_positive(p, flag) for p in text.split(",") if p.strip()]
+    if not values:
+        raise UsageError(f"{flag} lists no values")
+    return values
 
 
 def _verify_instances(args) -> list[tuple[str, object]]:

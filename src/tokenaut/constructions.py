@@ -22,12 +22,12 @@ from math import comb, factorial, prod
 from typing import Iterable, Sequence
 
 from . import subsets
-from .errors import CertificationError
 from .graphs import (BipartiteSpec, Graph, cartesian_product,
                      complete_bipartite, mixed_radix_decode,
                      mixed_radix_encode)
 from .perms import PermGroup, Permutation
-from .search import automorphism_group, is_automorphism, is_isomorphic
+from .search import (automorphism_group, certify, is_automorphism,
+                     is_isomorphic)
 from .tokens import TokenGraph, config_images, token_graph
 
 
@@ -153,12 +153,6 @@ def _token_graph_of(base: Graph, k: int, tg: TokenGraph | None) -> TokenGraph:
     return tg
 
 
-def _certify(gens: Sequence[Permutation], g: Graph, what: str) -> None:
-    for p in gens:
-        if not is_automorphism(g, p):
-            raise CertificationError(f"constructed {what} failed the edge check")
-
-
 def singleton_swap_families(spec: BipartiteSpec, k: int) -> list[SwapFamily]:
     """One single-member family per (k-1)-subset of Y, in subset-rank
     order; these generate the full elementary abelian swap group."""
@@ -209,7 +203,7 @@ def bipartite_generators(m: int, n: int, k: int,
         gens.extend(lift_to_token_graph(p, tg) for p in base_aut.generators)
         if 2 * k == total:
             gens.append(complement_automorphism(tg))
-    _certify(gens, tg.graph, "bipartite generator")
+    certify(gens, tg.graph, "constructed bipartite generator")
     return gens
 
 
@@ -296,6 +290,19 @@ def coordinate_swap_product(factors: Sequence[Graph], family: SwapFamily) -> Per
     return Permutation(config_images(total, subsets.ksubsets(total, 2), swap))
 
 
+def check_factors(factors: Sequence[Graph]) -> None:
+    """Reject a factor list unless it has two or more factors, each with
+    two or more vertices and connected: a Cartesian product is connected
+    exactly when every factor is, so this needs no product built."""
+    if len(factors) < 2:
+        raise ValueError("need at least two factors")
+    for i, f in enumerate(factors):
+        if f.n < 2:
+            raise ValueError(f"factor {i} has fewer than 2 vertices")
+        if not f.is_connected():
+            raise ValueError(f"factor {i} is disconnected")
+
+
 def product_subgroup_generators(factors: Sequence[Graph],
                                 tg: TokenGraph | None = None,
                                 base_group: PermGroup | None = None
@@ -310,14 +317,9 @@ def product_subgroup_generators(factors: Sequence[Graph],
     """
     from .factorization import is_prime
 
+    check_factors(factors)
     r = len(factors)
-    if r < 2:
-        raise ValueError("need at least two factors")
     for i, f in enumerate(factors):
-        if f.n < 2:
-            raise ValueError(f"factor {i} has fewer than 2 vertices")
-        if not f.is_connected():
-            raise ValueError(f"factor {i} is disconnected")
         if not is_prime(f):
             raise ValueError(f"factor {i} is not prime with respect to the product")
     tg = _token_graph_of(cartesian_product(factors), 2, tg)
@@ -326,7 +328,7 @@ def product_subgroup_generators(factors: Sequence[Graph],
     if base_group is None:
         base_group = automorphism_group(tg.base).group
     gens.extend(lift_to_token_graph(p, tg) for p in base_group.generators)
-    _certify(gens, tg.graph, "product generator")
+    certify(gens, tg.graph, "constructed product generator")
     return gens
 
 

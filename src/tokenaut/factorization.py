@@ -92,8 +92,7 @@ def _edge_classes(g: Graph) -> list[list[tuple[int, int]]]:
                 union(i, j)
     index = {e: i for i, e in enumerate(edges)}
     adj = g.adj
-    for x in range(g.n):
-        nbrs = g.neighbors(x)
+    for x, nbrs in enumerate(g.nbrs):
         for a, y in enumerate(nbrs):
             for z in nbrs[a + 1:]:
                 if not adj[y] >> z & 1 and (adj[y] & adj[z]).bit_count() == 1:

@@ -284,8 +284,12 @@ def cartesian_product(factors: Sequence[Graph]) -> Graph:
             for w in _bits(g.adj[coords[i]]):
                 m |= 1 << (code + (w - coords[i]) * strides[i])
         adj[code] = m
-    label = " x ".join(g.label or "G" for g in factors)
-    return Graph(total, tuple(adj), label)
+    return Graph(total, tuple(adj), product_label(factors))
+
+
+def product_label(factors: Sequence[Graph]) -> str:
+    """The label ``cartesian_product`` gives the product of ``factors``."""
+    return " x ".join(g.label or "G" for g in factors)
 
 
 def hypercube(r: int) -> Graph:

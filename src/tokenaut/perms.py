@@ -150,15 +150,6 @@ class Permutation:
         return "".join("(" + " ".join(map(str, c)) + ")" for c in cyc)
 
 
-def compose(p: Permutation, q: Permutation) -> Permutation:
-    """Composition with q acting first: compose(p, q)(i) = p(q(i))."""
-    return p * q
-
-
-def inverse(p: Permutation) -> Permutation:
-    return p.inverse()
-
-
 def permutation_to_str(p: Permutation) -> str:
     """One-line image array, e.g. '[1,2,0]'."""
     return "[" + ",".join(map(str, p.images)) + "]"

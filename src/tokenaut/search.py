@@ -166,6 +166,14 @@ def is_automorphism(g: Graph, p: Permutation) -> bool:
     return p.degree == g.n and g.maps_edges_into(p.images, g)
 
 
+def certify(gens: list[Permutation], g: Graph, what: str) -> None:
+    """Raise ``CertificationError`` naming ``what`` unless every
+    permutation in ``gens`` is an automorphism of g."""
+    for p in gens:
+        if not is_automorphism(g, p):
+            raise CertificationError(f"{what} failed the edge check")
+
+
 def _check_partition(g: Graph, cells) -> OrderedPartition:
     out = [sorted(c) for c in cells]
     flat = sorted(v for c in out for v in c)
@@ -392,10 +400,7 @@ def _lift(g: Graph, classes: list[list[int]],
             images = identity.copy()
             images[a], images[b] = b, a
             gens.append(Permutation._raw(tuple(images)))
-    for p in gens:
-        if not g.maps_edges_into(p.images, g):
-            raise CertificationError("a lifted quotient generator or twin "
-                                     "transposition failed the edge check")
+    certify(gens, g, "a lifted quotient generator or twin transposition")
     on_base = set(search.base)
     base = [classes[b][0] for b in search.base]
     for i, c in enumerate(classes):

@@ -29,11 +29,12 @@ class TokenGraph:
     def n(self) -> int:
         return self.base.n
 
-    def config_of(self, r: int) -> tuple[int, ...]:
-        """The token configuration (sorted k-subset) at vertex rank r."""
-        return self.configs[r]
-
     def rank_of(self, members) -> int:
+        """Vertex rank of a k-subset of the base's vertices; configs[r] is
+        the configuration at rank r."""
+        members = tuple(members)
+        if len(members) != self.k:
+            raise ValueError(f"{sorted(members)} is not a {self.k}-subset")
         return subsets.rank(members, self.base.n)
 
 

@@ -22,14 +22,15 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from math import comb
+from math import comb, prod
 
 from .constructions import (PredictedAut, bipartite_generators,
-                            predicted_order, predicted_order_cube,
-                            predicted_order_product,
+                            check_factors, predicted_order,
+                            predicted_order_cube, predicted_order_product,
                             product_subgroup_generators)
 from .errors import CertificationError, ScaleGuardExceeded
-from .graphs import BipartiteSpec, Graph, cartesian_product, complete_graph
+from .graphs import (BipartiteSpec, Graph, cartesian_product, complete_graph,
+                     product_label)
 from .perms import Permutation, bounded_order
 from .search import automorphism_group
 from .tokens import token_graph
@@ -45,8 +46,11 @@ class ScaleGuard:
 
     def require_vertices(self, count: int, what: str) -> None:
         if count > self.max_vertices:
+            # A count can be too long to print; its bit length never is.
+            bits = count.bit_length()
+            size = count if bits <= 64 else f"at least 2^{bits - 1}"
             raise ScaleGuardExceeded(
-                f"{what} has {count} vertices, over the guard's "
+                f"{what} has {size} vertices, over the guard's "
                 f"{self.max_vertices}; raise max_vertices to proceed")
 
 
@@ -138,7 +142,7 @@ def verify_bipartite(m: int, n: int, k: int,
     """Compare the computed automorphism group of the k-token graph of
     K_{m,n} with the closed-form prediction; equality is asserted."""
     spec = BipartiteSpec(m, n)
-    guard.require_vertices(comb(m + n, k), f"{k}-token graph of {spec.graph().label}")
+    guard.require_vertices(comb(m + n, k), f"{k}-token graph of K{m},{n}")
     started = time.perf_counter()
     tg = token_graph(spec.graph(), k)
     aut = automorphism_group(tg.graph, max_nodes=guard.max_nodes)
@@ -151,29 +155,26 @@ def verify_cube(r: int, guard: ScaleGuard = DEFAULT_GUARD) -> VerificationReport
     """Compare the computed group of the 2-token graph of the r-cube with
     2^(r-1) * 2^r * r!; equality is asserted. The default guard admits
     r = 3 and r = 4 only."""
-    pred = predicted_order_cube(r)
+    if r < 3:
+        raise ValueError(f"prediction needs r >= 3, got r={r}")
     guard.require_vertices(comb(1 << r, 2), f"2-token graph of Q{r}")
     factors = [complete_graph(2) for _ in range(r)]
     return _verify_2_token(factors, cartesian_product(factors),
-                           f"cube(r={r})", guard, pred)
+                           f"cube(r={r})", guard, predicted_order_cube(r))
 
 
 def verify_product(factors: list[Graph],
                    guard: ScaleGuard = DEFAULT_GUARD) -> VerificationReport:
     """Certify the swap-plus-lift subgroup of the 2-token graph of a
     product of primes at order exactly 2^(r-1) * |Aut(base)|; whether it
-    is the whole group is recorded as the conjecture observation."""
-    if len(factors) < 2:
-        raise ValueError("need at least two factors")
-    for i, f in enumerate(factors):
-        if f.n < 2:
-            raise ValueError(f"factor {i} has fewer than 2 vertices")
-    product = cartesian_product(factors)
-    if not product.is_connected():
-        raise ValueError("product is disconnected; every factor must be connected")
-    name = _describe(product)
-    guard.require_vertices(comb(product.n, 2), f"2-token graph of {name}")
-    return _verify_2_token(factors, product, f"product({name})", guard)
+    is the whole group is recorded as the conjecture observation. The
+    factors are checked, and the guard run, before the product is built."""
+    check_factors(factors)
+    name = product_label(factors)
+    guard.require_vertices(comb(prod(f.n for f in factors), 2),
+                           f"2-token graph of {name}")
+    return _verify_2_token(factors, cartesian_product(factors),
+                           f"product({name})", guard)
 
 
 def _verify_2_token(factors: list[Graph], product: Graph, instance: str,
@@ -191,7 +192,3 @@ def _verify_2_token(factors: list[Graph], product: Graph, instance: str,
     pred = closed_form or predicted_order_product(factors, base_group)
     return _finish(instance, tg.graph, gens, pred, closed_form is None,
                    started, aut)
-
-
-def _describe(g: Graph) -> str:
-    return g.label or f"graph[n={g.n},edges={g.edge_count()}]"

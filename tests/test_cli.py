@@ -3,13 +3,15 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
 from tokenaut import (Permutation, cartesian_product, complete_graph,
                       parse_edge_list, permutation_from_str, schreier_sims,
                       token_graph)
-from tokenaut import constructions
+from tokenaut import constructions, graphs, verify
 from tokenaut.cli import main, parse_graph_spec, UsageError
 from tokenaut.verify import VerificationReport
 from tokenaut import cli as cli_module
@@ -428,6 +430,45 @@ def test_verify_usage_errors(capsys):
     assert run(["verify", "product"]) == 2
 
 
+def test_empty_value_lists_are_usage_errors(capsys):
+    # A sweep over no instances checks nothing, so it must not exit 0.
+    assert run(["verify", "cube", "--r", ","]) == 2
+    assert run(["verify", "bipartite", "--m", "2", "--n", "", "--k", "3"]) == 2
+    assert "lists no values" in capsys.readouterr().err
+
+
+def test_refusals_are_decided_before_any_graph_is_built(monkeypatch, capsys):
+    def build(*args, **kwargs):
+        raise AssertionError("work was done before the guard refused")
+
+    monkeypatch.setattr(graphs, "complete_bipartite", build)
+    monkeypatch.setattr(verify, "cartesian_product", build)
+    monkeypatch.setattr(verify, "predicted_order_cube", build)  # r! is large
+    for argv in (
+            ["verify", "bipartite", "--m", "2", "--n", "1000000", "--k", "3"],
+            ["generators", "--m", "2", "--n", "1000000", "--k", "3"],
+            ["verify", "cube", "--r", "20000"],
+            ["verify", "bipartite", "--m", "2", "--n", "20000", "--k", "10000"],
+            ["generators", "--r", "20000"],
+            ["verify", "product", "--factors", "path:200+path:200"],
+            ["generators", "--factors", "path:200+path:200"]):
+        assert run(argv) == 3, argv
+    captured = capsys.readouterr()
+    assert "2-token graph of P200 x P200 has 799980000 vertices" in captured.err
+    # counts too long to print are given by their bit length
+    assert "Q20000 has at least 2^39998 vertices" in captured.out
+    assert "Q20000 has at least 2^39998 vertices" in captured.err
+
+
+def test_token_count_refusal_prints_a_bounded_size(tmp_path, capsys):
+    # The base graph of a build is still made before the guard runs.
+    out = tmp_path / "q14.el"
+    assert run(["build", "--graph", "cube:14", "--k", "8000",
+                "--out", str(out)]) == 3
+    assert "has at least 2^" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # -- process-level behaviour ---------------------------------------------------
 
 
@@ -440,6 +481,23 @@ def test_version_flag(capsys):
 
 def test_unknown_subcommand_exits_2():
     assert run(["frobnicate"]) == 2
+
+
+def test_module_entry_point_runs_as_a_process():
+    import tokenaut
+    src = os.path.dirname(os.path.dirname(tokenaut.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+
+    def cli(*argv):
+        return subprocess.run([sys.executable, "-m", "tokenaut.cli", *argv],
+                              env=env, capture_output=True, text=True,
+                              timeout=60)
+
+    out = cli("--version")
+    assert out.returncode == 0 and tokenaut.__version__ in out.stdout
+    out = cli("verify", "bipartite", "--m", "2", "--n", "1000000", "--k", "3")
+    assert out.returncode == 3, out.stderr
+    assert "REFUSED" in out.stdout
 
 
 def test_no_tmp_files_left_behind(tmp_path):

@@ -13,9 +13,7 @@ from tokenaut import (
     automorphism_group,
     bipartite_generators,
     complete_graph,
-    compose,
     hypercube,
-    inverse,
     is_subgroup,
     permutation_from_str,
     permutation_to_str,
@@ -30,15 +28,26 @@ def test_composition_convention_locked():
     p = Permutation.from_cycles(3, [(0, 1)])
     q = Permutation.from_cycles(3, [(1, 2)])
     assert (p * q).images == (1, 2, 0)
-    assert compose(p, q).images == (1, 2, 0)
+    assert [p(q(i)) for i in range(3)] == [1, 2, 0]
     assert (q * p).images == (2, 0, 1)
+
+
+def test_package_exports_resolve():
+    import tokenaut
+    from tokenaut import perms
+    for name in tokenaut.__all__:
+        assert hasattr(tokenaut, name), name
+    # p * q and p.inverse() are the only spellings of these operations
+    for gone in ("compose", "inverse"):
+        assert gone not in tokenaut.__all__
+        assert not hasattr(tokenaut, gone) and not hasattr(perms, gone)
 
 
 def test_identity_and_inverse():
     e = Permutation.identity(5)
     p = Permutation((2, 0, 3, 1, 4))
     assert (p * e) == p and (e * p) == p
-    assert (p * inverse(p)) == e and (inverse(p) * p) == e
+    assert (p * p.inverse()) == e and (p.inverse() * p) == e
     assert p.inverse().inverse() == p
 
 

@@ -473,6 +473,25 @@ def test_twin_classes():
     assert _twin_classes(graph_from_edges(5, [(1, 3)])) == [[0, 2, 4], [1], [3]]
 
 
+def test_lift_certifies_through_the_shared_loop(monkeypatch):
+    # Vertices 0 and 1 are twins; the quotient's classes are {0,1}, {2},
+    # {3}, {4}. Exchanging classes {2} and {4} is no automorphism, so its
+    # lift must fail the edge check.
+    from tokenaut import CertificationError, constructions
+    g = graph_from_edges(5, [(0, 2), (1, 2), (2, 3), (3, 4)])
+    assert _twin_classes(g) == [[0, 1], [2], [3], [4]]
+
+    def corrupted(g, classes, max_nodes):
+        search = _quotient_search(g, classes, max_nodes)
+        search.gens.append(Permutation.from_cycles(4, [(1, 3)]))
+        return search
+
+    monkeypatch.setattr(search_module, "_quotient_search", corrupted)
+    with pytest.raises(CertificationError, match="lifted quotient generator"):
+        automorphism_group(g)
+    assert constructions.certify is search_module.certify
+
+
 def test_complete_bipartite_searches_take_at_most_three_nodes():
     # K_{m,n} is two twin classes, so its search runs on the quotient K2;
     # this is what bounds the unbudgeted base search of the bipartite
