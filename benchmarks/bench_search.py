@@ -29,12 +29,21 @@ generators, how many of them the position map found at an inner node
 first on nodes and generators), and the seconds, and checks each order
 against 2^(r-1) * 2^r * r!.
 
+A third table covers isomorphism rejections, ``run_rejections``:
+F2(Shrikhande) against F2(K4 x K4), two strongly regular graphs' 2-token
+graphs, and four A + A + B against A + B + B pairs of random cubic
+graphs, relabeled (seeds 13, 16, 133 and 250). It prints the search
+nodes, the calls of ``Partition.refine`` (counted by a second, untimed
+walk that must take as many nodes) and the seconds of ``is_isomorphic``,
+and checks that each pair is rejected.
+
 The last line is the process's peak resident set size.
 
     PYTHONPATH=src python benchmarks/bench_search.py [--skip-largest]
 """
 
 import argparse
+import random
 import resource
 import time
 from math import comb, factorial
@@ -42,14 +51,20 @@ from math import comb, factorial
 from tokenaut import (
     PermGroup,
     automorphism_group,
+    cartesian_product,
     complete_bipartite,
+    complete_graph,
+    graph_from_edges,
     hypercube,
+    is_isomorphic,
     token_graph,
 )
+from tokenaut.refinement import Partition
 from tokenaut.search import _lift, _quotient_search, _Search, _twin_classes
 
 CASES = ((10, 5), (12, 6), (14, 7))
 CUBES = (5, 6)
+CUBIC_SEEDS = (13, 16, 133, 250)
 PHASES = ("build", "classes", "search", "lift", "chain", "total")
 
 
@@ -113,6 +128,79 @@ def run_cube(r: int) -> dict:
             "generators": found[1], "inner": walk.inner, "seconds": seconds}
 
 
+def random_cubic_edges(rng: random.Random, n: int) -> list[tuple[int, int]]:
+    """A random 3-regular simple graph on 0..n-1, by the pairing model."""
+    while True:
+        points = [v for v in range(n) for _ in range(3)]
+        rng.shuffle(points)
+        edges = {tuple(sorted(points[i:i + 2])) for i in range(0, 3 * n, 2)}
+        if len(edges) == 3 * n // 2 and all(u != v for u, v in edges):
+            return sorted(edges)
+
+
+def rejection_pairs() -> list[tuple[str, object, object]]:
+    """The non-isomorphic pairs of the rejection table, as (name, g, h)."""
+    shrikhande = graph_from_edges(16, [
+        (4 * a + b, 4 * ((a + da) % 4) + (b + db) % 4)
+        for a in range(4) for b in range(4)
+        for da, db in ((0, 1), (1, 0), (1, 1))])
+    rook = cartesian_product([complete_graph(4), complete_graph(4)])
+    pairs = [("F2(Shrikhande) vs F2(K4xK4)", token_graph(shrikhande, 2).graph,
+              token_graph(rook, 2).graph)]
+    for seed in CUBIC_SEEDS:
+        rng = random.Random(seed)
+        n = rng.choice((6, 8, 10))
+        a, b = random_cubic_edges(rng, n), random_cubic_edges(rng, n)
+        relabeled = []
+        for parts in ((a, a, b), (a, b, b)):
+            g = graph_from_edges(3 * n, [(u + i * n, v + i * n)
+                                         for i, part in enumerate(parts)
+                                         for u, v in part])
+            images = list(range(g.n))
+            rng.shuffle(images)
+            relabeled.append(g.relabel(images))
+        pairs.append((f"AAB vs ABB cubic, seed {seed}", *relabeled))
+    return pairs
+
+
+def run_rejection(name: str, g, h) -> dict:
+    """Time ``is_isomorphic(g, h)``, then count its refine calls."""
+    started = time.perf_counter()
+    if is_isomorphic(g, h) is not None:
+        raise AssertionError(f"{name}: a non-isomorphic pair got a mapping")
+    seconds = time.perf_counter() - started
+    calls = 0
+    refine = Partition.refine
+
+    def counting(self, active, expect=None):
+        nonlocal calls
+        calls += 1
+        return refine(self, active, expect)
+
+    Partition.refine = counting
+    try:
+        walk = _Search(h, None, source=g)
+        walk.run()
+    finally:
+        Partition.refine = refine
+    return {"case": name, "vertices": g.n, "nodes": walk.node_count,
+            "refines": calls, "seconds": seconds}
+
+
+def run_rejections(pairs=None) -> list[dict]:
+    """Print a row per rejection (default: every pair of
+    ``rejection_pairs``) and return the rows."""
+    print(f"{'case':<28} {'vertices':>8} {'nodes':>6} {'refines':>7} "
+          f"{'seconds':>7}")
+    rows = []
+    for name, g, h in rejection_pairs() if pairs is None else pairs:
+        row = run_rejection(name, g, h)
+        print(f"{row['case']:<28} {row['vertices']:>8} {row['nodes']:>6} "
+              f"{row['refines']:>7} {row['seconds']:>7.3f}", flush=True)
+        rows.append(row)
+    return rows
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(
         description="time automorphism_group on F_k(K_{2,n})")
@@ -134,6 +222,8 @@ def main() -> int:
         print(f"{row['case']:<11} {row['vertices']:>8} {row['nodes']:>6} "
               f"{row['generators']:>5} {row['inner']:>5} "
               f"{row['seconds']:>7.3f}", flush=True)
+    print()
+    run_rejections()
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     print(f"\npeak RSS {peak:.0f} MB")
     return 0

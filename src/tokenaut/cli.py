@@ -20,8 +20,8 @@ import re
 import sys
 import time
 from itertools import product as iter_product
-from math import comb
-from typing import Sequence
+from math import comb, prod
+from typing import Callable, Sequence
 
 from . import __version__
 from .constructions import singleton_swap_families
@@ -45,48 +45,71 @@ class UsageError(Exception):
     pass
 
 
+# Each grammar head: its vertex count from its sizes, and its constructor.
+_CONSTRUCTORS = {
+    "kmn": (lambda m, n: m + n, complete_bipartite),
+    "kn": (lambda n: n, complete_graph),
+    "path": (lambda n: n, path_graph),
+    "cycle": (lambda n: n, cycle_graph),
+    "star": (lambda n: n + 1, star_graph),
+    "cube": (lambda r: 1 << r, hypercube),
+}
+
+
 def parse_graph_spec(text: str) -> Graph:
     """Build a graph from the constructor grammar; kN is shorthand for
     the complete graph kn:N so product lists read naturally (k2+path:3)."""
-    text = text.strip()
-    bare = re.fullmatch(r"[kK](\d+)", text)
-    if bare:
-        return complete_graph(_positive(bare.group(1), text))
-    head, sep, rest = text.partition(":")
-    if not sep:
-        raise UsageError(f"cannot parse graph spec {text!r}; grammar: {GRAMMAR}")
-    head = head.strip().lower()
-    rest = rest.strip()
-    try:
-        if head == "kmn":
-            parts = rest.split(",")
-            if len(parts) != 2:
-                raise UsageError(f"kmn needs two sizes, got {rest!r}")
-            return complete_bipartite(_positive(parts[0], text), _positive(parts[1], text))
-        if head == "kn":
-            return complete_graph(_positive(rest, text))
-        if head == "path":
-            return path_graph(_positive(rest, text))
-        if head == "cycle":
-            return cycle_graph(_positive(rest, text))
-        if head == "star":
-            return star_graph(_positive(rest, text))
-        if head == "cube":
-            return hypercube(_positive(rest, text))
-        if head == "prod":
-            return cartesian_product(parse_factor_specs(rest))
-        if head == "file":
-            return _read_graph(rest)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    raise UsageError(f"unknown graph spec {text!r}; grammar: {GRAMMAR}")
+    return _built(_parse_spec(text)[1])
 
 
 def parse_factor_specs(text: str) -> list[Graph]:
+    return [parse_graph_spec(p) for p in _factor_texts(text)]
+
+
+def _factor_texts(text: str) -> list[str]:
     parts = [p for p in text.split("+") if p.strip()]
     if not parts:
         raise UsageError(f"empty factor list {text!r}; grammar: {GRAMMAR}")
-    return [parse_graph_spec(p) for p in parts]
+    return parts
+
+
+def _parse_spec(text: str) -> tuple[int, Callable[[], Graph]]:
+    """The vertex count of the graph a spec names, read from the spec
+    alone, and a function that builds the graph. A file: spec is read
+    here, since only the file knows its size."""
+    text = text.strip()
+    bare = re.fullmatch(r"[kK](\d+)", text)
+    if bare:
+        head, sizes = "kn", [bare.group(1)]
+    else:
+        head, sep, rest = text.partition(":")
+        if not sep:
+            raise UsageError(
+                f"cannot parse graph spec {text!r}; grammar: {GRAMMAR}")
+        head = head.strip().lower()
+        rest = rest.strip()
+        if head == "prod":
+            factors = [_parse_spec(p) for p in _factor_texts(rest)]
+            return (prod(n for n, _ in factors),
+                    lambda: cartesian_product([build() for _, build in factors]))
+        if head == "file":
+            g = _read_graph(rest)
+            return g.n, lambda: g
+        if head not in _CONSTRUCTORS:
+            raise UsageError(f"unknown graph spec {text!r}; grammar: {GRAMMAR}")
+        sizes = rest.split(",") if head == "kmn" else [rest]
+        if head == "kmn" and len(sizes) != 2:
+            raise UsageError(f"kmn needs two sizes, got {rest!r}")
+    count, build = _CONSTRUCTORS[head]
+    sizes = [_positive(x, text) for x in sizes]
+    return count(*sizes), lambda: build(*sizes)
+
+
+def _built(build: Callable[[], Graph]) -> Graph:
+    try:
+        return build()
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def _positive(s: str, context: str) -> int:
@@ -133,12 +156,14 @@ def _guard(args) -> ScaleGuard:
 # --- build ------------------------------------------------------------
 
 def cmd_build(args) -> int:
-    g = parse_graph_spec(args.graph)
+    # The base graph is built only after the guard admits its token graph.
+    n, build = _parse_spec(args.graph)
+    spec = args.graph.strip()
     guard = _guard(args)
-    if not 1 <= args.k <= g.n - 1:
-        raise UsageError(f"k={args.k} out of range 1..{g.n - 1} for {_name(g)}")
-    guard.require_vertices(comb(g.n, args.k), f"{args.k}-token graph of {_name(g)}")
-    tg = token_graph(g, args.k)
+    if not 1 <= args.k <= n - 1:
+        raise UsageError(f"k={args.k} out of range 1..{n - 1} for {spec}")
+    guard.require_vertices(comb(n, args.k), f"{args.k}-token graph of {spec}")
+    tg = token_graph(_built(build), args.k)
     _write_atomic(args.out, format_edge_list(tg.graph))
     mapping = [f"{r}: {{{','.join(str(v) for v in sub)}}}"
                for r, sub in enumerate(tg.configs)]

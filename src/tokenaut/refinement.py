@@ -39,6 +39,13 @@ Only choosing a target cell walks every cell, and the search does that
 once per depth. Starting a partition costs one pass over the vertices;
 the neighbour table costs one pass over every adjacency row, the first
 time the graph is asked for it.
+
+A search node off the reference path is kept only if its trace equals the
+reference path's trace at its depth, so ``refine`` can be handed that
+trace and compares as it goes, as Traces does: after each drained
+splitter it checks the new events, and at the first difference it stops
+and returns None, leaving its splits on the trail for the caller's undo.
+A rejected node pays only for the shared prefix of its trace.
 """
 
 from __future__ import annotations
@@ -118,10 +125,13 @@ class Partition:
             s += k
         return best
 
-    def individualize(self, start: int, v: int) -> tuple:
+    def individualize(self, start: int, v: int,
+                      expect: tuple | None = None) -> tuple | None:
         """Split v off the front of the non-singleton cell at start, keeping
         the others in their order, and refine against both halves, which
-        meets ``refine``'s contract when the partition is equitable."""
+        meets ``refine``'s contract when the partition is equitable. The
+        split of v is not part of the trace, and ``expect`` is passed on to
+        ``refine``."""
         order, size = self.order, self.size
         seg = order[start:start + size[start]]
         self.trail.append((start, seg, 2))
@@ -135,9 +145,9 @@ class Partition:
             start_of[u] = start + 1
         start_of[v] = start
         self.cell_count += 1
-        return self.refine([start, start + 1])
+        return self.refine([start, start + 1], expect)
 
-    def refine(self, active) -> tuple:
+    def refine(self, active, expect: tuple | None = None) -> tuple | None:
         """Split cells by neighbour counts against a queue of splitter
         cells, seeded with the starts in ``active``, until the queue drains
         or the partition is discrete.
@@ -160,6 +170,14 @@ class Partition:
         splitter. Given the input cell sizes the events determine the
         output cell sizes. Traces are equivariant: relabeling the graph and
         the input cells by a permutation yields the identical trace.
+
+        Given ``expect``, a trace to match, it returns None as soon as the
+        trace is known to differ from it: after each drained splitter its
+        new events are compared with the same positions of ``expect``, and
+        a trace that ends shorter or longer differs too. The splits made so
+        far stay on the trail, so undoing to a mark taken before the call
+        restores the partition exactly. Otherwise the trace equals
+        ``expect`` and is returned.
         """
         n = self.n
         nbrs = self.nbrs
@@ -170,6 +188,7 @@ class Partition:
         queue = deque(active)
         pending = set(queue)
         trace = []
+        checked = 0
         cell_count = self.cell_count
         while queue and cell_count < n:
             s = queue.popleft()
@@ -225,8 +244,16 @@ class Partition:
                         pending.add(u)
                     u += k
             trace.append(-1)
+            if expect is not None:
+                end = len(trace)
+                if expect[checked:end] != tuple(trace[checked:]):
+                    self.cell_count = cell_count
+                    return None
+                checked = end
         self.cell_count = cell_count
-        return tuple(trace)
+        if expect is None:
+            return tuple(trace)
+        return expect if len(expect) == checked else None
 
     def undo(self, mark: int) -> None:
         """Undo every split recorded after the trail had length mark."""

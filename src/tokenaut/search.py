@@ -16,13 +16,19 @@ inner nodes, see below):
   is g's first path (at every level, the first vertex of the target cell),
   taken in a partition of g one level at a time, when h's walk first
   reaches that depth, so a pair rejected near h's root never pays for the
-  rest of g's path. The first accepted map ends the walk.
+  rest of g's path. The first accepted map ends the walk. A leaf that
+  fails against g's path is compared with h's own first leaf, as in an
+  automorphism walk of h, and a map that passes the edge check on h is
+  kept as a generator of Aut(h) (see below).
 
 Pruning never drops a map the walk is looking for:
 
 * trace pruning removes a branch only when its refinement trace differs
   from the reference path's trace at the same depth (traces are
-  equivariant, so no image of the reference leaf lies below such a branch);
+  equivariant, so no image of the reference leaf lies below such a
+  branch). The refinement is handed that trace and stops at the first
+  splitter whose events differ, as in Traces, so a pruned branch costs
+  only the prefix of its trace that matched;
 * orbit pruning skips a candidate only when a product of already-verified
   automorphisms fixing the current prefix maps a processed sibling to it;
 * after a new automorphism the walk jumps back to the deepest node shared
@@ -53,6 +59,25 @@ that the argument below and the backjump ask of a generator. On the
 paper's families the check finds most generators: F2(Q5) takes 51 nodes,
 not 78, and F6(K_{2,12})'s twin quotient 23, not 78, with the same
 generators and base. An isomorphism walk still compares leaves only.
+
+An isomorphism walk prunes with the automorphisms of h it finds, as
+nauty prunes its search with the automorphisms it finds. Its first-leaf path b_0, b_1, ... is the path of h's first leaf,
+and a later leaf whose map from that leaf passes the edge check on h
+gives an automorphism s of h. As above, s fixes b_0, ..., b_{i-1} and
+sends b_i to v, where the leaf's path leaves the first path at depth i
+by taking v. Refinement, traces and target cells (chosen by position)
+are equivariant, so s maps the subtree below b_i onto the subtree below
+v. If some leaf below v gave an isomorphism f from g, its preimage under
+s would be a leaf below b_i, with the same traces, whose map is s^-1 f,
+again an isomorphism. That subtree was walked before v's and held none,
+since any isomorphism ends the walk, so v's subtree holds none either,
+and the walk jumps back to the fork. Orbit pruning holds by the same
+argument: a prefix-fixing automorphism of h maps a done candidate's
+subtree, which held no isomorphism, onto the candidate's. On the A + A + B
+against A + B + B cubic pairs of the tests, rejections take 34 to 130
+nodes instead of 1,493 to 3,255. These automorphisms come only from leaves
+of h that match g's traces, so a rejection whose branches all fail above
+the leaves gets no pruning from them.
 
 The group's order and membership tests come from the search, not from a
 Schreier-Sims run. The first-leaf path b_0, b_1, ... is a base: individualizing
@@ -127,8 +152,8 @@ union-find over the target cell's vertices: generators found so far are
 merged into it lazily, only when a candidate comes up after another one is
 done, and only those that fix the path prefix pointwise, which are the
 automorphisms known to fix the node's partition and so to map the target
-cell onto itself. An isomorphism walk finds no generators, so it prunes by
-traces alone.
+cell onto itself. An isomorphism walk merges the automorphisms of h it has
+found in the same way.
 
 An exhaustive enumeration oracle (count_automorphisms_brute) provides an
 independent count for fixtures with small groups.
@@ -206,18 +231,19 @@ class _Search:
     """Walk the tree of g, comparing each leaf with a reference leaf: g's
     own first leaf, or the first leaf of ``source``, an isomorphism
     candidate for g. Either way the reference path is extended one level
-    the first time the walk reaches a depth. An automorphism walk also
-    compares each inner node off its first path with that path's node at
-    the same depth. ``cells`` colours g's automorphism search: the tree
-    starts from them instead of the unit partition, and every leaf map
-    keeps each of them in place."""
+    the first time the walk reaches a depth. An isomorphism walk also
+    compares a leaf that fails with g's own first leaf, for automorphisms
+    of g, and an automorphism walk compares each inner node off its first
+    path with that path's node at the same depth. ``cells`` colours g's
+    automorphism search: the tree starts from them instead of the unit
+    partition, and every leaf map keeps each of them in place."""
 
     def __init__(self, g: Graph, max_nodes: int | None,
                  source: Graph | None = None,
                  cells: OrderedPartition | None = None):
         self.g = g
         self.iso = source is not None
-        self.source = source if self.iso else g
+        self.source = source
         cells = cells or [list(range(g.n))]
         # The root refines against every initial cell.
         self.starts = _starts(cells)
@@ -232,7 +258,7 @@ class _Search:
         self.base: list[int] = []
         self.traces: list[tuple] = []
         self.targets: list[int] = []
-        self.first_leaf = self.ref.order if self.iso else None
+        self.first_leaf: list[int] | None = None
         # The first path's vertex order at each inner depth.
         self.snapshots: list[list[int]] = []
         self.gens: list[Permutation] = []
@@ -240,7 +266,8 @@ class _Search:
 
     def run(self) -> None:
         self.traces.append(self.ref.refine(self.starts))
-        if self.iso and self.part.refine(self.starts) != self.traces[0]:
+        if self.iso and self.part.refine(self.starts,
+                                         self.traces[0]) is None:
             return
         self._node(0)
 
@@ -304,10 +331,9 @@ class _Search:
             if root in done_roots:
                 continue
             mark = len(part.trail)
-            trace = part.individualize(t, v)
             if depth + 1 == len(self.traces):
-                self.traces.append(trace)
-            elif trace != self.traces[depth + 1]:
+                self.traces.append(part.individualize(t, v))
+            elif part.individualize(t, v, self.traces[depth + 1]) is None:
                 part.undo(mark)
                 done_roots.add(root)
                 continue
@@ -332,6 +358,16 @@ class _Search:
             self.traces.append(ref.individualize(t, ref.order[t]))
 
     def _leaf(self, leaf: list[int]) -> int | None:
+        """Compare a leaf with the source's reference leaf, if any, then
+        with the walk's own first leaf. Returns the backjump depth or None:
+        -1 for an isomorphism, which ends the walk."""
+        if self.iso:
+            # The source's path is as deep as this leaf, so its order is
+            # its leaf.
+            images = _position_map(self.ref.order, leaf)
+            if self.source.maps_edges_into(images, self.g):
+                self.mapping = images
+                return -1
         if self.first_leaf is None:
             self.first_leaf = list(leaf)
             self.base = list(self.path)
@@ -339,17 +375,12 @@ class _Search:
         return self._accept(self.first_leaf, leaf)
 
     def _accept(self, ref: list[int], order: list[int]) -> int | None:
-        """Keep the position map ref[p] -> order[p] if it passes the edge
-        check: as the isomorphism, which ends the walk, or as a generator,
-        jumping back to the fork. Returns the backjump depth or None."""
-        images = [0] * self.g.n
-        for a, b in zip(ref, order):
-            images[a] = b
-        if not self.source.maps_edges_into(images, self.g):
+        """Keep the position map ref[p] -> order[p] as a generator if it is
+        an automorphism of the walk's graph, jumping back to the fork.
+        Returns the backjump depth or None."""
+        images = _position_map(ref, order)
+        if not self.g.maps_edges_into(images, self.g):
             return None
-        if self.iso:
-            self.mapping = images
-            return -1
         self.gens.append(Permutation(tuple(images)))
         fork = 0
         for a, b in zip(self.path, self.base):
@@ -357,6 +388,14 @@ class _Search:
                 break
             fork += 1
         return fork
+
+
+def _position_map(ref: list[int], order: list[int]) -> list[int]:
+    """The images of the map sending ref[p] to order[p] for every p."""
+    images = [0] * len(ref)
+    for a, b in zip(ref, order):
+        images[a] = b
+    return images
 
 
 def _twin_classes(g: Graph) -> list[list[int]]:
@@ -436,8 +475,9 @@ def is_isomorphic(g: Graph, h: Graph,
     """Certified isomorphism from g to h as an image list, or None.
 
     h's tree is walked against g's first path; branches survive only while
-    their refinement traces agree with it, so a returned mapping is always
-    verified edge-by-edge and exhaustion certifies non-isomorphism.
+    their refinement traces agree with it, and automorphisms of h found on
+    the way prune the rest of h's tree. A returned mapping is always
+    verified edge-by-edge, and exhaustion certifies non-isomorphism.
     """
     if g.n != h.n or g.edge_count() != h.edge_count():
         return None

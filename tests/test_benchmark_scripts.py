@@ -35,3 +35,14 @@ def test_bench_search_cube_matches_the_closed_form():
     assert (row["case"], row["vertices"]) == ("F2(Q3)", 28)
     assert row["nodes"] >= 1
     assert 0 <= row["inner"] <= row["generators"]
+
+
+def test_bench_search_rejection_row():
+    # run_rejection raises when the pair gets a mapping. F2(Shrikhande)
+    # is told from F2(K4xK4) at h's root children: g's and h's roots, one
+    # individualization of g and h's 48 root children.
+    bench_search = load("bench_search")
+    pairs = bench_search.rejection_pairs()
+    assert len(pairs) == 5
+    (row,) = bench_search.run_rejections(pairs[:1])
+    assert (row["vertices"], row["nodes"], row["refines"]) == (120, 1, 51)

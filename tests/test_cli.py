@@ -460,8 +460,29 @@ def test_refusals_are_decided_before_any_graph_is_built(monkeypatch, capsys):
     assert "Q20000 has at least 2^39998 vertices" in captured.err
 
 
+def test_build_refuses_before_building_the_base_graph(monkeypatch, tmp_path,
+                                                     capsys):
+    # The base's vertex count comes from the spec, so a refused build
+    # constructs no graph at all.
+    def built(self):
+        raise AssertionError("a graph was built before the guard refused")
+
+    monkeypatch.setattr(graphs.Graph, "__post_init__", built)
+    out = tmp_path / "x.el"
+    for spec, k in (("kmn:2,1000000", 3), ("cube:14", 8000),
+                    ("prod:path:1000+cycle:1000", 2), ("star:99999", 2)):
+        assert run(["build", "--graph", spec, "--k", str(k),
+                    "--out", str(out)]) == 3, spec
+    assert run(["build", "--graph", "kmn:2,1000000", "--k", "1000002",
+                "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "3-token graph of kmn:2,1000000 has 166667166667000000 vertices" in err
+    assert "2-token graph of star:99999 has 4999950000 vertices" in err
+    assert "k=1000002 out of range 1..1000001 for kmn:2,1000000" in err
+    assert not out.exists()
+
+
 def test_token_count_refusal_prints_a_bounded_size(tmp_path, capsys):
-    # The base graph of a build is still made before the guard runs.
     out = tmp_path / "q14.el"
     assert run(["build", "--graph", "cube:14", "--k", "8000",
                 "--out", str(out)]) == 3

@@ -297,6 +297,98 @@ def test_partition_trail_undo_and_in_place_refines():
         assert snapshot(part) == initial, trial
 
 
+def altered_traces(rng, trace):
+    """Traces that differ from trace: one event changed (the last one, and
+    one at random), one marker dropped, one added."""
+    out = [trace[:-1], trace + (-1,)]
+    for i in {len(trace) - 1, rng.randrange(len(trace))}:
+        out.append(trace[:i] + (trace[i] + 1,) + trace[i + 1:])
+    return out
+
+
+def test_refine_with_its_own_trace_expected_is_unchanged():
+    rng = random.Random(9)
+    for trial in range(300):
+        n = rng.randint(1, 40)
+        g = random_graph(rng, n, rng.choice((0.1, 0.3, 0.5, 0.8)))
+        cells = random_ordered_partition(rng, n)
+        active = rng.sample(range(len(cells)), rng.randint(0, len(cells)))
+        want = one_shot_refine(g, cells, active)
+        part = Partition(g.nbrs, cells)
+        starts = live_starts(part)
+        trace = part.refine([starts[i] for i in active], want[1])
+        assert (part.cells(), trace) == want, trial
+
+
+def test_refine_stops_at_the_first_difference_and_undoes_exactly():
+    # A trace that differs from the expected one in any event, or in
+    # length, is refused with None; undoing to a mark taken before the
+    # call restores the partition exactly, cell count included.
+    rng = random.Random(10)
+    refused = partial = 0
+    for trial in range(300):
+        n = rng.randint(2, 40)
+        g = random_graph(rng, n, rng.choice((0.1, 0.3, 0.5, 0.8)))
+        cells = random_ordered_partition(rng, n)
+        active = rng.sample(range(len(cells)), rng.randint(1, len(cells)))
+        _, trace = one_shot_refine(g, cells, active)
+        if not trace:
+            continue
+        part = Partition(g.nbrs, cells)
+        state = snapshot(part)
+        starts = [live_starts(part)[i] for i in active]
+        for expect in altered_traces(rng, trace):
+            mark = len(part.trail)
+            assert part.refine(starts, expect) is None, (trial, expect)
+            refused += 1
+            partial += len(part.trail) > mark
+            part.undo(mark)
+            assert snapshot(part) == state, (trial, expect)
+    # Most refusals came after some splits, which the undo had to reverse.
+    assert partial > refused // 2
+
+
+def test_individualize_passes_the_expected_trace_on():
+    # Search-shaped: individualize each vertex of each non-singleton cell
+    # of the root against the trace of individualizing the cell's first
+    # vertex; it is refused exactly when its own trace differs. Unions of
+    # cycles are regular, so the root is one cell, but a vertex of a short
+    # cycle and one of a long cycle give different traces.
+    graphs = corpus()
+    for lengths in ((3, 4), (5, 3, 5), (4, 6, 4)):
+        adj = [0] * sum(lengths)
+        first = 0
+        for k in lengths:
+            for i in range(k):
+                u, v = first + i, first + (i + 1) % k
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+            first += k
+        graphs.append((f"cycles {lengths}", Graph(len(adj), tuple(adj))))
+    refused = 0
+    for name, g in graphs:
+        part = Partition(g.nbrs, [list(range(g.n))])
+        part.refine([0])
+        state = snapshot(part)
+        mark = len(part.trail)
+        for t in live_starts(part):
+            if part.size[t] == 1:
+                continue
+            first = part.individualize(t, part.order[t])
+            part.undo(mark)
+            for v in part.cell(t):
+                own = part.individualize(t, v)
+                part.undo(mark)
+                assert part.individualize(t, v, own) == own, (name, v)
+                part.undo(mark)
+                trace = part.individualize(t, v, first)
+                assert trace == (first if own == first else None), (name, v)
+                refused += trace is None
+                part.undo(mark)
+                assert snapshot(part) == state, (name, v)
+    assert refused
+
+
 def test_pure_kernel_rejects_empty_cells():
     g = cycle_graph(4)
     with pytest.raises(ValueError):
