@@ -11,14 +11,20 @@ through the same functions:
 * ``build``: the token graph (not part of ``automorphism_group``);
 * ``classes``: grouping the vertices into twin classes;
 * ``search``: the walk over the twin quotient;
-* ``lift``: lifting its generators, adding the twin transpositions and
-  checking every generator edge by edge;
-* ``chain``: the stabilizer chain from the base and strong generators;
-* ``total``: the four phases of ``automorphism_group`` together.
+* ``lift``: lifting the quotient's generators to the token graph and
+  checking each of them edge by edge;
+* ``chain``: the quotient's stabilizer chain, at the quotient's degree;
+* ``total``: the four phases of ``automorphism_group`` together;
+* ``full``: the full-degree base and strong generators, which the group
+  builds only when they are asked for (``aut`` reports list them), and
+  which ``total`` leaves out.
+
+``rss`` is the process's peak resident set size in MB when ``total``
+ends, before ``full`` runs.
 
 Each order is checked against the closed form 2^C(n,k-1) * n!, doubled
 when 2k = n + 2. The search is called directly, so no scale guard
-applies. F7(K_{2,14}) takes tens of seconds and most of a gigabyte of
+applies. F7(K_{2,14}) takes seconds, and its ``full`` phase most of the
 memory; --skip-largest leaves it out.
 
 A second table covers a twin-free family, F2(Q_r) for r = 5 and 6 (496
@@ -60,12 +66,13 @@ from tokenaut import (
     token_graph,
 )
 from tokenaut.refinement import Partition
-from tokenaut.search import _lift, _quotient_search, _Search, _twin_classes
+from tokenaut.search import (TwinGroup, _lift, _quotient_search, _Search,
+                             _twin_classes)
 
 CASES = ((10, 5), (12, 6), (14, 7))
 CUBES = (5, 6)
 CUBIC_SEEDS = (13, 16, 133, 250)
-PHASES = ("build", "classes", "search", "lift", "chain", "total")
+PHASES = ("build", "classes", "search", "lift", "chain", "total", "full")
 
 
 def closed_form(n: int, k: int) -> int:
@@ -74,6 +81,10 @@ def closed_form(n: int, k: int) -> int:
 
 def cube_order(r: int) -> int:
     return 2 ** (r - 1) * 2 ** r * factorial(r)
+
+
+def peak_rss_mb() -> float:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
 
 def run_case(n: int, k: int) -> dict:
@@ -88,14 +99,18 @@ def run_case(n: int, k: int) -> dict:
     g = timed("build", lambda: token_graph(complete_bipartite(2, n), k).graph)
     classes = timed("classes", _twin_classes, g)
     search = timed("search", _quotient_search, g, classes, None)
-    base, gens = timed("lift", _lift, g, classes, search)
-    group = timed("chain", PermGroup.from_strong_generators, g.n, base, gens)
+    lifted = timed("lift", _lift, g, classes, search.gens)
+    quotient = timed("chain", PermGroup.from_strong_generators, len(classes),
+                     search.base, search.gens)
     seconds["total"] = sum(seconds.values()) - seconds["build"]
+    rss = peak_rss_mb()
+    group = TwinGroup(g, classes, search.base, quotient, lifted)
     if group.order() != closed_form(n, k):
         raise AssertionError(f"F{k}(K2,{n}): order differs from the closed form")
+    base, _ = timed("full", lambda: (group.base, group.generators))
     return {"case": f"F{k}(K2,{n})", "vertices": g.n,
             "quotient": len(classes), "nodes": search.node_count,
-            "base": len(group.base), **seconds}
+            "base": len(base), **seconds, "rss": rss}
 
 
 class InnerCount(_Search):
@@ -209,12 +224,14 @@ def main() -> int:
     args = parser.parse_args()
     cases = CASES[:-1] if args.skip_largest else CASES
     print(f"{'case':<11} {'vertices':>8} {'quotient':>8} {'nodes':>6} "
-          f"{'base':>5}" + "".join(f" {p:>7}" for p in PHASES))
+          f"{'base':>5}" + "".join(f" {p:>7}" for p in PHASES)
+          + f" {'rss':>5}")
     for n, k in cases:
         row = run_case(n, k)
         print(f"{row['case']:<11} {row['vertices']:>8} {row['quotient']:>8} "
               f"{row['nodes']:>6} {row['base']:>5}"
-              + "".join(f" {row[p]:>7.3f}" for p in PHASES), flush=True)
+              + "".join(f" {row[p]:>7.3f}" for p in PHASES)
+              + f" {row['rss']:>5.0f}", flush=True)
     print(f"\n{'case':<11} {'vertices':>8} {'nodes':>6} {'gens':>5} "
           f"{'inner':>5} {'seconds':>7}")
     for r in CUBES:
@@ -224,8 +241,7 @@ def main() -> int:
               f"{row['seconds']:>7.3f}", flush=True)
     print()
     run_rejections()
-    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-    print(f"\npeak RSS {peak:.0f} MB")
+    print(f"\npeak RSS {peak_rss_mb():.0f} MB")
     return 0
 
 

@@ -122,10 +122,16 @@ def side_swap_bipartite(spec: BipartiteSpec, k: int, family: SwapFamily) -> Perm
     if not (1 <= k <= total - 1):
         raise ValueError(f"need 1 <= k <= {total - 1}, got k={k}")
     images = list(range(comb(total, k)))
+    moved = []
     for s in family.members:
         a, b = subsets.rank(s | {0}, total), subsets.rank(s | {1}, total)
         images[a], images[b] = b, a
-    return Permutation(tuple(images))
+        moved += (a, b)
+    # Disjoint transpositions make a permutation; only their points need
+    # checking, not all C(m+n, k) images.
+    if len(set(moved)) != len(moved):
+        raise ValueError("side swap transpositions overlap")
+    return Permutation._raw(tuple(images))
 
 
 def y_permutation_lift(spec: BipartiteSpec, k: int, pi: Permutation) -> Permutation:

@@ -44,6 +44,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress
+from operator import ne
 from typing import Iterable, Iterator, Sequence
 
 
@@ -122,6 +124,11 @@ class Permutation:
             if i != v:
                 return i
         return None
+
+    def moved_points(self) -> list[int]:
+        """The points p moves, in ascending order."""
+        points = _id_images(len(self.images))
+        return list(compress(points, map(ne, self.images, points)))
 
     def image_of_set(self, members: Iterable[int]) -> frozenset[int]:
         return frozenset(self.images[v] for v in members)

@@ -112,11 +112,27 @@ c_j of C_i to c_j of C_s(i), keeps adjacency (between different classes it
 is Q's, inside one there is none), and lifting is a homomorphism. So Aut(g)
 is T extended by the lifted group L, and |Aut(g)| = prod |C|! * |Aut(Q)|.
 
-The chain's base is the lifted quotient base (the first members of the
-quotient base's classes), then, for each class with more than one member,
-in class order, its members after the first if the class is on the
-quotient base, or all its members but the last if it is not. The strong
-generators are the lifted quotient generators and, for every class, the
+So the group of a graph with twins, a ``TwinGroup``, holds only the
+classes and the quotient's chain, at the quotient's degree: its order is
+prod |C|! times the quotient chain's. A permutation p lies in it exactly
+when p maps every class onto a class and the class permutation it induces
+lies in the quotient's group: p is then t * l, with l the lift of that
+class permutation and t = p * l^-1 in T. The class permutation is read off
+the points p moves, and a class none of them is in stays in place. A class
+with a moved member maps into the class of that member's image, which
+every moved member must share, and a class that goes elsewhere must have
+every member moved (the class-size check). Then each class maps into one
+class, and as p is onto, every class is hit: the class map is a bijection,
+and each class maps onto a class of its own size. The lifted quotient
+generators are built and certified edge by edge on g at once; they are few.
+
+The full-degree chain, whose base and strong generators ``aut`` reports
+list, is built only when they are asked for. Its base is the lifted
+quotient base (the first members of the quotient base's classes), then,
+for each class with more than one member, in class order, its members
+after the first if the class is on the quotient base, or all its members
+but the last if it is not. The strong generators are the lifted quotient
+generators and, for every class, the
 adjacent transpositions (c_j c_{j+1}). An element t * l (t in T, l in L
 lifting s) fixes the first member of C_i exactly when s fixes C_i and t
 fixes that member. So the stabilizer of the first i lifted base points is
@@ -134,9 +150,10 @@ c_a, ..., c_b are a strong generating set of Sym{c_a, ..., c_b} relative to
 the base c_a, c_{a+1}, ...: those that fix c_a, ..., c_j are
 (c_{j+1} c_{j+2}), ..., (c_{b-1} c_b), which generate the symmetric group
 on the rest. So the generators are a strong generating set relative to
-that base, and ``from_strong_generators`` applies. Every generator, lifted
-or transposition, is still certified edge by edge on g. A twin-free graph,
-with every class a singleton, is searched as it is.
+that base, and ``from_strong_generators`` applies. A transposition (a b)
+is certified by the equal adjacency rows of a and b, which make it an
+automorphism. A twin-free graph, with every class a singleton, is searched
+as it is, and its group is the chain of its own search.
 
 The walker keeps one backtrackable ``Partition`` (``refinement``) for its
 whole run: a node individualizes a vertex of its target cell in place,
@@ -163,6 +180,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
+from math import factorial, prod
+from typing import Iterator
 
 from .errors import CertificationError, ScaleGuardExceeded
 from .graphs import Graph
@@ -180,7 +199,7 @@ class AutResult:
     nodes of the search tree that was walked: g's own, or, when g has twins,
     that of its twin quotient."""
 
-    group: PermGroup
+    group: PermGroup | TwinGroup
     node_count: int
 
 
@@ -421,31 +440,129 @@ def _quotient_search(g: Graph, classes: list[list[int]],
 
 
 def _lift(g: Graph, classes: list[list[int]],
-          search: _Search) -> tuple[list[int], list[Permutation]]:
-    """Base and strong generators of Aut(g) from its twin quotient's
-    search (see the module docstring), every generator certified on g."""
+          gens: list[Permutation]) -> list[Permutation]:
+    """The order-preserving lifts to g of the quotient's generators ``gens``
+    (see the module docstring), each certified edge by edge on g."""
     # The quotient's maps keep its initial cells, so each lifts class onto
     # class of the same size, member by member in ascending order.
-    gens = []
-    for p in search.gens:
+    lifted = []
+    for p in gens:
         images = [0] * g.n
         for c, d in zip(classes, map(classes.__getitem__, p.images)):
             for u, w in zip(c, d):
                 images[u] = w
-        gens.append(Permutation(tuple(images)))
-    identity = list(range(g.n))
-    for c in classes:
-        for a, b in zip(c, c[1:]):
-            images = identity.copy()
-            images[a], images[b] = b, a
-            gens.append(Permutation._raw(tuple(images)))
-    certify(gens, g, "a lifted quotient generator or twin transposition")
-    on_base = set(search.base)
-    base = [classes[b][0] for b in search.base]
-    for i, c in enumerate(classes):
-        if len(c) > 1:
-            base.extend(c[1:] if i in on_base else c[:-1])
-    return base, gens
+        lifted.append(Permutation._raw(tuple(images)))
+    certify(lifted, g, "a lifted quotient generator")
+    return lifted
+
+
+class TwinGroup:
+    """Aut(g) of a graph g with twins, held as T extended by the lifted
+    quotient group (see the module docstring): the twin classes and the
+    quotient's chain, at the quotient's degree. ``order`` and ``contains``
+    need nothing more. The full-degree chain, whose base and strong
+    generators the reports list, is built on first use."""
+
+    def __init__(self, g: Graph, classes: list[list[int]], path: list[int],
+                 quotient: PermGroup, lifted: list[Permutation]):
+        self.degree = g.n
+        self.classes = classes
+        self.quotient = quotient
+        self.class_of = [0] * g.n
+        for i, c in enumerate(classes):
+            for v in c:
+                self.class_of[v] = i
+        # What the full chain is built from: g's adjacency rows, the
+        # quotient's search path and the certified lifts of its generators.
+        self._adj = g.adj
+        self._path = path
+        self._lifted = lifted
+        self._full: PermGroup | None = None
+
+    def twin_order(self) -> int:
+        """|T|, the product of the classes' factorials."""
+        return prod(factorial(len(c)) for c in self.classes)
+
+    def order(self) -> int:
+        return self.twin_order() * self.quotient.order()
+
+    def class_image(self, p: Permutation,
+                    moved: list[int] | None = None) -> Permutation | None:
+        """The permutation p induces on the classes, or None unless p maps
+        every class onto a class. Only the points p moves (``moved``, which
+        defaults to ``p.moved_points()``) are visited: a class none of them
+        is in stays in place."""
+        images, class_of = p.images, self.class_of
+        target: dict[int, int] = {}
+        count: dict[int, int] = {}
+        for v in p.moved_points() if moved is None else moved:
+            i, j = class_of[v], class_of[images[v]]
+            if target.setdefault(i, j) != j:
+                return None
+            count[i] = count.get(i, 0) + 1
+        q = list(range(len(self.classes)))
+        for i, j in target.items():
+            # A class with a fixed member stays in place, so one that goes
+            # elsewhere has every member moved.
+            if j != i and count[i] != len(self.classes[i]):
+                return None
+            q[i] = j
+        # Every class now maps into one class, and p is onto, so every
+        # class is hit: q is a bijection, and each class maps onto a class
+        # of its own size.
+        return Permutation._raw(tuple(q))
+
+    def contains(self, p: Permutation) -> bool:
+        if p.degree != self.degree:
+            raise ValueError(f"degree mismatch: {p.degree} vs {self.degree}")
+        q = self.class_image(p)
+        return q is not None and self.quotient.contains(q)
+
+    def _chain(self) -> PermGroup:
+        """The full-degree chain: the lifted quotient generators and each
+        class's adjacent transpositions, relative to the base of the
+        module docstring. A transposition (a b) is certified by a's and
+        b's equal adjacency rows."""
+        if self._full is None:
+            gens = list(self._lifted)
+            adj = self._adj
+            identity = list(range(self.degree))
+            for c in self.classes:
+                for a, b in zip(c, c[1:]):
+                    if adj[a] != adj[b]:
+                        raise CertificationError(
+                            "a twin transposition failed the edge check")
+                    images = identity.copy()
+                    images[a], images[b] = b, a
+                    gens.append(Permutation._raw(tuple(images)))
+            on_base = set(self._path)
+            base = [self.classes[b][0] for b in self._path]
+            for i, c in enumerate(self.classes):
+                if len(c) > 1:
+                    base.extend(c[1:] if i in on_base else c[:-1])
+            self._full = PermGroup.from_strong_generators(self.degree, base,
+                                                          gens)
+        return self._full
+
+    @property
+    def base(self) -> tuple[int, ...]:
+        return self._chain().base
+
+    @property
+    def generators(self) -> tuple[Permutation, ...]:
+        return self._chain().generators
+
+    def elements(self) -> Iterator[Permutation]:
+        return self._chain().elements()
+
+    def orbit(self, point: int) -> frozenset[int]:
+        return self._chain().orbit(point)
+
+    def to_report(self) -> dict:
+        return self._chain().to_report()
+
+    def __repr__(self):
+        return f"<TwinGroup degree={self.degree} order={self.order()}>"
 
 
 def automorphism_group(g: Graph, max_nodes: int | None = None) -> AutResult:
@@ -455,18 +572,22 @@ def automorphism_group(g: Graph, max_nodes: int | None = None) -> AutResult:
     sifting: its base is the first-leaf path, without the points that
     every generator fixes, and its strong generators are the certified
     generators. When g has twins, the search runs on the twin quotient,
-    and the chain is the quotient's lifted, followed by the twin classes'
-    own (see the module docstring).
+    and the group is a ``TwinGroup``: the twin classes and the quotient's
+    chain, with the quotient's generators lifted to g and certified there
+    (see the module docstring).
     """
     classes = _twin_classes(g)
     if len(classes) == g.n:
         search = _Search(g, max_nodes)
         search.run()
-        base, gens = search.base, search.gens
+        group = PermGroup.from_strong_generators(g.n, search.base,
+                                                 search.gens)
     else:
         search = _quotient_search(g, classes, max_nodes)
-        base, gens = _lift(g, classes, search)
-    group = PermGroup.from_strong_generators(g.n, base, gens)
+        lifted = _lift(g, classes, search.gens)
+        quotient = PermGroup.from_strong_generators(len(classes), search.base,
+                                                    search.gens)
+        group = TwinGroup(g, classes, search.base, quotient, lifted)
     return AutResult(group, search.node_count)
 
 

@@ -6,7 +6,10 @@ the search oracle, builds the matching explicit generators, and reports:
 * generators_certified: every constructed generator passed the edge check;
   when one fails, the report fails and the other certificates are false;
 * subgroup_certified: the generated group sits inside the computed group
-  by sifting and its order equals the prediction exactly;
+  by sifting and its order equals the prediction exactly; on a graph with
+  twins the generators' class images are sifted in the twin quotient's
+  chain, and the order is taken at the quotient's degree when the
+  generators hold every twin transposition group (``_generated_order``);
 * equality: computed order matches predicted order on top of the
   subgroup certificate (the report-level invariant).
 
@@ -32,7 +35,7 @@ from .errors import CertificationError, ScaleGuardExceeded
 from .graphs import (BipartiteSpec, Graph, cartesian_product, complete_graph,
                      product_label)
 from .perms import Permutation, bounded_order
-from .search import automorphism_group
+from .search import TwinGroup, automorphism_group
 from .tokens import token_graph
 
 
@@ -107,17 +110,59 @@ def _constructed(build, *args, **kwargs):
         return None
 
 
-def _finish(instance: str, graph: Graph, gens, pred: PredictedAut,
-            conjectured: bool, started: float, aut_result) -> VerificationReport:
+def _twins_spanned(group: TwinGroup, pairs: list[list[int]]) -> bool:
+    """Whether the transpositions ``pairs`` connect every twin class of
+    ``group``, so that they generate T = prod Sym(C)."""
+    parent: dict[int, int] = {}
+
+    def find(x: int) -> int:
+        while parent.get(x, x) != x:
+            x = parent[x]
+        return x
+
+    for a, b in pairs:
+        parent[find(a)] = find(b)
+    return all(len({find(v) for v in c}) == 1
+               for c in group.classes if len(c) > 1)
+
+
+def _generated_order(group, gens: list[Permutation]) -> int | None:
+    """The order of the group ``gens`` generate, or None unless every
+    generator lies in ``group``, whose order then bounds it.
+
+    For a ``TwinGroup``, each generator's class image is worked out once,
+    from the points it moves. When the generators' transpositions inside
+    the twin classes connect each class, the generated group H contains T,
+    the kernel of the action on the classes, so |H| = |T| times the order
+    of the class images, which lie in the quotient's group of known order.
+    Otherwise the order comes from a chain at full degree."""
+    if not isinstance(group, TwinGroup):
+        if not all(group.contains(p) for p in gens):
+            return None
+        return bounded_order(gens, group.order(), degree=group.degree)
+    images, pairs = [], []
+    for p in gens:
+        moved = p.moved_points()
+        q = group.class_image(p, moved)
+        if q is None or not group.quotient.contains(q):
+            return None
+        images.append(q)
+        if len(moved) == 2 and q.is_identity():
+            pairs.append(moved)
+    if _twins_spanned(group, pairs):
+        return group.twin_order() * bounded_order(
+            images, group.quotient.order(), degree=group.quotient.degree)
+    return bounded_order(gens, group.order(), degree=group.degree)
+
+
+def _finish(instance: str, gens, pred: PredictedAut, conjectured: bool,
+            started: float, aut_result) -> VerificationReport:
     """Report on the generators from ``_constructed``: certified ones, or
     None for a construction whose generator failed the edge check."""
-    group = aut_result.group
-    computed = group.order()
+    computed = aut_result.group.order()
     certified = gens is not None
-    contained = certified and all(group.contains(p) for p in gens)
-    # Inside the computed group, |Aut| bounds the subgroup's order.
-    sub_order = bounded_order(gens, computed, degree=graph.n) if contained else None
-    if contained and computed % sub_order != 0:
+    sub_order = _generated_order(aut_result.group, gens) if certified else None
+    if sub_order is not None and computed % sub_order != 0:
         raise AssertionError("subgroup order fails Lagrange divisibility")
     subgroup_certified = sub_order == pred.order
     equality = computed == pred.order and subgroup_certified
@@ -147,7 +192,7 @@ def verify_bipartite(m: int, n: int, k: int,
     tg = token_graph(spec.graph(), k)
     aut = automorphism_group(tg.graph, max_nodes=guard.max_nodes)
     gens = _constructed(bipartite_generators, m, n, k, tg)
-    return _finish(f"bipartite(m={m},n={n},k={k})", tg.graph, gens,
+    return _finish(f"bipartite(m={m},n={n},k={k})", gens,
                    predicted_order(m, n, k), False, started, aut)
 
 
@@ -190,5 +235,4 @@ def _verify_2_token(factors: list[Graph], product: Graph, instance: str,
     gens = _constructed(product_subgroup_generators, factors, tg=tg,
                         base_group=base_group)
     pred = closed_form or predicted_order_product(factors, base_group)
-    return _finish(instance, tg.graph, gens, pred, closed_form is None,
-                   started, aut)
+    return _finish(instance, gens, pred, closed_form is None, started, aut)

@@ -548,3 +548,54 @@ def test_one_neighbour_table_per_graph():
     search = _Search(h, None, source=g)
     assert search.ref.nbrs is g.nbrs
     assert search.part.nbrs is h.nbrs
+
+
+def test_twin_group_rejects_a_class_sent_into_a_class_of_another_size():
+    # K_{2,3} has the classes {0,1} and {2,3,4}. Sending X into Y, or one
+    # member of X into Y, leaves no class map of the same sizes.
+    g = complete_bipartite(2, 3)
+    group = automorphism_group(g).group
+    assert [len(c) for c in group.classes] == [2, 3]
+    for cycles in ([(0, 2), (1, 3)], [(1, 2)], [(0, 4, 1, 3)]):
+        p = Permutation.from_cycles(5, cycles)
+        assert group.class_image(p) is None, cycles
+        assert not group.contains(p) and not is_automorphism(g, p), cycles
+
+
+def test_twin_group_rejects_a_class_split_across_classes_of_its_size():
+    # K_{3,3}: the classes {0,1,2} and {3,4,5} have one size, and the
+    # quotient's group swaps them. A permutation that exchanges only
+    # some of their members splits both, so it is no automorphism, even
+    # though each class keeps a member that lands in the other class.
+    g = complete_bipartite(3, 3)
+    group = automorphism_group(g).group
+    assert group.quotient.order() == 2
+    for cycles in ([(0, 3)], [(0, 3), (1, 4)], [(0, 3, 1, 4)]):
+        p = Permutation.from_cycles(6, cycles)
+        assert group.class_image(p) is None, cycles
+        assert not group.contains(p) and not is_automorphism(g, p), cycles
+    swap = Permutation.from_cycles(6, [(0, 3), (1, 4), (2, 5)])
+    assert group.class_image(swap).images == (1, 0)
+    assert group.contains(swap) and group.contains(swap * Permutation(
+        (1, 0, 2, 4, 5, 3)))
+
+
+def test_twin_group_builds_its_full_chain_only_when_asked():
+    # Order and membership come from the classes and the quotient's chain;
+    # the full-degree chain waits for the base or the generators, and
+    # agrees with a Schreier-Sims chain on them.
+    g = token_graph(complete_bipartite(2, 5), 3).graph
+    group = automorphism_group(g).group
+    assert group.quotient.degree == len(group.classes) == 25
+    assert group.order() == 122880 == group.twin_order() * 120
+    assert all(group.contains(p) for p in group._lifted)
+    assert group._full is None
+    assert len(group.base) == 14 and group._full is not None
+    oracle = schreier_sims(group.generators, degree=g.n)
+    assert oracle.order() == group.order()
+    twins = [p for p in group.generators if len(p.moved_points()) == 2]
+    assert len(twins) == g.n - 25
+    for p in twins:
+        a, b = p.moved_points()
+        assert group.class_of[a] == group.class_of[b]
+        assert g.maps_edges_into(p.images, g) and group.contains(p)
