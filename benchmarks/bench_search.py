@@ -25,7 +25,7 @@ ends, before ``full`` runs.
 Each order is checked against the closed form 2^C(n,k-1) * n!, doubled
 when 2k = n + 2. The search is called directly, so no scale guard
 applies. F7(K_{2,14}) takes seconds, and its ``full`` phase most of the
-memory; --skip-largest leaves it out.
+memory; --skip-largest leaves it out, and F2(Q7) of the chain table.
 
 A second table covers a twin-free family, F2(Q_r) for r = 5 and 6 (496
 and 2,016 vertices), where ``automorphism_group`` searches the whole
@@ -43,6 +43,15 @@ nodes, the calls of ``Partition.refine`` (counted by a second, untimed
 walk that must take as many nodes) and the seconds of ``is_isomorphic``,
 and checks that each pair is rejected.
 
+A fourth table, ``run_chains``, times the stabilizer chains on
+constructed generators, each order checked against its closed form:
+``schreier_sims`` on F3(K_{2,n}) for n = 5..7 and F4(K_{2,n}) for n = 5, 6;
+``bounded_order`` meeting its bound on F2(Q_r) for r = 5..7; and
+``bounded_order`` at F5(K_{2,10})'s degree, 792, without one side swap
+(the Y-lifts conjugate the others onto it, so the bound is still met) and
+without the Y-cycle's lift, where the group, of order 2^(C(10,4)+1), stays
+below the bound and the grown chain is completed by Schreier-Sims.
+
 The last line is the process's peak resident set size.
 
     PYTHONPATH=src python benchmarks/bench_search.py [--skip-largest]
@@ -53,16 +62,21 @@ import random
 import resource
 import time
 from math import comb, factorial
+from typing import Iterator
 
 from tokenaut import (
     PermGroup,
     automorphism_group,
+    bipartite_generators,
+    bounded_order,
     cartesian_product,
     complete_bipartite,
     complete_graph,
     graph_from_edges,
     hypercube,
     is_isomorphic,
+    product_subgroup_generators,
+    schreier_sims,
     token_graph,
 )
 from tokenaut.refinement import Partition
@@ -72,6 +86,8 @@ from tokenaut.search import (TwinGroup, _lift, _quotient_search, _Search,
 CASES = ((10, 5), (12, 6), (14, 7))
 CUBES = (5, 6)
 CUBIC_SEEDS = (13, 16, 133, 250)
+CHAIN_BIPARTITE = ((5, 3), (6, 3), (7, 3), (5, 4), (6, 4))
+CHAIN_CUBES = (5, 6, 7)
 PHASES = ("build", "classes", "search", "lift", "chain", "total", "full")
 
 
@@ -216,11 +232,58 @@ def run_rejections(pairs=None) -> list[dict]:
     return rows
 
 
+def chain_cases(cubes) -> Iterator[tuple]:
+    """The rows of the chain table, with F2(Q_r) for r in ``cubes``, as
+    (case, routine, generators, bound, order); ``bound`` is None for
+    ``schreier_sims``."""
+    for n, k in CHAIN_BIPARTITE:
+        yield (f"F{k}(K2,{n})", "schreier_sims", bipartite_generators(2, n, k),
+               None, closed_form(n, k))
+    for r in cubes:
+        factors = [complete_graph(2)] * r
+        tg = token_graph(cartesian_product(factors), 2)
+        yield (f"F2(Q{r})", "bounded_order",
+               product_subgroup_generators(factors, tg), cube_order(r),
+               cube_order(r))
+    gens = bipartite_generators(2, 10, 5)
+    bound = closed_form(10, 5)
+    yield "F5(K2,10) - swap", "bounded_order", gens[1:], bound, bound
+    yield ("F5(K2,10) - Y-cycle", "bounded_order", gens[:-1], bound,
+           2 ** (comb(10, 4) + 1))
+
+
+def run_chain(case: str, routine: str, gens, bound, order) -> dict:
+    """Time one chain routine on ``gens`` and check the order it gives."""
+    started = time.perf_counter()
+    if bound is None:
+        found = schreier_sims(gens).order()
+    else:
+        found = bounded_order(gens, bound)
+    seconds = time.perf_counter() - started
+    if found != order:
+        raise AssertionError(f"{case}: {routine} order differs from the closed form")
+    return {"case": case, "routine": routine, "degree": gens[0].degree,
+            "gens": len(gens), "seconds": seconds}
+
+
+def run_chains(cases) -> list[dict]:
+    """Print a row per chain case and return the rows."""
+    print(f"{'case':<19} {'routine':<13} {'degree':>6} {'gens':>5} "
+          f"{'seconds':>7}")
+    rows = []
+    for case in cases:
+        row = run_chain(*case)
+        print(f"{row['case']:<19} {row['routine']:<13} {row['degree']:>6} "
+              f"{row['gens']:>5} {row['seconds']:>7.3f}", flush=True)
+        rows.append(row)
+    return rows
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(
         description="time automorphism_group on F_k(K_{2,n})")
     parser.add_argument("--skip-largest", action="store_true",
-                        help="leave out F7(K2,14)")
+                        help="leave out F7(K2,14) and F2(Q7)'s chain")
     args = parser.parse_args()
     cases = CASES[:-1] if args.skip_largest else CASES
     print(f"{'case':<11} {'vertices':>8} {'quotient':>8} {'nodes':>6} "
@@ -241,6 +304,9 @@ def main() -> int:
               f"{row['seconds']:>7.3f}", flush=True)
     print()
     run_rejections()
+    print()
+    run_chains(chain_cases(CHAIN_CUBES[:-1] if args.skip_largest
+                           else CHAIN_CUBES))
     print(f"\npeak RSS {peak_rss_mb():.0f} MB")
     return 0
 

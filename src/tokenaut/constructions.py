@@ -28,7 +28,7 @@ from .graphs import (BipartiteSpec, Graph, cartesian_product,
 from .perms import PermGroup, Permutation
 from .search import (automorphism_group, certify, is_automorphism,
                      is_isomorphic)
-from .tokens import TokenGraph, config_images, token_graph
+from .tokens import TokenGraph, complement_map, config_images, token_graph
 
 
 @dataclass(frozen=True)
@@ -94,8 +94,7 @@ def complement_automorphism(tg: TokenGraph) -> Permutation:
     """The complement involution A -> V(base) - A; needs 2k = n."""
     if 2 * tg.k != tg.n:
         raise ValueError(f"complement needs 2k = n, got k={tg.k}, n={tg.n}")
-    return Permutation(config_images(tg.n, tg.configs,
-                                     set(range(tg.n)).difference))
+    return Permutation(complement_map(tg.n, tg.k))
 
 
 def _validate_bipartite_family(spec: BipartiteSpec, k: int, family: SwapFamily):

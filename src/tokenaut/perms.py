@@ -11,28 +11,32 @@ holds strong generators that fix b_0..b_{i-1}, the orbit of b_i under them
 and, for every orbit point x, the inverse u_x^-1 of a transversal element
 with u_x(b_i) = x, which is exactly what sifting multiplies by, so sifting
 never inverts; a level whose base point the element already fixes is
-skipped. The order is the product of the orbit lengths. Chains come from
-three constructions:
+skipped. The order is the product of the orbit lengths.
 
-* ``PermGroup(degree, generators)`` is the deterministic incremental
-  Schreier-Sims algorithm (Seress, *Permutation Group Algorithms*, 2003,
-  section 4.2) run on raw image tuples. Base points are the first moved
-  points of the residues that open each level. Orbits are extended in
-  place as generators arrive, and every (orbit point, strong generator)
-  pair of a level is handled exactly once: it either finds a new orbit
-  point or its Schreier generator is sifted through the deeper levels.
-  That is enough because transversals only grow, so a Schreier generator
-  that sifted once keeps sifting.
+Every chain grows by one step, ``PermGroup._grow``: sift an element, make
+a nontrivial residue a strong generator of the levels it passed (opening a
+level at its first moved point if it passed them all) and close their
+orbits. The step is used three ways:
+
+* ``PermGroup(degree, generators)`` grows each generator, then completes
+  the chain by the deterministic Schreier-Sims algorithm (Seress,
+  *Permutation Group Algorithms*, 2003, section 4.2): deepest level first,
+  each (orbit point, strong generator) pair's Schreier generator is sifted
+  through the deeper levels once, and a residue joins the chain where it
+  stopped. Transversals only grow, so a Schreier generator that sifted
+  once keeps sifting.
 * ``PermGroup.from_strong_generators(degree, base, generators)`` trusts
   its caller that the generators are a strong generating set relative to
   the base, as the certified generators of an individualization-refinement
-  search are relative to its first-leaf path. It only enumerates orbits and
-  sifts nothing.
+  search are relative to its first-leaf path. It inserts each generator
+  into every level whose earlier base points it fixes, closes each orbit
+  once and sifts nothing.
 * ``bounded_order(generators, bound)`` returns the order of a group whose
-  order is known to be at most ``bound``. It sifts seeded random elements
-  into a chain and stops as soon as the orbit-length product, a lower
-  bound on the order, reaches ``bound`` (Seress 2003, section 4.3). If the
-  group turns out smaller, it falls back to the full Schreier-Sims chain.
+  order is known to be at most ``bound``. It grows the chain by the
+  generators and then by seeded random elements, and stops as soon as the
+  orbit-length product, a lower bound on the order, reaches ``bound``
+  (Seress 2003, section 4.3). If the group turns out smaller, it completes
+  the chain it has grown.
 
 In every chain each level's generators lie in the pointwise stabilizer of
 the earlier base points, so each orbit is contained in the true basic
@@ -180,13 +184,12 @@ class _Level:
     generator for the life of the chain. ``orbit`` lists the orbit
     of b in discovery order and ``inv[x]`` is the image tuple of u_x^-1,
     where u_x(b) = x. Only these inverse transversal elements are stored.
-    ``done[p]`` counts the generators already paired with ``orbit[p]``.
-    In a Schreier-Sims chain each pair (x, g) either found the new orbit
-    point g(x) or had its Schreier generator u_{g(x)}^-1 g u_x sifted
-    through the deeper levels; ``close_orbit`` only looks for new points.
+    ``done[p]`` counts the generators already paired with ``orbit[p]`` to
+    look for new orbit points, and ``tested[p]`` those whose Schreier
+    generator u_{g(x)}^-1 g u_x was sifted through the deeper levels.
     """
 
-    __slots__ = ("point", "gens", "orbit", "inv", "done")
+    __slots__ = ("point", "gens", "orbit", "inv", "done", "tested")
 
     def __init__(self, point: int, identity: tuple[int, ...]):
         self.point = point
@@ -194,11 +197,13 @@ class _Level:
         self.orbit = [point]
         self.inv = {point: identity}
         self.done = [0]
+        self.tested = [0]
 
     def close_orbit(self) -> None:
         """Extend the orbit by every unprocessed (point, generator) pair
         until it is closed under ``gens``; no Schreier generator is formed."""
-        orbit, inv, done, gens = self.orbit, self.inv, self.done, self.gens
+        orbit, inv, done, tested = self.orbit, self.inv, self.done, self.tested
+        gens = self.gens
         for p, x in enumerate(orbit):  # the orbit grows while it is walked
             if done[p] == len(gens):
                 continue
@@ -214,6 +219,7 @@ class _Level:
                         inv[y] = _invert(tuple([g[j] for j in ux]))  # u_y = g u_x
                     orbit.append(y)
                     done.append(0)
+                    tested.append(0)
             done[p] = len(gens)
 
 
@@ -244,7 +250,8 @@ class PermGroup:
         self._levels: list[_Level] = []
         self._identity = _id_images(degree)
         for g in self.generators:
-            self._add(g.images)
+            self._grow(g.images)
+        self._complete()
 
     @classmethod
     def from_strong_generators(cls, degree: int, base: Sequence[int],
@@ -266,17 +273,16 @@ class PermGroup:
             raise ValueError("base points must be distinct points of 0..degree-1")
         group = cls(degree)
         group.generators = _distinct(degree, generators)
-        levels = [_Level(b, group._identity) for b in base]
+        group._levels = [_Level(b, group._identity) for b in base]
         for g in group.generators:
             images = g.images
             i = next((i for i, b in enumerate(base) if images[b] != b), None)
             if i is None:
                 raise ValueError("a nontrivial generator fixes every base point")
-            for lv in levels[:i + 1]:
-                lv.gens.append(images)
-        for lv in levels:
+            group._insert(images, i)
+        for lv in group._levels:
             lv.close_orbit()
-        group._levels = [lv for lv in levels if len(lv.orbit) > 1]
+        group._levels = [lv for lv in group._levels if len(lv.orbit) > 1]
         return group
 
     # -- chain construction -----------------------------------------
@@ -295,25 +301,8 @@ class PermGroup:
             p = tuple([v[j] for j in p])
         return p, len(levels)
 
-    def _add(self, p: tuple[int, ...]) -> None:
-        """Sift p; if a residue is left, insert it and restore the chain.
-
-        An insertion at level j gives levels 0..j a new generator and
-        leaves deeper levels untouched, so the levels with unprocessed
-        pairs are always 0..i. The deepest is processed first, so every
-        sift runs against levels that are already complete; an insertion
-        it causes lies deeper and is completed before the walk resumes.
-        """
-        residue, i = self._sift(p)
-        if residue == self._identity:
-            return
-        self._insert(residue, i)
-        while i >= 0:
-            j = self._process(i)
-            i = i - 1 if j is None else j
-
     def _insert(self, residue: tuple[int, ...], j: int) -> None:
-        """Make a nontrivial residue that sifted to level j a strong
+        """Make a nontrivial element that fixes b_0..b_{j-1} a strong
         generator of levels 0..j, opening level j if it is new."""
         if j == len(self._levels):
             point = Permutation._raw(residue).min_moved()
@@ -321,42 +310,60 @@ class PermGroup:
         for lv in self._levels[:j + 1]:
             lv.gens.append(residue)
 
-    def _process(self, i: int) -> int | None:
-        """Handle every unprocessed (orbit point, generator) pair of level
-        i; stop at the first whose Schreier generator fails to sift, insert
-        its residue and return the level it went to.
+    def _grow(self, p: tuple[int, ...]) -> bool:
+        """Sift p; insert a nontrivial residue and close the orbits of the
+        levels it joins. Returns whether the chain grew."""
+        residue, j = self._sift(p)
+        if residue == self._identity:
+            return False
+        self._insert(residue, j)
+        for lv in self._levels[:j + 1]:
+            lv.close_orbit()
+        return True
 
-        Each pair is handled once. Transversals only grow, so a Schreier
+    def _complete(self) -> None:
+        """Schreier-Sims on the chain as grown so far.
+
+        An insertion at level j gives levels 0..j a new generator and
+        leaves deeper levels untouched, so the levels with untested pairs
+        are always 0..i. The deepest is processed first, so every sift
+        runs against levels that are already complete; an insertion it
+        causes lies deeper and is completed before the walk resumes.
+        """
+        i = len(self._levels) - 1
+        while i >= 0:
+            j = self._schreier(i)
+            i = i - 1 if j is None else j
+
+    def _schreier(self, i: int) -> int | None:
+        """Close level i's orbit and sift the Schreier generator of every
+        untested (orbit point, generator) pair; stop at the first that
+        leaves a residue, insert it and return the level it went to.
+
+        Each pair is tested once. Transversals only grow, so a Schreier
         generator that sifted once sifts again later, and one whose
         residue was inserted sifts once the deeper levels are complete.
         """
         lv = self._levels[i]
+        lv.close_orbit()
         ident = self._identity
-        orbit, inv, done, gens = lv.orbit, lv.inv, lv.done, lv.gens
-        for p, x in enumerate(orbit):  # the orbit grows while it is walked
-            k = done[p]
-            if k == len(gens):
+        inv, tested, gens = lv.inv, lv.tested, lv.gens
+        for p, x in enumerate(lv.orbit):
+            if tested[p] == len(gens):
                 continue
             ux = _invert(inv[x])
-            while k < len(gens):
+            for k in range(tested[p], len(gens)):
                 g = gens[k]
-                k += 1
-                y = g[x]
-                vy = inv.get(y)
-                if vy is None:
-                    inv[y] = _invert(tuple([g[j] for j in ux]))  # u_y = g u_x
-                    orbit.append(y)
-                    done.append(0)
-                    continue
-                s = tuple([vy[g[j]] for j in ux])  # u_y^-1 g u_x fixes b
+                vy = inv[g[x]]
+                s = tuple([vy[g[j]] for j in ux])  # u_{g(x)}^-1 g u_x fixes b
                 if s == ident:
                     continue
                 residue, j = self._sift(s, i + 1)
                 if residue != ident:
-                    done[p] = k
+                    tested[p] = k + 1
                     self._insert(residue, j)
                     return j
-            done[p] = k
+            tested[p] = len(gens)
         return None
 
     # -- queries ------------------------------------------------------
@@ -436,8 +443,7 @@ def schreier_sims(generators: Iterable[Permutation], degree: int | None = None) 
 # number of slots of the product-replacement state (there is one slot per
 # generator when there are more), the warm-up steps per _SLOTS slots before
 # the first element is used, and the run of consecutive random elements
-# sifting to the identity after which the order is taken from the full
-# chain. A uniformly random element sifts through an incomplete chain with
+# sifting to the identity after which the chain is completed. A uniformly random element sifts through an incomplete chain with
 # probability at most 1/2, so a stall on a group of order ``bound`` is rare,
 # and it costs only time. The warm-up grows with the slots because a slot
 # holding the only generator outside a large normal subgroup, as the Y-lifts
@@ -454,17 +460,16 @@ def bounded_order(generators: Iterable[Permutation], bound: int,
     """Exact order of the group generated by ``generators``, given an upper
     bound on it, such as the order of a group that contains them.
 
-    Seeded product-replacement random elements are sifted into a chain.
-    The generators themselves are sifted first. Each nontrivial residue
-    becomes a strong generator of the levels it passed, whose orbits are
-    then closed by enumeration. Every level's generators fix the earlier
-    base points, so the orbit-length product is a lower bound on the
-    order, and the routine returns ``bound`` as soon as the product
-    reaches it. After ``_STALL_SIFTS`` consecutive random elements sift to
-    the identity, it returns the order of the full Schreier-Sims chain
-    instead, so a group smaller than ``bound`` still gets its exact order.
-    Raises ValueError when the product passes ``bound``, which is then not
-    an upper bound.
+    The chain grows by the generators, then by seeded product-replacement
+    random elements. Every level's generators fix the earlier base points,
+    so the orbit-length product is a lower bound on the order, and the
+    routine returns ``bound`` as soon as the product reaches it. After
+    ``_STALL_SIFTS`` consecutive random elements sift to the identity, it
+    completes the chain by Schreier-Sims, so a group smaller than
+    ``bound`` still gets its exact order: the levels' generators are
+    products of the generators, each of which was grown in first. Raises
+    ValueError when the order passes ``bound``, which is then not an upper
+    bound.
     """
     gens = list(generators)
     degree = _degree_of(gens, degree)
@@ -472,46 +477,34 @@ def bounded_order(generators: Iterable[Permutation], bound: int,
         raise ValueError(f"bound must be a positive order, got {bound}")
     group = PermGroup(degree)
     group.generators = _distinct(degree, gens)
-    ident = group._identity
-
-    def grows(images: tuple[int, ...]) -> bool:
-        """Sift; insert a nontrivial residue and close the orbits it joins."""
-        residue, j = group._sift(images)
-        if residue == ident:
-            return False
-        group._insert(residue, j)
-        for lv in group._levels[:j + 1]:
-            lv.close_orbit()
-        if group.order() > bound:
-            raise ValueError(f"bound {bound} is below the group order")
-        return True
-
     for g in group.generators:
-        grows(g.images)
-    if group.order() == bound:
-        return bound
-    rng = random.Random(_RANDOM_SEED)
-    slots = [g.images for g in group.generators] or [ident]
-    slots = (slots * _SLOTS)[:max(_SLOTS, len(slots))]
-    acc = ident
+        group._grow(g.images)
+    if group.order() < bound:
+        rng = random.Random(_RANDOM_SEED)
+        slots = [g.images for g in group.generators] or [group._identity]
+        slots = (slots * _SLOTS)[:max(_SLOTS, len(slots))]
+        acc = group._identity
 
-    def random_element() -> tuple[int, ...]:
-        """One product-replacement step with an accumulator."""
-        nonlocal acc
-        i, j = rng.sample(range(len(slots)), 2)
-        a, b = (slots[i], slots[j]) if rng.random() < 0.5 else (slots[j], slots[i])
-        slots[i] = tuple([a[x] for x in b])
-        acc = tuple([acc[x] for x in slots[i]])
-        return acc
+        def random_element() -> tuple[int, ...]:
+            """One product-replacement step with an accumulator."""
+            nonlocal acc
+            i, j = rng.sample(range(len(slots)), 2)
+            a, b = (slots[i], slots[j]) if rng.random() < 0.5 else (slots[j], slots[i])
+            slots[i] = tuple([a[x] for x in b])
+            acc = tuple([acc[x] for x in slots[i]])
+            return acc
 
-    for _ in range(_WARMUP * len(slots) // _SLOTS):
-        random_element()
-    stall = 0
-    while group.order() < bound:
+        for _ in range(_WARMUP * len(slots) // _SLOTS):
+            random_element()
+        stall = 0
+        while group.order() < bound and stall < _STALL_SIFTS:
+            stall = 0 if group._grow(random_element()) else stall + 1
         if stall == _STALL_SIFTS:
-            return schreier_sims(group.generators, degree).order()
-        stall = 0 if grows(random_element()) else stall + 1
-    return bound
+            group._complete()
+    order = group.order()
+    if order > bound:
+        raise ValueError(f"bound {bound} is below the group order")
+    return order
 
 
 def is_subgroup(h: PermGroup, g: PermGroup) -> bool:

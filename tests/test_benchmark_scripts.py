@@ -1,6 +1,7 @@
 """The scripts under benchmarks/ still import and run against the package."""
 
 import importlib.util
+from itertools import islice
 from pathlib import Path
 
 BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
@@ -46,3 +47,14 @@ def test_bench_search_rejection_row():
     assert len(pairs) == 5
     (row,) = bench_search.run_rejections(pairs[:1])
     assert (row["vertices"], row["nodes"], row["refines"]) == (120, 1, 51)
+
+
+def test_bench_search_chain_rows():
+    # run_chain raises when an order differs from its closed form. The
+    # first six cases are the five schreier_sims rows and F2(Q3)'s
+    # bounded_order row; the F5(K_{2,10}) rows are left out for time.
+    bench_search = load("bench_search")
+    rows = bench_search.run_chains(islice(bench_search.chain_cases((3,)), 6))
+    assert [(row["case"], row["routine"]) for row in rows[::5]] == [
+        ("F3(K2,5)", "schreier_sims"), ("F2(Q3)", "bounded_order")]
+    assert [row["degree"] for row in rows] == [35, 56, 84, 35, 70, 28]

@@ -17,6 +17,7 @@ from tokenaut import (
     is_subgroup,
     permutation_from_str,
     permutation_to_str,
+    predicted_order,
     product_subgroup_generators,
     schreier_sims,
     token_graph,
@@ -255,6 +256,25 @@ def test_chain_orders_match_sympy():
         oracle = combinatorics.PermutationGroup(
             [combinatorics.Permutation(list(p.images)) for p in gens])
         assert schreier_sims(gens).order() == oracle.order()
+    # Random sets past the brute-force degrees. Most generate a group
+    # below n!, so bounded_order completes a randomly grown chain.
+    rng = random.Random(20232)
+    for _ in range(10):
+        n = rng.randint(8, 30)
+        gens = random_generators(rng, n)
+        oracle = combinatorics.PermutationGroup(
+            [combinatorics.Permutation(list(p.images)) for p in gens])
+        group = schreier_sims(gens, degree=n)
+        assert group.order() == bounded_order(gens, factorial(n)) \
+            == oracle.order(), gens
+        products = [rng.choice(gens) * rng.choice(gens) * rng.choice(gens)
+                    for _ in range(3)]
+        shuffled = [list(range(n)) for _ in range(5)]
+        for images in shuffled:
+            rng.shuffle(images)
+        for p in products + [Permutation(tuple(q)) for q in shuffled]:
+            want = oracle.contains(combinatorics.Permutation(list(p.images)))
+            assert group.contains(p) == want, (gens, p)
 
 
 def proper_subgroups(n):
@@ -298,6 +318,34 @@ def test_bounded_order_falls_back_below_the_bound():
         gens = random_generators(rng, n)
         assert bounded_order(gens, factorial(n)) == len(closure(gens, n)), gens
     assert bounded_order([], 6, degree=3) == 1
+
+
+def test_bounded_order_completes_the_chain_it_grew(monkeypatch):
+    # Below its bound, bounded_order finishes its own chain by
+    # Schreier-Sims: one chain per call, and no schreier_sims run.
+    from tokenaut import perms
+
+    without_complement = bipartite_generators(2, 6, 4)[:-1]
+    cases = [(without_complement, predicted_order(2, 6, 4).order)]
+    cases += [(gens, factorial(8)) for gens in proper_subgroups(8)]
+    wants = [schreier_sims(gens).order() for gens, _ in cases]
+    built = []
+    init = perms.PermGroup.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("bounded_order ran schreier_sims")
+
+    monkeypatch.setattr(perms.PermGroup, "__init__", counted)
+    monkeypatch.setattr(perms, "schreier_sims", refused)
+    for (gens, bound), want in zip(cases, wants):
+        assert want < bound
+        assert bounded_order(gens, bound) == want
+        assert len(built) == 1
+        built.clear()
 
 
 def test_bounded_order_is_deterministic():
