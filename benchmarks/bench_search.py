@@ -52,6 +52,11 @@ constructed generators, each order checked against its closed form:
 without the Y-cycle's lift, where the group, of order 2^(C(10,4)+1), stays
 below the bound and the grown chain is completed by Schreier-Sims.
 
+A fifth table, ``run_builds``, times ``token_graph`` itself, best of
+three builds: F2(Q_6), F2(Q_7), F6(K_{2,12}) and F7(K_{2,14}) (the last
+left out by --skip-largest), each checked against the edge-count law,
+C(n-2, k-1) token edges per base edge.
+
 The last line is the process's peak resident set size.
 
     PYTHONPATH=src python benchmarks/bench_search.py [--skip-largest]
@@ -88,6 +93,7 @@ CUBES = (5, 6)
 CUBIC_SEEDS = (13, 16, 133, 250)
 CHAIN_BIPARTITE = ((5, 3), (6, 3), (7, 3), (5, 4), (6, 4))
 CHAIN_CUBES = (5, 6, 7)
+BUILD_REPEATS = 3
 PHASES = ("build", "classes", "search", "lift", "chain", "total", "full")
 
 
@@ -279,11 +285,47 @@ def run_chains(cases) -> list[dict]:
     return rows
 
 
+def build_cases() -> list[tuple]:
+    """The rows of the build table, smallest token graph first, as
+    (case, base, k)."""
+    return [("F2(Q6)", hypercube(6), 2), ("F2(Q7)", hypercube(7), 2),
+            ("F6(K2,12)", complete_bipartite(2, 12), 6),
+            ("F7(K2,14)", complete_bipartite(2, 14), 7)]
+
+
+def run_build(case: str, base, k: int) -> dict:
+    """Time the fastest of BUILD_REPEATS builds of the k-token graph of
+    ``base`` and check its edge count."""
+    seconds = []
+    for _ in range(BUILD_REPEATS):
+        started = time.perf_counter()
+        g = token_graph(base, k).graph
+        seconds.append(time.perf_counter() - started)
+    edges = comb(base.n - 2, k - 1) * base.edge_count()
+    if (g.n, g.edge_count()) != (comb(base.n, k), edges):
+        raise AssertionError(f"{case}: size differs from the edge-count law")
+    return {"case": case, "vertices": g.n, "edges": edges,
+            "seconds": min(seconds)}
+
+
+def run_builds(cases) -> list[dict]:
+    """Print a row per build case and return the rows."""
+    print(f"{'case':<11} {'vertices':>8} {'edges':>7} {'seconds':>7}")
+    rows = []
+    for case in cases:
+        row = run_build(*case)
+        print(f"{row['case']:<11} {row['vertices']:>8} {row['edges']:>7} "
+              f"{row['seconds']:>7.3f}", flush=True)
+        rows.append(row)
+    return rows
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(
         description="time automorphism_group on F_k(K_{2,n})")
     parser.add_argument("--skip-largest", action="store_true",
-                        help="leave out F7(K2,14) and F2(Q7)'s chain")
+                        help="leave out F7(K2,14)'s search and build "
+                             "and F2(Q7)'s chain")
     args = parser.parse_args()
     cases = CASES[:-1] if args.skip_largest else CASES
     print(f"{'case':<11} {'vertices':>8} {'quotient':>8} {'nodes':>6} "
@@ -307,6 +349,9 @@ def main() -> int:
     print()
     run_chains(chain_cases(CHAIN_CUBES[:-1] if args.skip_largest
                            else CHAIN_CUBES))
+    print()
+    builds = build_cases()
+    run_builds(builds[:-1] if args.skip_largest else builds)
     print(f"\npeak RSS {peak_rss_mb():.0f} MB")
     return 0
 

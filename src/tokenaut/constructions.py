@@ -22,13 +22,11 @@ from math import comb, factorial, prod
 from typing import Iterable, Sequence
 
 from . import subsets
-from .graphs import (BipartiteSpec, Graph, cartesian_product,
-                     complete_bipartite, mixed_radix_decode,
-                     mixed_radix_encode)
+from .graphs import BipartiteSpec, Graph, cartesian_product, complete_bipartite
 from .perms import PermGroup, Permutation
 from .search import (automorphism_group, certify, is_automorphism,
                      is_isomorphic)
-from .tokens import TokenGraph, complement_map, config_images, token_graph
+from .tokens import TokenGraph, config_images, rank_index, token_graph
 
 
 @dataclass(frozen=True)
@@ -87,14 +85,23 @@ def lift_to_token_graph(phi: Permutation, tg: TokenGraph) -> Permutation:
         raise ValueError(f"degree {phi.degree} != base order {tg.n}")
     if not is_automorphism(tg.base, phi):
         raise ValueError("permutation is not an automorphism of the base graph")
-    return Permutation(config_images(tg.n, tg.configs, lambda a: map(phi, a)))
+    return _lifted(phi, tg.index, tg.configs)
+
+
+def _lifted(phi: Permutation, index: dict,
+            configs: Sequence[tuple[int, ...]]) -> Permutation:
+    """The permutation of ranks that phi induces on ``configs``."""
+    point = phi.images.__getitem__
+    return Permutation(config_images(index, configs, lambda a: map(point, a)))
 
 
 def complement_automorphism(tg: TokenGraph) -> Permutation:
     """The complement involution A -> V(base) - A; needs 2k = n."""
     if 2 * tg.k != tg.n:
         raise ValueError(f"complement needs 2k = n, got k={tg.k}, n={tg.n}")
-    return Permutation(complement_map(tg.n, tg.k))
+    # With n = 2k the complements of the k-subsets are k-subsets again.
+    return Permutation(config_images(tg.index, tg.configs,
+                                     frozenset(range(tg.n)).difference))
 
 
 def _validate_bipartite_family(spec: BipartiteSpec, k: int, family: SwapFamily):
@@ -144,8 +151,8 @@ def y_permutation_lift(spec: BipartiteSpec, k: int, pi: Permutation) -> Permutat
         raise ValueError("permutation must map Y onto Y")
     if not (1 <= k <= total - 1):
         raise ValueError(f"need 1 <= k <= {total - 1}, got k={k}")
-    return Permutation(config_images(total, subsets.ksubsets(total, k),
-                                     lambda a: map(pi, a)))
+    configs = tuple(subsets.ksubsets(total, k))
+    return _lifted(pi, rank_index(configs), configs)
 
 
 def _token_graph_of(base: Graph, k: int, tg: TokenGraph | None) -> TokenGraph:
@@ -284,15 +291,17 @@ def coordinate_swap_product(factors: Sequence[Graph], family: SwapFamily) -> Per
         raise ValueError(f"axes {sorted(axes)} not within 0..{r - 2}")
     sizes = [g.n for g in factors]
     total = prod(sizes)
-    coords = [mixed_radix_decode(v, sizes) for v in range(total)]
-
-    def swap(pair: tuple[int, ...]) -> tuple[int, int]:
-        ca, cb = (list(coords[v]) for v in pair)
-        for ax in axes:
-            ca[ax], cb[ax] = cb[ax], ca[ax]
-        return mixed_radix_encode(ca, sizes), mixed_radix_encode(cb, sizes)
-
-    return Permutation(config_images(total, subsets.ksubsets(total, 2), swap))
+    # A vertex's code is the sum of its coordinates times their place
+    # values; ``part`` is the share of the swapped axes and ``keep`` the
+    # rest, so swapping those axes between a and b gives keep + part.
+    place = [prod(sizes[ax + 1:]) for ax in range(r)]
+    part = [sum(v // place[ax] % sizes[ax] * place[ax] for ax in axes)
+            for v in range(total)]
+    keep = [v - p for v, p in enumerate(part)]
+    configs = tuple(subsets.ksubsets(total, 2))
+    return Permutation(config_images(
+        rank_index(configs), configs,
+        lambda ab: (keep[ab[0]] + part[ab[1]], keep[ab[1]] + part[ab[0]])))
 
 
 def check_factors(factors: Sequence[Graph]) -> None:

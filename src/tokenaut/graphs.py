@@ -17,9 +17,9 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import compress
-from operator import ne
+from functools import cached_property, reduce
+from itertools import compress, repeat
+from operator import lshift, lt, ne, or_
 from typing import Iterable, Iterator, Sequence
 
 
@@ -53,6 +53,39 @@ class Graph:
             for v in _bits(row):
                 if not (self.adj[v] >> u) & 1:
                     raise ValueError("adjacency must be symmetric")
+
+    @classmethod
+    def from_nbrs(cls, nbrs: Sequence[list[int]], label: str | None = None) -> "Graph":
+        """Graph in which vertex u has the neighbours ``nbrs[u]``, each list
+        in ascending order; the lists become the graph's ``nbrs`` table.
+
+        The constructor's checks are made on the lists, which is cheaper
+        than walking the set bits of every large row: each list must be
+        strictly ascending, within 0..n-1 and without u, and must equal
+        u's column, the vertices whose lists hold u.
+        """
+        n = len(nbrs)
+        if n < 1:
+            raise ValueError("graph needs at least one vertex")
+        column: list[list[int]] = [[] for _ in range(n)]
+        adj = []
+        for u, nb in enumerate(nbrs):
+            if nb and not (0 <= nb[0] and nb[-1] < n):
+                raise ValueError("adjacency bit out of range")
+            if not all(map(lt, nb, nb[1:])):
+                raise ValueError("neighbour lists must be strictly ascending")
+            if u in nb:
+                raise ValueError("loops are not allowed")
+            for v in nb:
+                column[v].append(u)
+            adj.append(reduce(or_, map(lshift, repeat(1), nb), 0))
+        if any(map(ne, column, map(list, nbrs))):
+            raise ValueError("adjacency must be symmetric")
+        g = object.__new__(cls)
+        for name, value in (("n", n), ("adj", tuple(adj)), ("label", label)):
+            object.__setattr__(g, name, value)
+        g.__dict__["nbrs"] = tuple(map(tuple, nbrs))
+        return g
 
     def __repr__(self):
         name = self.label or "Graph"

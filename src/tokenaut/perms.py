@@ -11,7 +11,10 @@ holds strong generators that fix b_0..b_{i-1}, the orbit of b_i under them
 and, for every orbit point x, the inverse u_x^-1 of a transversal element
 with u_x(b_i) = x, which is exactly what sifting multiplies by, so sifting
 never inverts; a level whose base point the element already fixes is
-skipped. The order is the product of the orbit lengths.
+skipped. The order is the product of the orbit lengths. Each strong
+generator g is inverted once, when it joins the chain, and g^-1 is stored
+beside g, so a new orbit point y = g(x) gets u_y^-1 = u_x^-1 g^-1 as one
+product, with no inversion (Seress 2003, section 4.1).
 
 Every chain grows by one step, ``PermGroup._grow``: sift an element, make
 a nontrivial residue a strong generator of the levels it passed (opening a
@@ -49,7 +52,7 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
-from operator import ne
+from operator import itemgetter, ne
 from typing import Iterable, Iterator, Sequence
 
 
@@ -181,19 +184,22 @@ class _Level:
     ``point`` is the base point b. ``gens`` holds the image tuples of the
     strong generators that fix every earlier base point, in insertion
     order; the list is only ever appended to, so an index names the same
-    generator for the life of the chain. ``orbit`` lists the orbit
-    of b in discovery order and ``inv[x]`` is the image tuple of u_x^-1,
-    where u_x(b) = x. Only these inverse transversal elements are stored.
-    ``done[p]`` counts the generators already paired with ``orbit[p]`` to
-    look for new orbit points, and ``tested[p]`` those whose Schreier
-    generator u_{g(x)}^-1 g u_x was sifted through the deeper levels.
+    generator for the life of the chain. ``ginv[i]`` is the image tuple of
+    ``gens[i]``'s inverse, computed once when the generator was inserted.
+    ``orbit`` lists the orbit of b in discovery order and ``inv[x]`` is the
+    image tuple of u_x^-1, where u_x(b) = x. Only these inverse
+    transversal elements are stored. ``done[p]`` counts the generators
+    already paired with ``orbit[p]`` to look for new orbit points, and
+    ``tested[p]`` those whose Schreier generator u_{g(x)}^-1 g u_x was
+    sifted through the deeper levels.
     """
 
-    __slots__ = ("point", "gens", "orbit", "inv", "done", "tested")
+    __slots__ = ("point", "gens", "ginv", "orbit", "inv", "done", "tested")
 
     def __init__(self, point: int, identity: tuple[int, ...]):
         self.point = point
         self.gens: list[tuple[int, ...]] = []
+        self.ginv: list[tuple[int, ...]] = []
         self.orbit = [point]
         self.inv = {point: identity}
         self.done = [0]
@@ -201,22 +207,23 @@ class _Level:
 
     def close_orbit(self) -> None:
         """Extend the orbit by every unprocessed (point, generator) pair
-        until it is closed under ``gens``; no Schreier generator is formed."""
+        until it is closed under ``gens``; no Schreier generator is formed.
+        A new point y = g(x) gets u_y = g u_x, stored as u_x^-1 g^-1."""
         orbit, inv, done, tested = self.orbit, self.inv, self.done, self.tested
-        gens = self.gens
+        gens, ginv = self.gens, self.ginv
         for p, x in enumerate(orbit):  # the orbit grows while it is walked
             if done[p] == len(gens):
                 continue
-            ux = None
-            for g in gens[done[p]:]:
-                y = g[x]
+            vx = inv[x]
+            for k in range(done[p], len(gens)):
+                y = gens[k][x]
                 if y not in inv:
-                    if p == 0:  # x is the base point: u_x = 1, so u_y = g
-                        inv[y] = _invert(g)
-                    else:
-                        if ux is None:
-                            ux = _invert(inv[x])
-                        inv[y] = _invert(tuple([g[j] for j in ux]))  # u_y = g u_x
+                    gi = ginv[k]
+                    # x is the base point: u_x = 1, so u_y^-1 = g^-1. The
+                    # getter forms the product with no list in between; a
+                    # level with a second orbit point has degree >= 2, so
+                    # it returns a tuple.
+                    inv[y] = gi if p == 0 else itemgetter(*gi)(vx)
                     orbit.append(y)
                     done.append(0)
                     tested.append(0)
@@ -307,8 +314,10 @@ class PermGroup:
         if j == len(self._levels):
             point = Permutation._raw(residue).min_moved()
             self._levels.append(_Level(point, self._identity))
+        inverse = _invert(residue)
         for lv in self._levels[:j + 1]:
             lv.gens.append(residue)
+            lv.ginv.append(inverse)
 
     def _grow(self, p: tuple[int, ...]) -> bool:
         """Sift p; insert a nontrivial residue and close the orbits of the

@@ -8,7 +8,6 @@ the subset, not on n, so the same subset keeps its rank when n grows.
 
 from __future__ import annotations
 
-from itertools import combinations
 from math import comb
 from typing import Iterable, Iterator
 
@@ -42,4 +41,13 @@ def unrank(r: int, n: int, k: int) -> tuple[int, ...]:
 
 def ksubsets(n: int, k: int) -> Iterator[tuple[int, ...]]:
     """All k-subsets of {0..n-1} in colex order (i.e. ascending rank)."""
-    return iter(sorted(combinations(range(n), k), key=lambda c: c[::-1]))
+    if k < 0:
+        raise ValueError(f"need k >= 0, got k={k}")
+    # In colex order the j-subsets of {0..i} are those of {0..i-1}, then
+    # the (j-1)-subsets of {0..i-1}, each with i added. Sizes below
+    # k - (n-1-i) cannot reach k with the points left, so are not grown.
+    levels = [[()]] + [[] for _ in range(k)]
+    for i in range(n):
+        for j in range(min(k, i + 1), max(0, k - n + i), -1):
+            levels[j] += [c + (i,) for c in levels[j - 1]]
+    return iter(levels[k])

@@ -4,6 +4,8 @@ import importlib.util
 from itertools import islice
 from pathlib import Path
 
+from tokenaut import hypercube
+
 BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
 
 
@@ -58,3 +60,15 @@ def test_bench_search_chain_rows():
     assert [(row["case"], row["routine"]) for row in rows[::5]] == [
         ("F3(K2,5)", "schreier_sims"), ("F2(Q3)", "bounded_order")]
     assert [row["degree"] for row in rows] == [35, 56, 84, 35, 70, 28]
+
+
+def test_bench_search_build_row():
+    # run_build raises when the token graph's size differs from the
+    # edge-count law: F2(Q4) has C(16,2) = 120 vertices and C(14,1) = 14
+    # token edges per cube edge.
+    bench_search = load("bench_search")
+    (row,) = bench_search.run_builds([("F2(Q4)", hypercube(4), 2)])
+    assert (row["case"], row["vertices"], row["edges"]) == ("F2(Q4)", 120, 448)
+    assert row["seconds"] > 0
+    assert [case[0] for case in bench_search.build_cases()] == [
+        "F2(Q6)", "F2(Q7)", "F6(K2,12)", "F7(K2,14)"]

@@ -254,3 +254,29 @@ def test_edge_check_agrees_with_the_edge_list():
             want = all(g.has_edge(images[u], images[v]) for u, v in g.edges())
             assert g.maps_edges_into(images, g) == want
             assert g.maps_edges_into(images, copy) == want
+
+
+def test_from_nbrs_matches_the_constructor():
+    rng = random.Random(3)
+    for n in (1, 2, 5, 9, 70):
+        edges = [e for e in combinations(range(n), 2) if rng.random() < 0.3]
+        g = graph_from_edges(n, edges, "g")
+        lists = [g.neighbors(u) for u in range(n)]
+        h = Graph.from_nbrs(lists, "g")
+        assert h == g
+        assert h.nbrs == g.nbrs
+
+
+def test_from_nbrs_makes_the_constructors_checks():
+    with pytest.raises(ValueError):
+        Graph.from_nbrs([])
+    for bad in (
+        [[1], [0], [3]],        # a neighbour past n - 1
+        [[1], [-1, 0], []],     # a negative neighbour
+        [[0, 1], [0], []],      # a loop
+        [[1], [], []],          # asymmetric
+        [[2, 1], [0], [0]],     # not ascending
+        [[1, 1], [0, 0], []],   # a repeated neighbour
+    ):
+        with pytest.raises(ValueError):
+            Graph.from_nbrs(bad)

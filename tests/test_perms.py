@@ -399,3 +399,39 @@ def test_generators_are_deduplicated_in_first_seen_order():
     assert PermGroup(4, listed).generators == (b, a, c)
     assert PermGroup.from_strong_generators(4, (0, 1, 2), listed).generators == (b, a, c)
     assert PermGroup(4, [ident, ident]).generators == ()
+
+
+def assert_schreier_tree(group):
+    """Each level stores g^-1 beside every strong generator g, and each
+    orbit point x but the base point was reached from an earlier orbit
+    point w by some g, with u_x^-1 = u_w^-1 g^-1 stored as their product,
+    or as g^-1 itself when w is the base point."""
+    identity = tuple(range(group.degree))
+    for lv in group._levels:
+        assert len(lv.ginv) == len(lv.gens)
+        for g, gi in zip(lv.gens, lv.ginv):
+            assert tuple(g[j] for j in gi) == identity
+        assert set(lv.inv) == set(lv.orbit)
+        assert lv.inv[lv.point] == identity
+        for p, x in enumerate(lv.orbit[1:], 1):
+            vx = lv.inv[x]
+            assert vx[x] == lv.point
+            assert any(
+                g[w] == x and vx == (gi if q == 0 else
+                                     tuple(lv.inv[w][j] for j in gi))
+                for q, w in enumerate(lv.orbit[:p])
+                for g, gi in zip(lv.gens, lv.ginv))
+
+
+def test_transversals_are_products_with_stored_inverses():
+    # Chains that sift nothing come first: with wrong transversals,
+    # Schreier-Sims need not terminate.
+    gens = [Permutation.from_cycles(4, [(0, 1, 2, 3)]),
+            Permutation.from_cycles(4, [(1, 2, 3)]),
+            Permutation.from_cycles(4, [(2, 3)])]
+    assert_schreier_tree(PermGroup.from_strong_generators(4, (0, 1, 2), gens))
+    assert_schreier_tree(
+        automorphism_group(token_graph(hypercube(3), 2).graph).group)
+    assert_schreier_tree(schreier_sims(bipartite_generators(2, 5, 3)))
+    assert_schreier_tree(schreier_sims(
+        product_subgroup_generators([complete_graph(2)] * 3)))

@@ -1,5 +1,6 @@
 """Token-graph construction and the complement bijection."""
 
+import random
 from itertools import combinations
 from math import comb
 
@@ -10,13 +11,16 @@ from tokenaut import (
     complete_bipartite,
     complete_graph,
     cycle_graph,
+    graph_from_edges,
     hypercube,
     is_isomorphic,
+    ksubsets,
     path_graph,
     star_graph,
     token_graph,
     unrank,
 )
+from tokenaut.tokens import config_images, rank_index
 
 
 def brute_token_adjacency(base, k):
@@ -48,6 +52,49 @@ def test_matches_definition_oracle():
             subs, edges = brute_token_adjacency(base, k)
             assert tg.configs == tuple(subs)
             assert set(tg.graph.edges()) == edges
+
+
+def random_bases(count=60, seed=20):
+    """Seeded random graphs on 3 to 9 vertices. Every third graph has its
+    vertices above a random cut isolated, and the edge density ranges from
+    none to dense, so disconnected graphs come up too."""
+    rng = random.Random(seed)
+    bases = []
+    for i in range(count):
+        n = rng.randint(3, 9)
+        p = rng.choice((0.0, 0.2, 0.35, 0.5, 0.8))
+        live = rng.randint(1, n - 1) if i % 3 == 0 else n
+        edges = [(u, v) for u, v in combinations(range(live), 2)
+                 if rng.random() < p]
+        bases.append(graph_from_edges(n, edges))
+    return bases
+
+
+def test_token_moves_match_the_definition_on_random_bases():
+    bases = random_bases()
+    assert any(not g.is_connected() for g in bases)
+    assert any(g.degree(u) == 0 for g in bases for u in range(g.n))
+    checked = 0
+    for base in bases:
+        for k in range(1, base.n):
+            if comb(base.n, k) > 126:
+                continue
+            tg = token_graph(base, k)
+            subs, edges = brute_token_adjacency(base, k)
+            assert tg.configs == tuple(subs)
+            assert set(tg.graph.edges()) == edges
+            # the neighbour table the build hands over is the rows' table
+            assert tg.graph.nbrs == tuple(tuple(tg.graph.neighbors(u))
+                                          for u in range(tg.graph.n))
+            checked += 1
+    assert checked > 300
+
+
+def test_edge_count_law_on_large_token_graphs():
+    for base, k in ((hypercube(6), 2), (complete_bipartite(2, 12), 6)):
+        tg = token_graph(base, k)
+        assert tg.graph.n == comb(base.n, k)
+        assert tg.graph.edge_count() == comb(base.n - 2, k - 1) * base.edge_count()
 
 
 def test_one_token_graph_is_the_base():
@@ -134,3 +181,19 @@ def test_cube_two_token_degrees():
         for rank_, (x, y) in enumerate(tg.configs):
             expect = 2 * r - 2 if hypercube(r).has_edge(x, y) else 2 * r
             assert tg.graph.degree(rank_) == expect
+
+
+def test_rank_index_lookup_is_a_validation():
+    configs = tuple(ksubsets(6, 3))
+    index = rank_index(configs)
+    assert config_images(index, configs, lambda a: a) == tuple(range(20))
+    assert config_images(index, configs, reversed) == tuple(range(20))
+    for bad in (
+        lambda a: (a[0], a[0], a[1]),  # a repeated member
+        lambda a: (a[0], a[1], 6),     # a point past n - 1
+        lambda a: (-1, a[1], a[2]),    # a point below 0
+        lambda a: a[:2],               # too few members
+        lambda a: (*a, 7),             # too many members
+    ):
+        with pytest.raises(ValueError):
+            config_images(index, configs, bad)
