@@ -57,6 +57,13 @@ three builds: F2(Q_6), F2(Q_7), F6(K_{2,12}) and F7(K_{2,14}) (the last
 left out by --skip-largest), each checked against the edge-count law,
 C(n-2, k-1) token edges per base edge.
 
+A sixth table, ``run_verify``, times the whole ``verify_cube`` pipeline
+for r = 6 and 7 (r = 7 left out by --skip-largest) under an explicit guard
+raised to 10,000 vertices, so that F2(Q7)'s 8,128 are admitted. It prints
+the search nodes of the token graph's walk, which the constructed
+generators seed, and the seconds, and checks that the report passes with
+the order 2^(r-1) * 2^r * r!.
+
 The last line is the process's peak resident set size.
 
     PYTHONPATH=src python benchmarks/bench_search.py [--skip-largest]
@@ -71,6 +78,7 @@ from typing import Iterator
 
 from tokenaut import (
     PermGroup,
+    ScaleGuard,
     automorphism_group,
     bipartite_generators,
     bounded_order,
@@ -83,6 +91,7 @@ from tokenaut import (
     product_subgroup_generators,
     schreier_sims,
     token_graph,
+    verify_cube,
 )
 from tokenaut.refinement import Partition
 from tokenaut.search import (TwinGroup, _lift, _quotient_search, _Search,
@@ -94,6 +103,8 @@ CUBIC_SEEDS = (13, 16, 133, 250)
 CHAIN_BIPARTITE = ((5, 3), (6, 3), (7, 3), (5, 4), (6, 4))
 CHAIN_CUBES = (5, 6, 7)
 BUILD_REPEATS = 3
+VERIFY_CUBES = (6, 7)
+VERIFY_GUARD = ScaleGuard(max_vertices=10_000)
 PHASES = ("build", "classes", "search", "lift", "chain", "total", "full")
 
 
@@ -320,12 +331,35 @@ def run_builds(cases) -> list[dict]:
     return rows
 
 
+def run_verify(r: int) -> dict:
+    """Time ``verify_cube(r)`` under VERIFY_GUARD and check its report."""
+    started = time.perf_counter()
+    report = verify_cube(r, VERIFY_GUARD)
+    seconds = time.perf_counter() - started
+    if not report.passed or report.computed_order != str(cube_order(r)):
+        raise AssertionError(f"verify_cube({r}): the report differs from the closed form")
+    return {"case": f"verify_cube({r})", "vertices": comb(1 << r, 2),
+            "nodes": report.node_count, "seconds": seconds}
+
+
+def run_verifies(rs) -> list[dict]:
+    """Print a row per cube dimension in ``rs`` and return the rows."""
+    print(f"{'case':<15} {'vertices':>8} {'nodes':>6} {'seconds':>7}")
+    rows = []
+    for r in rs:
+        row = run_verify(r)
+        print(f"{row['case']:<15} {row['vertices']:>8} {row['nodes']:>6} "
+              f"{row['seconds']:>7.3f}", flush=True)
+        rows.append(row)
+    return rows
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(
         description="time automorphism_group on F_k(K_{2,n})")
     parser.add_argument("--skip-largest", action="store_true",
-                        help="leave out F7(K2,14)'s search and build "
-                             "and F2(Q7)'s chain")
+                        help="leave out F7(K2,14)'s search and build, "
+                             "and F2(Q7)'s chain and verify")
     args = parser.parse_args()
     cases = CASES[:-1] if args.skip_largest else CASES
     print(f"{'case':<11} {'vertices':>8} {'quotient':>8} {'nodes':>6} "
@@ -352,6 +386,8 @@ def main() -> int:
     print()
     builds = build_cases()
     run_builds(builds[:-1] if args.skip_largest else builds)
+    print()
+    run_verifies(VERIFY_CUBES[:-1] if args.skip_largest else VERIFY_CUBES)
     print(f"\npeak RSS {peak_rss_mb():.0f} MB")
     return 0
 

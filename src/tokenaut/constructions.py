@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 
 from . import subsets
 from .graphs import BipartiteSpec, Graph, cartesian_product, complete_bipartite
-from .perms import PermGroup, Permutation
+from .perms import PermGroup, Permutation, _id_images
 from .search import (automorphism_group, certify, is_automorphism,
                      is_isomorphic)
 from .tokens import TokenGraph, config_images, rank_index, token_graph
@@ -127,7 +127,9 @@ def side_swap_bipartite(spec: BipartiteSpec, k: int, family: SwapFamily) -> Perm
     total = spec.order
     if not (1 <= k <= total - 1):
         raise ValueError(f"need 1 <= k <= {total - 1}, got k={k}")
-    images = list(range(comb(total, k)))
+    # The cached identity's points are shared by every swap's tuple, so a
+    # swap holds no int object of its own for a point above 256.
+    images = list(_id_images(comb(total, k)))
     moved = []
     for s in family.members:
         a, b = subsets.rank(s | {0}, total), subsets.rank(s | {1}, total)

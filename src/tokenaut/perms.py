@@ -19,7 +19,7 @@ product, with no inversion (Seress 2003, section 4.1).
 Every chain grows by one step, ``PermGroup._grow``: sift an element, make
 a nontrivial residue a strong generator of the levels it passed (opening a
 level at its first moved point if it passed them all) and close their
-orbits. The step is used three ways:
+orbits. The step is used four ways:
 
 * ``PermGroup(degree, generators)`` grows each generator, then completes
   the chain by the deterministic Schreier-Sims algorithm (Seress,
@@ -36,10 +36,15 @@ orbits. The step is used three ways:
   once and sifts nothing.
 * ``bounded_order(generators, bound)`` returns the order of a group whose
   order is known to be at most ``bound``. It grows the chain by the
-  generators and then by seeded random elements, and stops as soon as the
-  orbit-length product, a lower bound on the order, reaches ``bound``
-  (Seress 2003, section 4.3). If the group turns out smaller, it completes
-  the chain it has grown.
+  generators and then by seeded random elements (``_grow_randomly``), and
+  stops as soon as the orbit-length product, a lower bound on the order,
+  reaches ``bound`` (Seress 2003, section 4.3). If the group turns out
+  smaller, it completes the chain it has grown.
+* A seeded automorphism search (``tokenaut.search``) grows the chain of
+  its known automorphisms by the same random elements, on levels opened
+  in advance at a base of a group containing them (``_on_base``), so no
+  level is ever opened at a first moved point; then each automorphism the
+  search finds is grown in.
 
 In every chain each level's generators lie in the pointwise stabilizer of
 the earlier base points, so each orbit is contained in the true basic
@@ -51,7 +56,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import compress
+from itertools import compress, count
 from operator import itemgetter, ne
 from typing import Iterable, Iterator, Sequence
 
@@ -118,7 +123,9 @@ class Permutation:
         if len(self.images) != len(other.images):
             raise ValueError("degree mismatch in composition")
         s = self.images
-        return Permutation._raw(tuple([s[i] for i in other.images]))
+        if len(s) < 2:  # a one-item getter returns the item, not a tuple
+            return other
+        return Permutation._raw(itemgetter(*other.images)(s))
 
     def inverse(self) -> "Permutation":
         return Permutation._raw(_invert(self.images))
@@ -276,11 +283,7 @@ class PermGroup:
         fails, that product is still a lower bound on the order of the
         group the generators generate, but membership tests may be wrong.
         """
-        if len(set(base)) != len(base) or any(not 0 <= b < degree for b in base):
-            raise ValueError("base points must be distinct points of 0..degree-1")
-        group = cls(degree)
-        group.generators = _distinct(degree, generators)
-        group._levels = [_Level(b, group._identity) for b in base]
+        group = cls._on_base(degree, base, generators)
         for g in group.generators:
             images = g.images
             i = next((i for i, b in enumerate(base) if images[b] != b), None)
@@ -289,8 +292,27 @@ class PermGroup:
             group._insert(images, i)
         for lv in group._levels:
             lv.close_orbit()
-        group._levels = [lv for lv in group._levels if len(lv.orbit) > 1]
+        group._drop_trivial_levels()
         return group
+
+    @classmethod
+    def _on_base(cls, degree: int, base: Sequence[int],
+                generators: Iterable[Permutation]) -> "PermGroup":
+        """A chain for ``generators`` with an empty level per point of
+        ``base``, grown by nothing yet. Growth opens a level at an
+        element's first moved point only when the element fixes every base
+        point, so none is opened when ``base`` is a base of a group that
+        contains the generators."""
+        if len(set(base)) != len(base) or any(not 0 <= b < degree for b in base):
+            raise ValueError("base points must be distinct points of 0..degree-1")
+        group = cls(degree)
+        group.generators = _distinct(degree, generators)
+        group._levels = [_Level(b, group._identity) for b in base]
+        return group
+
+    def _drop_trivial_levels(self) -> None:
+        """Drop the levels whose orbit is only their base point."""
+        self._levels = [lv for lv in self._levels if len(lv.orbit) > 1]
 
     # -- chain construction -----------------------------------------
 
@@ -305,7 +327,9 @@ class PermGroup:
             v = lv.inv.get(x)
             if v is None:
                 return p, i
-            p = tuple([v[j] for j in p])
+            # A level with a second orbit point has degree >= 2, so the
+            # getter returns a tuple.
+            p = itemgetter(*p)(v)
         return p, len(levels)
 
     def _insert(self, residue: tuple[int, ...], j: int) -> None:
@@ -329,6 +353,38 @@ class PermGroup:
         for lv in self._levels[:j + 1]:
             lv.close_orbit()
         return True
+
+    def _grow_randomly(self, bound: int | None = None) -> bool:
+        """Grow the chain by the generators, then by seeded
+        product-replacement random elements of the group they generate
+        (Seress 2003, section 4.3), until the orbit-length product reaches
+        ``bound`` or ``_STALL_SIFTS`` elements in a row sift to the
+        identity. Returns whether it stopped on such a stall."""
+        for g in self.generators:
+            self._grow(g.images)
+        if bound is not None and self.order() >= bound:
+            return False
+        if self.degree < 2:  # no permutation but the identity to grow by
+            return True
+        rng = random.Random(_RANDOM_SEED)
+        slots = [g.images for g in self.generators] or [self._identity]
+        slots = (slots * _SLOTS)[:max(_SLOTS, len(slots))]
+        acc = self._identity
+        stall = 0
+        # One product-replacement step with an accumulator per element; the
+        # first steps only warm the slots up.
+        for step in count(-(_WARMUP * len(slots) // _SLOTS)):
+            i, j = rng.sample(range(len(slots)), 2)
+            a, b = (slots[i], slots[j]) if rng.random() < 0.5 else (slots[j], slots[i])
+            slots[i] = itemgetter(*b)(a)
+            acc = itemgetter(*slots[i])(acc)
+            if step < 0:
+                continue
+            stall = 0 if self._grow(acc) else stall + 1
+            if stall == _STALL_SIFTS:
+                return True
+            if bound is not None and self.order() >= bound:
+                return False
 
     def _complete(self) -> None:
         """Schreier-Sims on the chain as grown so far.
@@ -363,8 +419,8 @@ class PermGroup:
             ux = _invert(inv[x])
             for k in range(tested[p], len(gens)):
                 g = gens[k]
-                vy = inv[g[x]]
-                s = tuple([vy[g[j]] for j in ux])  # u_{g(x)}^-1 g u_x fixes b
+                # u_{g(x)}^-1 g u_x fixes b; the level has degree >= 2.
+                s = itemgetter(*itemgetter(*ux)(g))(inv[g[x]])
                 if s == ident:
                     continue
                 residue, j = self._sift(s, i + 1)
@@ -448,16 +504,18 @@ def schreier_sims(generators: Iterable[Permutation], degree: int | None = None) 
     return PermGroup(_degree_of(gens, degree), gens)
 
 
-# bounded_order's random elements: the seed of their generator, the least
-# number of slots of the product-replacement state (there is one slot per
-# generator when there are more), the warm-up steps per _SLOTS slots before
-# the first element is used, and the run of consecutive random elements
-# sifting to the identity after which the chain is completed. A uniformly random element sifts through an incomplete chain with
-# probability at most 1/2, so a stall on a group of order ``bound`` is rare,
-# and it costs only time. The warm-up grows with the slots because a slot
-# holding the only generator outside a large normal subgroup, as the Y-lifts
-# are beside the side swaps of F_5(K_{2,10}), needs that long to spread:
-# with a fixed 50 steps, 30 elements in a row sifted to the identity there.
+# PermGroup._grow_randomly's random elements: the seed of their generator,
+# the least number of slots of the product-replacement state (there is one
+# slot per generator when there are more), the warm-up steps per _SLOTS
+# slots before the first element is used, and the run of consecutive random
+# elements sifting to the identity after which growth stops (and
+# bounded_order completes the chain). A uniformly random element sifts
+# through an incomplete chain with probability at most 1/2, so a stall on a
+# group of order ``bound`` is rare, and it costs only time. The warm-up
+# grows with the slots because a slot holding the only generator outside a
+# large normal subgroup, as the Y-lifts are beside the side swaps of
+# F_5(K_{2,10}), needs that long to spread: with a fixed 50 steps, 30
+# elements in a row sifted to the identity there.
 _RANDOM_SEED = 2003
 _SLOTS = 10
 _WARMUP = 50
@@ -484,32 +542,9 @@ def bounded_order(generators: Iterable[Permutation], bound: int,
     degree = _degree_of(gens, degree)
     if bound < 1:
         raise ValueError(f"bound must be a positive order, got {bound}")
-    group = PermGroup(degree)
-    group.generators = _distinct(degree, gens)
-    for g in group.generators:
-        group._grow(g.images)
-    if group.order() < bound:
-        rng = random.Random(_RANDOM_SEED)
-        slots = [g.images for g in group.generators] or [group._identity]
-        slots = (slots * _SLOTS)[:max(_SLOTS, len(slots))]
-        acc = group._identity
-
-        def random_element() -> tuple[int, ...]:
-            """One product-replacement step with an accumulator."""
-            nonlocal acc
-            i, j = rng.sample(range(len(slots)), 2)
-            a, b = (slots[i], slots[j]) if rng.random() < 0.5 else (slots[j], slots[i])
-            slots[i] = tuple([a[x] for x in b])
-            acc = tuple([acc[x] for x in slots[i]])
-            return acc
-
-        for _ in range(_WARMUP * len(slots) // _SLOTS):
-            random_element()
-        stall = 0
-        while group.order() < bound and stall < _STALL_SIFTS:
-            stall = 0 if group._grow(random_element()) else stall + 1
-        if stall == _STALL_SIFTS:
-            group._complete()
+    group = PermGroup._on_base(degree, (), gens)
+    if group._grow_randomly(bound):
+        group._complete()
     order = group.order()
     if order > bound:
         raise ValueError(f"bound {bound} is below the group order")

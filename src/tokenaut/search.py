@@ -96,6 +96,39 @@ are a strong generating set relative to the path (McKay & Piperno,
 turns that into a chain by orbit enumeration alone, and |Aut| is the product
 of the orbit lengths.
 
+A walk of a graph without twins can be seeded with known automorphisms,
+each checked edge by edge first; ``verify`` seeds it with the paper's
+generators. McKay & Piperno prune nauty's tree with the stabilizer orbits
+of automorphisms known beforehand in the same way. The walk descends its
+first path as before, so at the first leaf the base b_0, b_1, ... is
+known before any node off the path is visited. A chain of H, the group
+the known automorphisms generate, is then grown with one level per base
+point, fixed in advance: by the known automorphisms, then by seeded
+random elements of H until ``_STALL_SIFTS`` of them in a row sift to the
+identity (Seress 2003, section 4.3; ``PermGroup._grow_randomly``, which
+``bounded_order`` uses too). A generator the walk finds later joins the
+same chain, on levels 0..i for its fork depth i. Back on the first path,
+the node at depth i skips every candidate in the orbit of b_i on level i.
+
+Why the answer stays exact. Each level-i element lies in Aut and fixes
+b_0..b_{i-1}, so it maps the subtree of b_i, which was walked first, onto
+the subtree of the candidate it sends b_i to: a skipped candidate is
+pruned by orbits, as above. Every child of the depth-i first-path node
+that lies in b_i's orbit under the stabilizer of b_0..b_{i-1} in Aut is
+therefore either explored, and then yields a generator that joins level
+i, or pruned, and then is already in the level's orbit (an image under
+found generators that fix the prefix, which joined level i too, or a
+skipped candidate). So each level's orbit is the whole basic orbit of
+Aut, whether or not H's random chain was complete, and |Aut| is the
+product of the orbit lengths. Each orbit point's transversal element lies
+in the stabilizer, so sifting decides membership as in any chain. The
+levels' groups are nested, and each acts on its orbit, so the level-0
+group has at least that order: the known and the found automorphisms,
+which generate it, generate Aut. If the walk found no generator, every
+level's group lies in H, so H = Aut, and ``AutResult.known_generate``
+records it: the orders agree with no ``bounded_order`` run. Graphs with
+twins, isomorphism walks and unseeded walks do not grow this chain.
+
 Graphs with twins are searched in their twin quotient (Anders, Schweitzer &
 Stiess, "Engineering a Preprocessor for Symmetry Detection", SEA 2023). Two
 vertices are open twins when their adjacency rows are equal; twins are
@@ -181,7 +214,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import accumulate
 from math import factorial, prod
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .errors import CertificationError, ScaleGuardExceeded
 from .graphs import Graph
@@ -197,10 +230,13 @@ OrderedPartition = list[list[int]]
 class AutResult:
     """Automorphism group plus search telemetry. ``node_count`` counts the
     nodes of the search tree that was walked: g's own, or, when g has twins,
-    that of its twin quotient."""
+    that of its twin quotient. ``known_generate`` is set when a walk seeded
+    with known automorphisms found no generator of its own, which proves
+    that they generate the whole group."""
 
     group: PermGroup | TwinGroup
     node_count: int
+    known_generate: bool = False
 
 
 def is_automorphism(g: Graph, p: Permutation) -> bool:
@@ -255,11 +291,15 @@ class _Search:
     of g, and an automorphism walk compares each inner node off its first
     path with that path's node at the same depth. ``cells`` colours g's
     automorphism search: the tree starts from them instead of the unit
-    partition, and every leaf map keeps each of them in place."""
+    partition, and every leaf map keeps each of them in place. ``known``,
+    certified automorphisms of g, seed an automorphism walk: at its first
+    leaf their group's chain is grown on the first-leaf path, and its
+    orbits prune the first path's nodes (see the module docstring)."""
 
     def __init__(self, g: Graph, max_nodes: int | None,
                  source: Graph | None = None,
-                 cells: OrderedPartition | None = None):
+                 cells: OrderedPartition | None = None,
+                 known: tuple[Permutation, ...] = ()):
         self.g = g
         self.iso = source is not None
         self.source = source
@@ -282,6 +322,9 @@ class _Search:
         self.snapshots: list[list[int]] = []
         self.gens: list[Permutation] = []
         self.mapping: list[int] | None = None
+        self.known = known
+        # The chain of <known, gens> on the first-leaf path, once it is known.
+        self.chain: PermGroup | None = None
 
     def run(self) -> None:
         self.traces.append(self.ref.refine(self.starts))
@@ -305,8 +348,10 @@ class _Search:
         part = self.part
         if part.is_discrete():
             return self._leaf(part.order)
+        # A node reached before the first leaf is on the first path.
+        on_path = self.first_leaf is None
         if not self.iso:
-            if self.first_leaf is None:
+            if on_path:
                 self.snapshots.append(list(part.order))
             else:
                 jump = self._accept(self.snapshots[depth], part.order)
@@ -324,6 +369,9 @@ class _Search:
         parent: dict[int, int] = {}
         merged = 0
         done_roots: set[int] = set()
+        # b_i's orbit in the seeded chain's level at this first-path node,
+        # taken once the first candidate, b_i, is done.
+        orbit = None
 
         def find(x: int) -> int:
             root = parent.get(x, x)
@@ -347,7 +395,7 @@ class _Search:
                 merged = len(self.gens)
                 done_roots = {find(x) for x in done_roots}
             root = find(v)
-            if root in done_roots:
+            if root in done_roots or orbit is not None and v in orbit:
                 continue
             mark = len(part.trail)
             if depth + 1 == len(self.traces):
@@ -363,6 +411,8 @@ class _Search:
                 return jump
             part.undo(mark)
             done_roots.add(root)
+            if on_path and self.chain is not None:
+                orbit = self.chain._levels[depth].inv
         return None
 
     def _extend(self) -> None:
@@ -390,6 +440,10 @@ class _Search:
         if self.first_leaf is None:
             self.first_leaf = list(leaf)
             self.base = list(self.path)
+            if self.known:
+                self.chain = PermGroup._on_base(self.g.n, self.base,
+                                                self.known)
+                self.chain._grow_randomly()
             return None
         return self._accept(self.first_leaf, leaf)
 
@@ -400,7 +454,10 @@ class _Search:
         images = _position_map(ref, order)
         if not self.g.maps_edges_into(images, self.g):
             return None
-        self.gens.append(Permutation(tuple(images)))
+        images = tuple(images)
+        self.gens.append(Permutation(images))
+        if self.chain is not None:
+            self.chain._grow(images)
         fork = 0
         for a, b in zip(self.path, self.base):
             if a != b:
@@ -565,7 +622,8 @@ class TwinGroup:
         return f"<TwinGroup degree={self.degree} order={self.order()}>"
 
 
-def automorphism_group(g: Graph, max_nodes: int | None = None) -> AutResult:
+def automorphism_group(g: Graph, max_nodes: int | None = None,
+                       known: Iterable[Permutation] = ()) -> AutResult:
     """Automorphism group of g with every generator certified edge-by-edge.
 
     The group's chain is built from the search itself, with no Schreier
@@ -575,20 +633,35 @@ def automorphism_group(g: Graph, max_nodes: int | None = None) -> AutResult:
     and the group is a ``TwinGroup``: the twin classes and the quotient's
     chain, with the quotient's generators lifted to g and certified there
     (see the module docstring).
+
+    ``known`` are automorphisms of g, each checked edge by edge here
+    (``CertificationError`` otherwise). On a graph without twins they seed
+    the walk: the chain is that of their group on the first-leaf path,
+    grown by random elements and by the generators the walk finds, and its
+    orbits prune the first path. The group's generators are then ``known``
+    and the found ones. A graph with twins is searched without them.
     """
+    known = tuple(known)
+    certify(known, g, "a known automorphism")
     classes = _twin_classes(g)
     if len(classes) == g.n:
-        search = _Search(g, max_nodes)
+        search = _Search(g, max_nodes, known=known)
         search.run()
-        group = PermGroup.from_strong_generators(g.n, search.base,
-                                                 search.gens)
+        group = search.chain
+        if group is None:
+            group = PermGroup.from_strong_generators(g.n, search.base,
+                                                     search.gens)
+        else:
+            group.generators += tuple(search.gens)
+            group._drop_trivial_levels()
     else:
         search = _quotient_search(g, classes, max_nodes)
         lifted = _lift(g, classes, search.gens)
         quotient = PermGroup.from_strong_generators(len(classes), search.base,
                                                     search.gens)
         group = TwinGroup(g, classes, search.base, quotient, lifted)
-    return AutResult(group, search.node_count)
+    return AutResult(group, search.node_count, known_generate=(
+        search.chain is not None and not search.gens))
 
 
 def is_isomorphic(g: Graph, h: Graph,

@@ -1,15 +1,22 @@
 """Verification pipelines comparing computed and predicted groups.
 
 Each pipeline builds a token graph, computes its automorphism group with
-the search oracle, builds the matching explicit generators, and reports:
+the search oracle, builds the matching explicit generators, and reports.
+The cube and product pipelines build the generators first and seed the
+token graph's search with them (``automorphism_group(known=...)``); when
+that walk finds no generator of its own, it has proved that they
+generate the whole group, and no separate order computation runs.
+Otherwise, and for every bipartite instance, the generated order comes
+from ``_generated_order``. The report's fields:
 
 * generators_certified: every constructed generator passed the edge check;
   when one fails, the report fails and the other certificates are false;
 * subgroup_certified: the generated group sits inside the computed group
-  by sifting and its order equals the prediction exactly; on a graph with
-  twins the generators' class images are sifted in the twin quotient's
-  chain, and the order is taken at the quotient's degree when the
-  generators hold every twin transposition group (``_generated_order``);
+  (by the edge check, or by sifting) and its order equals the prediction
+  exactly; on a graph with twins the generators' class images are sifted
+  in the twin quotient's chain, and the order is taken at the quotient's
+  degree when the generators hold every twin transposition group
+  (``_generated_order``);
 * equality: computed order matches predicted order on top of the
   subgroup certificate (the report-level invariant).
 
@@ -161,7 +168,12 @@ def _finish(instance: str, gens, pred: PredictedAut, conjectured: bool,
     None for a construction whose generator failed the edge check."""
     computed = aut_result.group.order()
     certified = gens is not None
-    sub_order = _generated_order(aut_result.group, gens) if certified else None
+    if not certified:
+        sub_order = None
+    elif aut_result.known_generate:  # the search proved <gens> = Aut
+        sub_order = computed
+    else:
+        sub_order = _generated_order(aut_result.group, gens)
     if sub_order is not None and computed % sub_order != 0:
         raise AssertionError("subgroup order fails Lagrange divisibility")
     subgroup_certified = sub_order == pred.order
@@ -227,12 +239,15 @@ def _verify_2_token(factors: list[Graph], product: Graph, instance: str,
                     closed_form: PredictedAut | None = None) -> VerificationReport:
     """The pipeline behind ``verify_cube`` and ``verify_product``. A
     closed-form prediction is asserted; without one, the prediction is
-    2^(r-1) * |Aut(base)| and equality with it is the conjecture."""
+    2^(r-1) * |Aut(base)| and equality with it is the conjecture. The
+    base's group and the constructed generators come first, so that the
+    generators seed the token graph's search."""
     started = time.perf_counter()
     tg = token_graph(product, 2)
-    aut = automorphism_group(tg.graph, max_nodes=guard.max_nodes)
     base_group = automorphism_group(product, max_nodes=guard.max_nodes).group
     gens = _constructed(product_subgroup_generators, factors, tg=tg,
                         base_group=base_group)
+    aut = automorphism_group(tg.graph, max_nodes=guard.max_nodes,
+                             known=gens or ())
     pred = closed_form or predicted_order_product(factors, base_group)
     return _finish(instance, gens, pred, closed_form is None, started, aut)

@@ -72,3 +72,12 @@ def test_bench_search_build_row():
     assert row["seconds"] > 0
     assert [case[0] for case in bench_search.build_cases()] == [
         "F2(Q6)", "F2(Q7)", "F6(K2,12)", "F7(K2,14)"]
+
+
+def test_bench_search_verify_row():
+    # run_verify raises unless verify_cube's report passes with the order
+    # 2^(r-1) * 2^r * r!; F2(Q4) has C(16,2) = 120 vertices.
+    bench_search = load("bench_search")
+    (row,) = bench_search.run_verifies([4])
+    assert (row["case"], row["vertices"]) == ("verify_cube(4)", 120)
+    assert row["nodes"] >= 1 and row["seconds"] > 0

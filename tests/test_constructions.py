@@ -164,6 +164,28 @@ def test_side_swap_composition_sampled_large():
         assert left == side_swap_bipartite(spec, k, f1.symmetric_difference(f2))
 
 
+def test_side_swap_images_and_shared_points():
+    # Each configuration holding exactly one X-vertex, whose Y-part is in
+    # the family, has 0 and 1 exchanged; every other configuration is
+    # fixed, and its image is the cached identity's int object.
+    from tokenaut.perms import _id_images
+
+    for m, n, k in ((2, 5, 3), (2, 10, 5)):
+        spec = BipartiteSpec(m, n)
+        configs = list(ksubsets(m + n, k))
+        rank = {c: i for i, c in enumerate(configs)}
+        members = [frozenset(s) for s in itertools.combinations(range(2, 2 + n), k - 1)]
+        for family in (members[:1], members[-1:], members[::3]):
+            fam = set(family)
+            want = [rank[tuple(sorted(set(c) ^ {0, 1}))]
+                    if len({0, 1} & set(c)) == 1 and set(c) - {0, 1} in fam
+                    else i for i, c in enumerate(configs)]
+            images = side_swap_bipartite(spec, k, bipartite_family(family)).images
+            assert list(images) == want
+            ident = _id_images(len(configs))
+            assert all(v is ident[i] for i, v in enumerate(images) if v == i)
+
+
 def test_side_swap_conjugation_relabels_family():
     for spec, k, cycles in ((BipartiteSpec(2, 3), 2, [(2, 3, 4)]),
                             (BipartiteSpec(2, 4), 3, [(2, 3), (4, 5)])):

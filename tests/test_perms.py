@@ -33,6 +33,16 @@ def test_composition_convention_locked():
     assert (q * p).images == (2, 0, 1)
 
 
+def test_products_at_degrees_one_and_zero():
+    # Products are formed by an item getter, which returns a bare item,
+    # not a tuple, when it gets one index.
+    one = Permutation.identity(1)
+    assert (one * one).images == (0,)
+    assert (Permutation(()) * Permutation(())).images == ()
+    assert bounded_order([one], 2) == 1
+    assert schreier_sims([one]).order() == 1
+
+
 def test_package_exports_resolve():
     import tokenaut
     from tokenaut import perms

@@ -496,6 +496,82 @@ def test_twin_free_graphs_search_the_whole_graph():
         assert res.group.generators == tuple(search.gens)
 
 
+def seeded_cases():
+    """Seeded random twin-free graphs, half of them circulants (whose groups
+    are large), twin blow-ups, and two larger twin-free token graphs, as
+    (name, graph, whether the brute-force oracle applies)."""
+    rng = random.Random(2121)
+    cases = []
+    while len(cases) < 80:
+        n = rng.randint(5, 10)
+        if len(cases) % 2:
+            steps = {d for d in range(1, n // 2 + 1) if rng.random() < 0.5}
+            g = graph_from_edges(n, [(v, (v + d) % n) for v in range(n)
+                                     for d in steps if (v + d) % n != v])
+        else:
+            g = random_graph(rng, n)
+        if len(_twin_classes(g)) == g.n:
+            cases.append((f"twin-free{len(cases)}", shuffled_copy(g, rng)[0], True))
+    cases += [(name, g, True) for name, g in twin_cases()[:40]]
+    cases += [("F2(Q3)", token_graph(hypercube(3), 2).graph, False),
+              ("F2(P3xC5)", token_graph(cartesian_product(
+                  [path_graph(3), cycle_graph(5)]), 2).graph, False)]
+    return cases
+
+
+def test_seeded_walks_match_unseeded_and_brute_orders():
+    # A walk seeded with its graph's certified generators, all, none or a
+    # random subset, gives the unseeded order, and the brute-force count
+    # where it applies. Its chain holds exactly the automorphisms, its
+    # generators generate them, and when it found no generator of its own
+    # the seed alone does. Graphs with twins are searched without the seed.
+    rng = random.Random(2122)
+    pruned = proper = 0
+    for name, g, brute in seeded_cases():
+        plain = automorphism_group(g)
+        order = plain.group.order()
+        if brute:
+            assert order == count_automorphisms_brute(g), name
+        gens = list(plain.group.generators)
+        for seed in ([], gens, rng.sample(gens, rng.randint(0, len(gens)))):
+            res = automorphism_group(g, known=seed)
+            group = res.group
+            assert group.order() == order, name
+            assert schreier_sims(group.generators, degree=g.n).order() == order, name
+            if res.known_generate:
+                assert schreier_sims(seed, degree=g.n).order() == order, name
+            else:
+                proper += bool(seed) and len(_twin_classes(g)) == g.n
+            pruned += res.node_count < plain.node_count
+            for _ in range(4):
+                word = Permutation.identity(g.n)
+                for _ in range(rng.randint(0, 5) if gens else 0):
+                    word = word * rng.choice(gens)
+                images = list(range(g.n))
+                rng.shuffle(images)
+                for p in (word, Permutation(tuple(images))):
+                    assert group.contains(p) == is_automorphism(g, p), name
+    # The seeds pruned walks, and some fell short of Aut, so the walk had
+    # to find generators of its own.
+    assert pruned > 0 and proper > 0
+
+
+def test_known_non_automorphisms_are_refused():
+    # A known permutation that fails the edge check is refused before any
+    # walk starts, with or without twins, so it never prunes.
+    from tokenaut import CertificationError
+
+    for g in (token_graph(hypercube(3), 2).graph,
+              token_graph(complete_bipartite(2, 3), 2).graph):
+        gens = list(automorphism_group(g).group.generators)
+        bad = Permutation.from_cycles(g.n, [(0, g.n - 1)])
+        assert not is_automorphism(g, bad)
+        with pytest.raises(CertificationError, match="known automorphism"):
+            automorphism_group(g, known=gens + [bad])
+        with pytest.raises(CertificationError, match="known automorphism"):
+            automorphism_group(g, known=[Permutation.identity(g.n - 1)])
+
+
 def test_twin_classes():
     assert _twin_classes(complete_bipartite(2, 3)) == [[0, 1], [2, 3, 4]]
     assert _twin_classes(path_graph(4)) == [[0], [1], [2], [3]]

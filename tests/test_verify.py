@@ -157,6 +157,34 @@ def test_pipelines_build_each_artifact_once(monkeypatch):
     assert calls == {"token_graph": 1, "automorphism_group": 1}
 
 
+def test_a_seed_short_of_aut_keeps_the_verdict_and_orders(monkeypatch):
+    # verify seeds the walk of F2(Q4) with its constructed generators. Less
+    # one coordinate swap they still generate Aut (the lifts conjugate the
+    # other swaps onto it), and the walk proves it with no order call; less
+    # one lift they do not, the walk finds generators of its own, and the
+    # order of the rest is taken as before.
+    from tokenaut import constructions, verify
+
+    degrees = order_route(monkeypatch)
+    full = constructions.product_subgroup_generators([complete_graph(2)] * 4)
+    for drop, want, calls in ((0, 3072, []), (3, 128, [120])):
+        def fewer(*args, _drop=drop, **kwargs):
+            gens = constructions.product_subgroup_generators(*args, **kwargs)
+            return gens[:_drop] + gens[_drop + 1:]
+
+        monkeypatch.setattr(verify, "product_subgroup_generators", fewer)
+        rest = full[:drop] + full[drop + 1:]
+        assert schreier_sims(rest).order() == want
+        rep = verify_cube(4)
+        assert (rep.computed_order, rep.predicted_order) == ("3072", "3072")
+        assert rep.generated_order == want
+        assert rep.generators_certified
+        assert rep.subgroup_certified == rep.equality == rep.passed \
+            == (want == 3072)
+        assert degrees == calls
+        degrees.clear()
+
+
 def order_route(monkeypatch):
     """The degrees of the ``bounded_order`` calls that ``verify`` makes."""
     from tokenaut import verify
