@@ -57,12 +57,14 @@ three builds: F2(Q_6), F2(Q_7), F6(K_{2,12}) and F7(K_{2,14}) (the last
 left out by --skip-largest), each checked against the edge-count law,
 C(n-2, k-1) token edges per base edge.
 
-A sixth table, ``run_verify``, times the whole ``verify_cube`` pipeline
-for r = 6 and 7 (r = 7 left out by --skip-largest) under an explicit guard
-raised to 10,000 vertices, so that F2(Q7)'s 8,128 are admitted. It prints
-the search nodes of the token graph's walk, which the constructed
-generators seed, and the seconds, and checks that the report passes with
-the order 2^(r-1) * 2^r * r!.
+A sixth table, ``run_verifies``, times whole verify pipelines under an
+explicit guard raised to 10,000 vertices, so that F2(Q7)'s 8,128 are
+admitted: ``verify_cube`` for r = 6 and 7 (r = 7 left out by
+--skip-largest) and ``verify_bipartite`` on F5(K_{2,10}) and
+F6(K_{2,12}). It prints the search nodes of the token graph's walk (of
+its twin quotient, for the bipartite rows), which the constructed
+generators seed, and the seconds, and checks that each report passes
+with its closed-form order.
 
 The last line is the process's peak resident set size.
 
@@ -73,6 +75,7 @@ import argparse
 import random
 import resource
 import time
+from functools import partial
 from math import comb, factorial
 from typing import Iterator
 
@@ -91,6 +94,7 @@ from tokenaut import (
     product_subgroup_generators,
     schreier_sims,
     token_graph,
+    verify_bipartite,
     verify_cube,
 )
 from tokenaut.refinement import Partition
@@ -104,6 +108,7 @@ CHAIN_BIPARTITE = ((5, 3), (6, 3), (7, 3), (5, 4), (6, 4))
 CHAIN_CUBES = (5, 6, 7)
 BUILD_REPEATS = 3
 VERIFY_CUBES = (6, 7)
+VERIFY_BIPARTITE = ((10, 5), (12, 6))
 VERIFY_GUARD = ScaleGuard(max_vertices=10_000)
 PHASES = ("build", "classes", "search", "lift", "chain", "total", "full")
 
@@ -331,24 +336,38 @@ def run_builds(cases) -> list[dict]:
     return rows
 
 
-def run_verify(r: int) -> dict:
-    """Time ``verify_cube(r)`` under VERIFY_GUARD and check its report."""
+def verify_cases(cubes, bipartite) -> list[tuple]:
+    """The rows of the verify table, as (case, vertices, pipeline, order):
+    ``verify_cube(r)`` for r in ``cubes``, then ``verify_bipartite(2, n, k)``
+    for (n, k) in ``bipartite``, each under VERIFY_GUARD."""
+    return ([(f"verify_cube({r})", comb(1 << r, 2),
+              partial(verify_cube, r, VERIFY_GUARD), cube_order(r))
+             for r in cubes]
+            + [(f"verify_bipartite(2,{n},{k})", comb(n + 2, k),
+                partial(verify_bipartite, 2, n, k, VERIFY_GUARD),
+                closed_form(n, k))
+               for n, k in bipartite])
+
+
+def run_verify(case: str, vertices: int, pipeline, order: int) -> dict:
+    """Time one verify pipeline and check that its report passes with
+    ``order``."""
     started = time.perf_counter()
-    report = verify_cube(r, VERIFY_GUARD)
+    report = pipeline()
     seconds = time.perf_counter() - started
-    if not report.passed or report.computed_order != str(cube_order(r)):
-        raise AssertionError(f"verify_cube({r}): the report differs from the closed form")
-    return {"case": f"verify_cube({r})", "vertices": comb(1 << r, 2),
-            "nodes": report.node_count, "seconds": seconds}
+    if not report.passed or report.computed_order != str(order):
+        raise AssertionError(f"{case}: the report differs from the closed form")
+    return {"case": case, "vertices": vertices, "nodes": report.node_count,
+            "seconds": seconds}
 
 
-def run_verifies(rs) -> list[dict]:
-    """Print a row per cube dimension in ``rs`` and return the rows."""
-    print(f"{'case':<15} {'vertices':>8} {'nodes':>6} {'seconds':>7}")
+def run_verifies(cases) -> list[dict]:
+    """Print a row per verify case and return the rows."""
+    print(f"{'case':<24} {'vertices':>8} {'nodes':>6} {'seconds':>7}")
     rows = []
-    for r in rs:
-        row = run_verify(r)
-        print(f"{row['case']:<15} {row['vertices']:>8} {row['nodes']:>6} "
+    for case in cases:
+        row = run_verify(*case)
+        print(f"{row['case']:<24} {row['vertices']:>8} {row['nodes']:>6} "
               f"{row['seconds']:>7.3f}", flush=True)
         rows.append(row)
     return rows
@@ -387,7 +406,8 @@ def main() -> int:
     builds = build_cases()
     run_builds(builds[:-1] if args.skip_largest else builds)
     print()
-    run_verifies(VERIFY_CUBES[:-1] if args.skip_largest else VERIFY_CUBES)
+    run_verifies(verify_cases(VERIFY_CUBES[:-1] if args.skip_largest
+                              else VERIFY_CUBES, VERIFY_BIPARTITE))
     print(f"\npeak RSS {peak_rss_mb():.0f} MB")
     return 0
 

@@ -374,7 +374,7 @@ class PermGroup:
         # One product-replacement step with an accumulator per element; the
         # first steps only warm the slots up.
         for step in count(-(_WARMUP * len(slots) // _SLOTS)):
-            i, j = rng.sample(range(len(slots)), 2)
+            i, j = _two_slots(rng, len(slots))
             a, b = (slots[i], slots[j]) if rng.random() < 0.5 else (slots[j], slots[i])
             slots[i] = itemgetter(*b)(a)
             acc = itemgetter(*slots[i])(acc)
@@ -520,6 +520,23 @@ _RANDOM_SEED = 2003
 _SLOTS = 10
 _WARMUP = 50
 _STALL_SIFTS = 30
+
+
+def _two_slots(rng: random.Random, size: int) -> tuple[int, int]:
+    """Two distinct indices below ``size``, the pair that
+    ``rng.sample(range(size), 2)`` returns, drawn by the same ``randrange``
+    calls at under half its cost: CPython's ``sample`` draws the second
+    index from a pool with the first one's place refilled by the last
+    item while ``size`` is at most 21, its small-set size for two draws,
+    and redraws a repeat above that."""
+    i = rng.randrange(size)
+    if size <= 21:
+        j = rng.randrange(size - 1)
+        return i, size - 1 if j == i else j
+    j = rng.randrange(size)
+    while j == i:
+        j = rng.randrange(size)
+    return i, j
 
 
 def bounded_order(generators: Iterable[Permutation], bound: int,

@@ -96,12 +96,14 @@ are a strong generating set relative to the path (McKay & Piperno,
 turns that into a chain by orbit enumeration alone, and |Aut| is the product
 of the orbit lengths.
 
-A walk of a graph without twins can be seeded with known automorphisms,
-each checked edge by edge first; ``verify`` seeds it with the paper's
-generators. McKay & Piperno prune nauty's tree with the stabilizer orbits
-of automorphisms known beforehand in the same way. The walk descends its
-first path as before, so at the first leaf the base b_0, b_1, ... is
-known before any node off the path is visited. A chain of H, the group
+An automorphism walk can be seeded with known automorphisms, each
+checked edge by edge first. ``verify`` seeds it with the paper's
+generators, which their constructions have checked, so it hands them to
+``_automorphism_group``, which does not check them again. McKay & Piperno
+prune nauty's tree with the stabilizer orbits of automorphisms known
+beforehand in the same way. The walk descends its first path as before,
+so at the first leaf the base b_0, b_1, ... is known before any node off
+the path is visited. A chain of H, the group
 the known automorphisms generate, is then grown with one level per base
 point, fixed in advance: by the known automorphisms, then by seeded
 random elements of H until ``_STALL_SIFTS`` of them in a row sift to the
@@ -126,8 +128,9 @@ levels' groups are nested, and each acts on its orbit, so the level-0
 group has at least that order: the known and the found automorphisms,
 which generate it, generate Aut. If the walk found no generator, every
 level's group lies in H, so H = Aut, and ``AutResult.known_generate``
-records it: the orders agree with no ``bounded_order`` run. Graphs with
-twins, isomorphism walks and unseeded walks do not grow this chain.
+records it: the orders agree with no ``bounded_order`` run. Isomorphism
+walks and unseeded walks do not grow this chain; a graph with twins grows
+it in its quotient's walk (below).
 
 Graphs with twins are searched in their twin quotient (Anders, Schweitzer &
 Stiess, "Engineering a Preprocessor for Symmetry Detection", SEA 2023). Two
@@ -156,34 +159,58 @@ with a moved member maps into the class of that member's image, which
 every moved member must share, and a class that goes elsewhere must have
 every member moved (the class-size check). Then each class maps into one
 class, and as p is onto, every class is hit: the class map is a bijection,
-and each class maps onto a class of its own size. The lifted quotient
-generators are built and certified edge by edge on g at once; they are few.
+and each class maps onto a class of its own size. The lifts of the
+generators the quotient's walk finds are built and certified edge by edge
+on g at once; they are few.
+
+Known automorphisms of a graph with twins seed the quotient's walk through
+their class images, each read off the points it moves by the same rule.
+The class image of an automorphism of g is a coloured automorphism of Q,
+so a chain of the group the images generate, grown on Q's first-leaf path,
+prunes Q's first path exactly as a twin-free walk's chain prunes its own:
+the argument above holds word for word in the coloured group of Q. The
+identity images, those of automorphisms that keep every class in place,
+and repeated images are dropped; when none is left, the walk is unseeded.
+Its chain, with the found generators joined, is the quotient's chain, and
+its levels' generators are a strong generating set of Aut(Q) relative to
+the path: level i's generators fix b_0..b_{i-1}, and with each level's
+orbit the whole basic orbit, by induction from the deepest level they
+generate each stabilizer. ``AutResult.known_generate`` is set when the walk
+found no generator of its own and the known twin transpositions (a known
+automorphism that moves two points, keeping every class in place) connect
+every class. The images then generate Aut(Q), and the transpositions
+generate T, so the group H of the known automorphisms contains T, the
+kernel, and maps onto Aut(Q): every automorphism a of g has an h in H with
+the same class image, and a h^-1 lies in T, so H = Aut(g). If some class
+is not connected, H may still be Aut(g), but the walk cannot tell, and
+``verify`` takes H's order as it does for an unseeded walk.
 
 The full-degree chain, whose base and strong generators ``aut`` reports
 list, is built only when they are asked for. Its base is the lifted
-quotient base (the first members of the quotient base's classes), then,
-for each class with more than one member, in class order, its members
-after the first if the class is on the quotient base, or all its members
-but the last if it is not. The strong generators are the lifted quotient
-generators and, for every class, the
-adjacent transpositions (c_j c_{j+1}). An element t * l (t in T, l in L
-lifting s) fixes the first member of C_i exactly when s fixes C_i and t
-fixes that member. So the stabilizer of the first i lifted base points is
-the stabilizer of the first i quotient base points, lifted, times T's
-elements that fix the first members of those classes. The lifted
+quotient base (the first members of the quotient base's classes), then, for
+each class with more than one member, in class order, its members after the
+first if the class is on the quotient base, or all its members but the last
+if it is not. The strong generators are the lifts of the quotient chain's
+strong generators (for an unseeded walk, the generators it found, already
+lifted; a seeded chain's others are lifted and certified then) and, for
+every class, the adjacent transpositions (c_j c_{j+1}). An element t * l (t
+in T, l in L lifting s) fixes the first member of C_i exactly when s fixes
+C_i and t fixes that member. So the stabilizer of the first i lifted base
+points is the stabilizer of the first i quotient base points, lifted, times
+T's elements that fix the first members of those classes. The lifted
 generators that fix those points are the lifts of the quotient generators
 that fix the quotient points, which generate the quotient stabilizer by the
-search's own argument above. The transpositions that fix them are all of
-those of the other classes, and those of each fixed class that leave its
-first member alone, (c_1 c_2), (c_2 c_3), ...; together they generate the
-stabilizer's part in T. Past the quotient base the lifted part is trivial,
-and what is left is a direct product over the classes of the symmetric
-group on the members not yet fixed. The adjacent transpositions of
-c_a, ..., c_b are a strong generating set of Sym{c_a, ..., c_b} relative to
-the base c_a, c_{a+1}, ...: those that fix c_a, ..., c_j are
-(c_{j+1} c_{j+2}), ..., (c_{b-1} c_b), which generate the symmetric group
-on the rest. So the generators are a strong generating set relative to
-that base, and ``from_strong_generators`` applies. A transposition (a b)
+search's own argument above, or, seeded, by the chain's. The transpositions
+that fix them are all of those of the other classes, and those of each
+fixed class that leave its first member alone, (c_1 c_2), (c_2 c_3), ...;
+together they generate the stabilizer's part in T. Past the quotient base
+the lifted part is trivial, and what is left is a direct product over the
+classes of the symmetric group on the members not yet fixed. The adjacent
+transpositions of c_a, ..., c_b are a strong generating set of Sym{c_a,
+..., c_b} relative to the base c_a, c_{a+1}, ...: those that fix c_a, ...,
+c_j are (c_{j+1} c_{j+2}), ..., (c_{b-1} c_b), which generate the symmetric
+group on the rest. So the generators are a strong generating set relative
+to that base, and ``from_strong_generators`` applies. A transposition (a b)
 is certified by the equal adjacency rows of a and b, which make it an
 automorphism. A twin-free graph, with every class a singleton, is searched
 as it is, and its group is the chain of its own search.
@@ -218,7 +245,7 @@ from typing import Iterable, Iterator
 
 from .errors import CertificationError, ScaleGuardExceeded
 from .graphs import Graph
-from .perms import PermGroup, Permutation
+from .perms import PermGroup, Permutation, _distinct, _id_images
 from .refinement import Partition
 
 # An ordered partition is a list of disjoint vertex lists covering 0..n-1;
@@ -231,8 +258,9 @@ class AutResult:
     """Automorphism group plus search telemetry. ``node_count`` counts the
     nodes of the search tree that was walked: g's own, or, when g has twins,
     that of its twin quotient. ``known_generate`` is set when a walk seeded
-    with known automorphisms found no generator of its own, which proves
-    that they generate the whole group."""
+    with known automorphisms found no generator of its own, and, on a
+    graph with twins, their twin transpositions connect every class, which
+    proves that they generate the whole group."""
 
     group: PermGroup | TwinGroup
     node_count: int
@@ -415,6 +443,17 @@ class _Search:
                 orbit = self.chain._levels[depth].inv
         return None
 
+    def group(self) -> PermGroup:
+        """The chain of the group a finished automorphism walk found: the
+        seeded chain with the found generators joined, or, unseeded, the
+        chain of the found generators relative to the first-leaf path."""
+        if self.chain is None:
+            return PermGroup.from_strong_generators(self.g.n, self.base,
+                                                    self.gens)
+        self.chain.generators += tuple(self.gens)
+        self.chain._drop_trivial_levels()
+        return self.chain
+
     def _extend(self) -> None:
         """Take the reference path one level deeper. The walk's own first
         descent is its reference path, so it records the trace of its
@@ -485,13 +524,15 @@ def _twin_classes(g: Graph) -> list[list[int]]:
 
 
 def _quotient_search(g: Graph, classes: list[list[int]],
-                     max_nodes: int | None) -> _Search:
+                     max_nodes: int | None,
+                     known: tuple[Permutation, ...] = ()) -> _Search:
     """The walk over g's twin quotient: the graph induced on each class's
-    first member, coloured by class size in ascending order."""
+    first member, coloured by class size in ascending order, seeded with
+    ``known``, coloured automorphisms of the quotient."""
     sizes = sorted({len(c) for c in classes})
     cells = [[i for i, c in enumerate(classes) if len(c) == s] for s in sizes]
     search = _Search(g.induced([c[0] for c in classes]), max_nodes,
-                     cells=cells)
+                     cells=cells, known=known)
     search.run()
     return search
 
@@ -513,25 +554,96 @@ def _lift(g: Graph, classes: list[list[int]],
     return lifted
 
 
+def _class_of(n: int, classes: list[list[int]]) -> list[int]:
+    """The index of each vertex's twin class."""
+    class_of = [0] * n
+    for i, c in enumerate(classes):
+        for v in c:
+            class_of[v] = i
+    return class_of
+
+
+def _class_image(classes: list[list[int]], class_of: list[int],
+                 p: Permutation, moved: list[int]) -> Permutation | None:
+    """The permutation p induces on the classes, or None unless p maps
+    every class onto a class. Only the points p moves, ``moved``, are
+    visited: a class none of them is in stays in place."""
+    images = p.images
+    target: dict[int, int] = {}
+    count: dict[int, int] = {}
+    for v in moved:
+        i, j = class_of[v], class_of[images[v]]
+        if target.setdefault(i, j) != j:
+            return None
+        count[i] = count.get(i, 0) + 1
+    identity = _id_images(len(classes))
+    q = None
+    for i, j in target.items():
+        if j == i:
+            continue
+        # A class with a fixed member stays in place, so one that goes
+        # elsewhere has every member moved.
+        if count[i] != len(classes[i]):
+            return None
+        if q is None:
+            q = list(identity)
+        q[i] = j
+    # Every class now maps into one class, and p is onto, so every class
+    # is hit: q is a bijection, and each class maps onto a class of its
+    # own size. An image that moves no class is the cached identity, and
+    # the others share its points, as a chain's elements do.
+    return Permutation._raw(identity if q is None else tuple(q))
+
+
+def _class_images(classes: list[list[int]], class_of: list[int],
+                  gens: Iterable[Permutation]
+                  ) -> tuple[list[Permutation | None], list[list[int]]]:
+    """The class image of each of ``gens`` (``_class_image``), read from
+    the points it moves, and the two moved points of each twin
+    transposition among them: a generator that moves two points and keeps
+    every class in place."""
+    images, pairs = [], []
+    for p in gens:
+        moved = p.moved_points()
+        q = _class_image(classes, class_of, p, moved)
+        images.append(q)
+        if len(moved) == 2 and q is not None and q.is_identity():
+            pairs.append(moved)
+    return images, pairs
+
+
+def _twins_spanned(classes: list[list[int]], pairs: list[list[int]]) -> bool:
+    """Whether the transpositions ``pairs`` connect every twin class, so
+    that they generate T = prod Sym(C)."""
+    parent: dict[int, int] = {}
+
+    def find(x: int) -> int:
+        while parent.get(x, x) != x:
+            x = parent[x]
+        return x
+
+    for a, b in pairs:
+        parent[find(a)] = find(b)
+    return all(len({find(v) for v in c}) == 1 for c in classes if len(c) > 1)
+
+
 class TwinGroup:
     """Aut(g) of a graph g with twins, held as T extended by the lifted
     quotient group (see the module docstring): the twin classes and the
     quotient's chain, at the quotient's degree. ``order`` and ``contains``
     need nothing more. The full-degree chain, whose base and strong
-    generators the reports list, is built on first use."""
+    generators the reports list, is built on first use. ``lifted`` are the
+    certified lifts of the generators the quotient's walk found."""
 
     def __init__(self, g: Graph, classes: list[list[int]], path: list[int],
                  quotient: PermGroup, lifted: list[Permutation]):
         self.degree = g.n
         self.classes = classes
         self.quotient = quotient
-        self.class_of = [0] * g.n
-        for i, c in enumerate(classes):
-            for v in c:
-                self.class_of[v] = i
-        # What the full chain is built from: g's adjacency rows, the
-        # quotient's search path and the certified lifts of its generators.
-        self._adj = g.adj
+        self.class_of = _class_of(g.n, classes)
+        # What the full chain is built from: g, the quotient's search path
+        # and the certified lifts of the generators its walk found.
+        self._g = g
         self._path = path
         self._lifted = lifted
         self._full: PermGroup | None = None
@@ -543,31 +655,10 @@ class TwinGroup:
     def order(self) -> int:
         return self.twin_order() * self.quotient.order()
 
-    def class_image(self, p: Permutation,
-                    moved: list[int] | None = None) -> Permutation | None:
+    def class_image(self, p: Permutation) -> Permutation | None:
         """The permutation p induces on the classes, or None unless p maps
-        every class onto a class. Only the points p moves (``moved``, which
-        defaults to ``p.moved_points()``) are visited: a class none of them
-        is in stays in place."""
-        images, class_of = p.images, self.class_of
-        target: dict[int, int] = {}
-        count: dict[int, int] = {}
-        for v in p.moved_points() if moved is None else moved:
-            i, j = class_of[v], class_of[images[v]]
-            if target.setdefault(i, j) != j:
-                return None
-            count[i] = count.get(i, 0) + 1
-        q = list(range(len(self.classes)))
-        for i, j in target.items():
-            # A class with a fixed member stays in place, so one that goes
-            # elsewhere has every member moved.
-            if j != i and count[i] != len(self.classes[i]):
-                return None
-            q[i] = j
-        # Every class now maps into one class, and p is onto, so every
-        # class is hit: q is a bijection, and each class maps onto a class
-        # of its own size.
-        return Permutation._raw(tuple(q))
+        every class onto a class (``_class_image``)."""
+        return _class_image(self.classes, self.class_of, p, p.moved_points())
 
     def contains(self, p: Permutation) -> bool:
         if p.degree != self.degree:
@@ -575,14 +666,29 @@ class TwinGroup:
         q = self.class_image(p)
         return q is not None and self.quotient.contains(q)
 
+    def _strong_lifts(self) -> list[Permutation]:
+        """The certified lifts of the quotient chain's strong generators,
+        which are its first level's: a generator joins levels 0..i, and
+        level i's orbit is then not trivial, so no level that holds one is
+        dropped. Unseeded, they are the generators the walk found, already
+        lifted; a seeded chain's others are lifted here."""
+        levels = self.quotient._levels
+        strong = [Permutation._raw(s)
+                  for s in (levels[0].gens if levels else ())]
+        lifts = {self.class_image(p).images: p for p in self._lifted}
+        rest = [q for q in strong if q.images not in lifts]
+        lifts.update(zip((q.images for q in rest),
+                         _lift(self._g, self.classes, rest)))
+        return [lifts[q.images] for q in strong]
+
     def _chain(self) -> PermGroup:
         """The full-degree chain: the lifted quotient generators and each
         class's adjacent transpositions, relative to the base of the
         module docstring. A transposition (a b) is certified by a's and
         b's equal adjacency rows."""
         if self._full is None:
-            gens = list(self._lifted)
-            adj = self._adj
+            gens = self._strong_lifts()
+            adj = self._g.adj
             identity = list(range(self.degree))
             for c in self.classes:
                 for a, b in zip(c, c[1:]):
@@ -635,33 +741,42 @@ def automorphism_group(g: Graph, max_nodes: int | None = None,
     (see the module docstring).
 
     ``known`` are automorphisms of g, each checked edge by edge here
-    (``CertificationError`` otherwise). On a graph without twins they seed
-    the walk: the chain is that of their group on the first-leaf path,
-    grown by random elements and by the generators the walk finds, and its
-    orbits prune the first path. The group's generators are then ``known``
-    and the found ones. A graph with twins is searched without them.
+    (``CertificationError`` otherwise). They seed the walk: the chain is
+    that of their group on the first-leaf path, grown by random elements
+    and by the generators the walk finds, and its orbits prune the first
+    path. The group's generators are then ``known`` and the found ones. On
+    a graph with twins the quotient's walk is seeded with their class
+    images, and its chain's generators are those images and the found ones.
     """
     known = tuple(known)
     certify(known, g, "a known automorphism")
+    return _automorphism_group(g, max_nodes, known)
+
+
+def _automorphism_group(g: Graph, max_nodes: int | None,
+                        known: tuple[Permutation, ...]) -> AutResult:
+    """``automorphism_group`` for ``known`` automorphisms of g that the
+    caller has already certified edge by edge."""
     classes = _twin_classes(g)
     if len(classes) == g.n:
         search = _Search(g, max_nodes, known=known)
         search.run()
-        group = search.chain
-        if group is None:
-            group = PermGroup.from_strong_generators(g.n, search.base,
-                                                     search.gens)
-        else:
-            group.generators += tuple(search.gens)
-            group._drop_trivial_levels()
-    else:
-        search = _quotient_search(g, classes, max_nodes)
-        lifted = _lift(g, classes, search.gens)
-        quotient = PermGroup.from_strong_generators(len(classes), search.base,
-                                                    search.gens)
-        group = TwinGroup(g, classes, search.base, quotient, lifted)
+        return AutResult(search.group(), search.node_count, known_generate=(
+            search.chain is not None and not search.gens))
+    # An automorphism of g maps each class onto a class, so its class image
+    # is a coloured automorphism of the quotient; the identity images and
+    # repeats are dropped, and the rest seed the quotient's walk.
+    images, pairs = _class_images(classes, _class_of(g.n, classes), known)
+    search = _quotient_search(g, classes, max_nodes,
+                              _distinct(len(classes), images))
+    lifted = _lift(g, classes, search.gens)
+    group = TwinGroup(g, classes, search.base, search.group(), lifted)
+    # With no generator of its own, the walk proved that the class images
+    # generate the quotient's group; twin transpositions that connect each
+    # class add T, the kernel, so the known automorphisms generate Aut(g).
     return AutResult(group, search.node_count, known_generate=(
-        search.chain is not None and not search.gens))
+        search.chain is not None and not search.gens
+        and _twins_spanned(classes, pairs)))
 
 
 def is_isomorphic(g: Graph, h: Graph,

@@ -1,13 +1,16 @@
 """Verification pipelines comparing computed and predicted groups.
 
-Each pipeline builds a token graph, computes its automorphism group with
-the search oracle, builds the matching explicit generators, and reports.
-The cube and product pipelines build the generators first and seed the
-token graph's search with them (``automorphism_group(known=...)``); when
-that walk finds no generator of its own, it has proved that they
-generate the whole group, and no separate order computation runs.
-Otherwise, and for every bipartite instance, the generated order comes
-from ``_generated_order``. The report's fields:
+Each pipeline builds a token graph, builds the matching explicit
+generators, computes the token graph's automorphism group with the search
+oracle, and reports. The generators, certified edge by edge by their
+construction, seed the token graph's search (``automorphism_group``'s
+body, ``_automorphism_group``, which does not check them again); on a
+graph with twins, as every bipartite instance's token graph is, their
+class images seed the twin quotient's walk. When the walk finds no
+generator of its own (and, with twins, the generators' twin
+transpositions connect every class), it has proved that they generate
+the whole group, and no separate order computation runs. Otherwise the
+generated order comes from ``_generated_order``. The report's fields:
 
 * generators_certified: every constructed generator passed the edge check;
   when one fails, the report fails and the other certificates are false;
@@ -42,7 +45,8 @@ from .errors import CertificationError, ScaleGuardExceeded
 from .graphs import (BipartiteSpec, Graph, cartesian_product, complete_graph,
                      product_label)
 from .perms import Permutation, bounded_order
-from .search import TwinGroup, automorphism_group
+from .search import (TwinGroup, _automorphism_group, _class_images,
+                     _twins_spanned, automorphism_group)
 from .tokens import token_graph
 
 
@@ -117,22 +121,6 @@ def _constructed(build, *args, **kwargs):
         return None
 
 
-def _twins_spanned(group: TwinGroup, pairs: list[list[int]]) -> bool:
-    """Whether the transpositions ``pairs`` connect every twin class of
-    ``group``, so that they generate T = prod Sym(C)."""
-    parent: dict[int, int] = {}
-
-    def find(x: int) -> int:
-        while parent.get(x, x) != x:
-            x = parent[x]
-        return x
-
-    for a, b in pairs:
-        parent[find(a)] = find(b)
-    return all(len({find(v) for v in c}) == 1
-               for c in group.classes if len(c) > 1)
-
-
 def _generated_order(group, gens: list[Permutation]) -> int | None:
     """The order of the group ``gens`` generate, or None unless every
     generator lies in ``group``, whose order then bounds it.
@@ -147,16 +135,10 @@ def _generated_order(group, gens: list[Permutation]) -> int | None:
         if not all(group.contains(p) for p in gens):
             return None
         return bounded_order(gens, group.order(), degree=group.degree)
-    images, pairs = [], []
-    for p in gens:
-        moved = p.moved_points()
-        q = group.class_image(p, moved)
-        if q is None or not group.quotient.contains(q):
-            return None
-        images.append(q)
-        if len(moved) == 2 and q.is_identity():
-            pairs.append(moved)
-    if _twins_spanned(group, pairs):
+    images, pairs = _class_images(group.classes, group.class_of, gens)
+    if not all(q is not None and group.quotient.contains(q) for q in images):
+        return None
+    if _twins_spanned(group.classes, pairs):
         return group.twin_order() * bounded_order(
             images, group.quotient.order(), degree=group.quotient.degree)
     return bounded_order(gens, group.order(), degree=group.degree)
@@ -197,13 +179,14 @@ def _finish(instance: str, gens, pred: PredictedAut, conjectured: bool,
 def verify_bipartite(m: int, n: int, k: int,
                      guard: ScaleGuard = DEFAULT_GUARD) -> VerificationReport:
     """Compare the computed automorphism group of the k-token graph of
-    K_{m,n} with the closed-form prediction; equality is asserted."""
+    K_{m,n} with the closed-form prediction; equality is asserted. The
+    constructed generators come first and seed the token graph's search."""
     spec = BipartiteSpec(m, n)
     guard.require_vertices(comb(m + n, k), f"{k}-token graph of K{m},{n}")
     started = time.perf_counter()
     tg = token_graph(spec.graph(), k)
-    aut = automorphism_group(tg.graph, max_nodes=guard.max_nodes)
     gens = _constructed(bipartite_generators, m, n, k, tg)
+    aut = _automorphism_group(tg.graph, guard.max_nodes, tuple(gens or ()))
     return _finish(f"bipartite(m={m},n={n},k={k})", gens,
                    predicted_order(m, n, k), False, started, aut)
 
@@ -247,7 +230,6 @@ def _verify_2_token(factors: list[Graph], product: Graph, instance: str,
     base_group = automorphism_group(product, max_nodes=guard.max_nodes).group
     gens = _constructed(product_subgroup_generators, factors, tg=tg,
                         base_group=base_group)
-    aut = automorphism_group(tg.graph, max_nodes=guard.max_nodes,
-                             known=gens or ())
+    aut = _automorphism_group(tg.graph, guard.max_nodes, tuple(gens or ()))
     pred = closed_form or predicted_order_product(factors, base_group)
     return _finish(instance, gens, pred, closed_form is None, started, aut)

@@ -75,9 +75,15 @@ def test_bench_search_build_row():
 
 
 def test_bench_search_verify_row():
-    # run_verify raises unless verify_cube's report passes with the order
-    # 2^(r-1) * 2^r * r!; F2(Q4) has C(16,2) = 120 vertices.
+    # run_verify raises unless the report passes with the closed-form
+    # order: 2^(r-1) * 2^r * r! for verify_cube, where F2(Q4) has
+    # C(16,2) = 120 vertices, and 2^C(10,4) * 10! for the first bipartite
+    # row, F5(K_{2,10}), with C(12,5) = 792.
     bench_search = load("bench_search")
-    (row,) = bench_search.run_verifies([4])
-    assert (row["case"], row["vertices"]) == ("verify_cube(4)", 120)
-    assert row["nodes"] >= 1 and row["seconds"] > 0
+    cube, bipartite = bench_search.run_verifies(bench_search.verify_cases(
+        [4], bench_search.VERIFY_BIPARTITE[:1]))
+    assert (cube["case"], cube["vertices"]) == ("verify_cube(4)", 120)
+    assert (bipartite["case"], bipartite["vertices"]) == (
+        "verify_bipartite(2,10,5)", 792)
+    for row in (cube, bipartite):
+        assert row["nodes"] >= 1 and row["seconds"] > 0

@@ -365,6 +365,22 @@ def test_bounded_order_is_deterministic():
         assert bounded_order(gens, bound) == bounded_order(gens, bound) == order
 
 
+def test_slot_draws_follow_random_sample():
+    # _grow_randomly's pair of slots is the pair random.sample draws, and
+    # the stream is left where sample leaves it, at sizes on both sides of
+    # sample's switch from a pool to a set (21 for two draws), so chains,
+    # bases and orders grown from the draws stay as they were.
+    from tokenaut.perms import _two_slots
+
+    for size in list(range(2, 30)) + [40, 64, 100]:
+        for seed in range(5):
+            ours, theirs = random.Random(seed), random.Random(seed)
+            for _ in range(20):
+                assert _two_slots(ours, size) == tuple(
+                    theirs.sample(range(size), 2)), (size, seed)
+            assert ours.random() == theirs.random(), (size, seed)
+
+
 def test_bounded_order_rejects_bad_bounds():
     gens = [Permutation.from_cycles(5, [(0, 1)]),
             Permutation.from_cycles(5, [tuple(range(5))])]

@@ -9,6 +9,7 @@ from tokenaut import (
     Permutation,
     ScaleGuardExceeded,
     automorphism_group,
+    bipartite_generators,
     cartesian_product,
     complete_bipartite,
     complete_graph,
@@ -24,7 +25,8 @@ from tokenaut import (
     token_graph,
 )
 from tokenaut import search as search_module
-from tokenaut.search import _quotient_search, _Search, _twin_classes
+from tokenaut.search import (TwinGroup, _class_images, _quotient_search,
+                             _Search, _twin_classes, _twins_spanned)
 
 
 def shrikhande():
@@ -524,7 +526,8 @@ def test_seeded_walks_match_unseeded_and_brute_orders():
     # random subset, gives the unseeded order, and the brute-force count
     # where it applies. Its chain holds exactly the automorphisms, its
     # generators generate them, and when it found no generator of its own
-    # the seed alone does. Graphs with twins are searched without the seed.
+    # the seed alone does. Graphs with twins seed their quotient's walk
+    # (see test_seeded_twin_walks_match_unseeded_and_brute_orders).
     rng = random.Random(2122)
     pruned = proper = 0
     for name, g, brute in seeded_cases():
@@ -554,6 +557,117 @@ def test_seeded_walks_match_unseeded_and_brute_orders():
     # The seeds pruned walks, and some fell short of Aut, so the walk had
     # to find generators of its own.
     assert pruned > 0 and proper > 0
+
+
+def twin_seed_cases():
+    """Twin blow-ups, seeded with the generators of their group, and
+    F_k(K_{2,n}) for 2 <= k <= n <= 6, seeded with the paper's generators,
+    as (name, graph, generators); None stands for the group's own."""
+    cases = [(name, g, None) for name, g in twin_cases()[:60]
+             if len(_twin_classes(g)) < g.n]
+    for n in range(2, 7):
+        for k in range(2, n + 1):
+            tg = token_graph(complete_bipartite(2, n), k)
+            cases.append((f"F{k}(K2,{n})", tg.graph,
+                          bipartite_generators(2, n, k, tg)))
+    return cases
+
+
+def test_seeded_twin_walks_match_unseeded_and_brute_orders():
+    # On a graph with twins the quotient's walk is seeded with the class
+    # images of the known automorphisms: none, all, or a random subset of
+    # certified generators with random words in them. The group keeps the
+    # unseeded order, and the brute-force count where it applies; its
+    # membership agrees with the edge check; its reported generators
+    # generate it, and the reported order and a full-degree chain's
+    # memberships match. known_generate is set only when the seed's twin
+    # transpositions connect every class, and the seed then generates Aut.
+    rng = random.Random(2222)
+    pruned = generate = short = 0
+    for name, g, gens in twin_seed_cases():
+        classes = _twin_classes(g)
+        assert len(classes) < g.n, name
+        plain = automorphism_group(g)
+        order = plain.group.order()
+        if g.n <= 10:
+            assert order == count_automorphisms_brute(g), name
+        gens = list(plain.group.generators) if gens is None else gens
+        words = []
+        for _ in range(2):
+            word = Permutation.identity(g.n)
+            for _ in range(rng.randint(1, 4)):
+                word = word * rng.choice(gens)
+            words.append(word)
+        subset = rng.sample(gens, rng.randint(0, len(gens))) + words
+        for seed in ([], gens, subset):
+            res = automorphism_group(g, known=seed)
+            group = res.group
+            assert isinstance(group, TwinGroup), name
+            assert group.order() == order, name
+            _, pairs = _class_images(classes, group.class_of, seed)
+            if res.known_generate:
+                assert _twins_spanned(classes, pairs), name
+                assert schreier_sims(seed, degree=g.n).order() == order, name
+                generate += 1
+            else:
+                short += bool(seed)
+            pruned += res.node_count < plain.node_count
+            report = group.to_report()
+            assert report["order"] == str(order), name
+            full = schreier_sims(group.generators, degree=g.n)
+            assert full.order() == order, name
+            assert all(plain.group.contains(p) for p in group.generators), name
+            for _ in range(4):
+                word = Permutation.identity(g.n)
+                for _ in range(rng.randint(0, 5)):
+                    word = word * rng.choice(gens)
+                a, b = rng.sample(range(g.n), 2)
+                twisted = word * Permutation.from_cycles(g.n, [(a, b)])
+                images = list(range(g.n))
+                rng.shuffle(images)
+                for p in (word, twisted, Permutation(tuple(images))):
+                    edge = is_automorphism(g, p)
+                    assert group.contains(p) == edge, name
+                    assert group._chain().contains(p) == edge, name
+    assert pruned > 0 and generate > 0 and short > 0
+
+
+def test_twin_seeds_generate_aut_only_when_they_span_the_twins(searches):
+    # F3(K_{2,5}): 10 side swaps, each the transposition of one class of
+    # two twins, and the lifts of a Y-transposition and of the Y-cycle.
+    # Seeded with all 12, the quotient's walk finds nothing of its own and
+    # the swaps connect every class: the seed generates Aut. Less one side
+    # swap the walk again finds nothing, and the seed still generates Aut
+    # (the lifts conjugate the other swaps onto it), but its transpositions
+    # leave one class unconnected, so the walk cannot tell. Less the
+    # Y-cycle's lift the walk finds generators of its own.
+    g = token_graph(complete_bipartite(2, 5), 3).graph
+    gens = bipartite_generators(2, 5, 3)
+    assert [len(p.moved_points()) for p in gens] == [2] * 10 + [20, 35]
+    plain = automorphism_group(g)
+    assert plain.node_count == 9
+    for seed, nodes, found, generate in ((gens, 5, 0, True),
+                                         (gens[1:], 5, 0, False),
+                                         (gens[:-1], 8, 3, False)):
+        res = automorphism_group(g, known=seed)
+        assert res.group.order() == plain.group.order() == 122880
+        assert (res.node_count, len(searches[-1].gens)) == (nodes, found)
+        assert res.known_generate == generate
+
+
+def test_twin_seeds_with_identity_class_images_leave_the_walk_unseeded(
+        searches):
+    # Side swaps keep every twin class in place, so their class images are
+    # the identity. They are dropped, so nothing seeds the quotient's walk:
+    # no chain is grown for it, and it runs as an unseeded walk does.
+    g = token_graph(complete_bipartite(2, 5), 3).graph
+    swaps = bipartite_generators(2, 5, 3)[:10]
+    plain = automorphism_group(g)
+    res = automorphism_group(g, known=swaps)
+    walk = searches[-1]
+    assert walk.known == () and walk.chain is None
+    assert res.node_count == plain.node_count and not res.known_generate
+    assert res.group.to_report() == plain.group.to_report()
 
 
 def test_known_non_automorphisms_are_refused():
@@ -587,8 +701,8 @@ def test_lift_certifies_through_the_shared_loop(monkeypatch):
     g = graph_from_edges(5, [(0, 2), (1, 2), (2, 3), (3, 4)])
     assert _twin_classes(g) == [[0, 1], [2], [3], [4]]
 
-    def corrupted(g, classes, max_nodes):
-        search = _quotient_search(g, classes, max_nodes)
+    def corrupted(g, classes, max_nodes, known):
+        search = _quotient_search(g, classes, max_nodes, known)
         search.gens.append(Permutation.from_cycles(4, [(1, 3)]))
         return search
 

@@ -140,9 +140,14 @@ def test_pipelines_build_each_artifact_once(monkeypatch):
     from tokenaut import constructions, verify
 
     calls = Counter()
-    for module in (verify, constructions):
-        for name in ("token_graph", "automorphism_group"):
-            def counted(*args, _real=getattr(module, name), _name=name, **kw):
+    # verify hands its certified generators to the search's body, which
+    # counts as a search.
+    for module, names in ((verify, ("token_graph", "automorphism_group",
+                                    "_automorphism_group")),
+                          (constructions, ("token_graph", "automorphism_group"))):
+        for name in names:
+            def counted(*args, _real=getattr(module, name),
+                        _name=name.lstrip("_"), **kw):
                 calls[_name] += 1
                 return _real(*args, **kw)
             monkeypatch.setattr(module, name, counted)
@@ -181,6 +186,71 @@ def test_a_seed_short_of_aut_keeps_the_verdict_and_orders(monkeypatch):
         assert rep.generators_certified
         assert rep.subgroup_certified == rep.equality == rep.passed \
             == (want == 3072)
+        assert degrees == calls
+        degrees.clear()
+
+
+def test_constructed_generators_are_certified_once(monkeypatch):
+    # Each pipeline checks its constructed generators edge by edge in the
+    # construction, and hands them to the search's body, which does not
+    # check them again as known automorphisms. The searches' other checks
+    # (of no known automorphism for the base, of no lifted generator when
+    # the quotient's walk finds none) are empty.
+    from tokenaut import constructions, search
+
+    checks = []
+
+    def recorded(gens, g, what):
+        if gens:
+            checks.append(what)
+        return certify(gens, g, what)
+
+    certify = search.certify
+    monkeypatch.setattr(constructions, "certify", recorded)
+    monkeypatch.setattr(search, "certify", recorded)
+    verify_cube(3)
+    assert checks == ["constructed product generator"]
+    checks.clear()
+    verify_bipartite(2, 5, 3)
+    assert checks == ["constructed bipartite generator"]
+
+
+def test_bipartite_chain_instances_make_no_order_call(monkeypatch):
+    # verify seeds the twin quotient's walk with the class images of the
+    # constructed generators. On these instances the walk finds nothing of
+    # its own and the side swaps connect every class of twins, so the
+    # generated order is the computed one, with no bounded_order call.
+    degrees = order_route(monkeypatch)
+    for n, k in ((5, 3), (6, 3), (7, 3), (5, 4), (6, 4)):
+        rep = verify_bipartite(2, n, k)
+        assert rep.passed, (n, k)
+        assert rep.generated_order == int(rep.computed_order) \
+            == predicted_order(2, n, k).order, (n, k)
+    assert degrees == []
+
+
+def test_a_bipartite_seed_short_of_aut_keeps_the_verdict_and_orders(
+        monkeypatch):
+    # F3(K_{2,5}) has 35 vertices in 25 twin classes. Less one side swap,
+    # the generators still give Aut, but one pair of twins has no
+    # transposition, so the order is taken at full degree; less the
+    # Y-cycle's lift, they give 2^11, taken at the quotient's degree, and
+    # the report fails.
+    from tokenaut import constructions, verify
+
+    degrees = order_route(monkeypatch)
+    for drop, want, calls in ((0, 122880, [35]), (11, 2048, [25])):
+        def fewer(*args, _drop=drop, **kwargs):
+            gens = constructions.bipartite_generators(*args, **kwargs)
+            return gens[:_drop] + gens[_drop + 1:]
+
+        monkeypatch.setattr(verify, "bipartite_generators", fewer)
+        rep = verify_bipartite(2, 5, 3)
+        assert (rep.computed_order, rep.predicted_order) == ("122880", "122880")
+        assert rep.generated_order == want
+        assert rep.generators_certified
+        assert rep.subgroup_certified == rep.equality == rep.passed \
+            == (want == 122880)
         assert degrees == calls
         degrees.clear()
 
