@@ -63,8 +63,10 @@ admitted: ``verify_cube`` for r = 6 and 7 (r = 7 left out by
 --skip-largest) and ``verify_bipartite`` on F5(K_{2,10}) and
 F6(K_{2,12}). It prints the search nodes of the token graph's walk (of
 its twin quotient, for the bipartite rows), which the constructed
-generators seed, and the seconds, and checks that each report passes
-with its closed-form order.
+generators seed, the seconds spent growing chains by random elements
+(``chain``: ``PermGroup._grow_randomly``, which grows the seeded chain),
+and the seconds, and checks that each report passes with its closed-form
+order.
 
 The last line is the process's peak resident set size.
 
@@ -350,25 +352,42 @@ def verify_cases(cubes, bipartite) -> list[tuple]:
 
 
 def run_verify(case: str, vertices: int, pipeline, order: int) -> dict:
-    """Time one verify pipeline and check that its report passes with
-    ``order``."""
-    started = time.perf_counter()
-    report = pipeline()
-    seconds = time.perf_counter() - started
+    """Time one verify pipeline, and the part of it spent growing chains
+    by random elements (``PermGroup._grow_randomly``), and check that its
+    report passes with ``order``."""
+    grow_randomly = PermGroup._grow_randomly
+    chain = 0.0
+
+    def timed(self, bound=None):
+        nonlocal chain
+        started = time.perf_counter()
+        try:
+            return grow_randomly(self, bound)
+        finally:
+            chain += time.perf_counter() - started
+
+    PermGroup._grow_randomly = timed
+    try:
+        started = time.perf_counter()
+        report = pipeline()
+        seconds = time.perf_counter() - started
+    finally:
+        PermGroup._grow_randomly = grow_randomly
     if not report.passed or report.computed_order != str(order):
         raise AssertionError(f"{case}: the report differs from the closed form")
     return {"case": case, "vertices": vertices, "nodes": report.node_count,
-            "seconds": seconds}
+            "chain": chain, "seconds": seconds}
 
 
 def run_verifies(cases) -> list[dict]:
     """Print a row per verify case and return the rows."""
-    print(f"{'case':<24} {'vertices':>8} {'nodes':>6} {'seconds':>7}")
+    print(f"{'case':<24} {'vertices':>8} {'nodes':>6} {'chain':>7} "
+          f"{'seconds':>7}")
     rows = []
     for case in cases:
         row = run_verify(*case)
         print(f"{row['case']:<24} {row['vertices']:>8} {row['nodes']:>6} "
-              f"{row['seconds']:>7.3f}", flush=True)
+              f"{row['chain']:>7.3f} {row['seconds']:>7.3f}", flush=True)
         rows.append(row)
     return rows
 

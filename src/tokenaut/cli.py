@@ -19,6 +19,7 @@ import os
 import re
 import sys
 import time
+from functools import lru_cache
 from itertools import product as iter_product
 from math import comb, prod
 from typing import Callable, Sequence
@@ -414,10 +415,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=None)
+def _main_parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses, built on its first call and then reused:
+    parsing leaves the parser as it was, and each parse fills a new
+    namespace."""
+    return build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
+    """Run one command and return its exit code; it may be called
+    repeatedly in one process."""
     try:
-        args = parser.parse_args(argv)
+        args = _main_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

@@ -277,11 +277,15 @@ def twisted_subset_action(pi: Permutation, xs: Iterable[int], n: int) -> frozens
     return pre
 
 
-def coordinate_swap_product(factors: Sequence[Graph], family: SwapFamily) -> Permutation:
+def coordinate_swap_product(factors: Sequence[Graph], family: SwapFamily,
+                            tg: TokenGraph | None = None) -> Permutation:
     """Automorphism of the 2-token graph of a Cartesian product that, on
     every pair of distinct product vertices, exchanges the coordinates at
     the family's axes between the two endpoints; the last factor's axis is
     excluded so the swaps form a group of rank r-1.
+
+    Pass ``tg``, a 2-token graph on the product's vertex count, such as the
+    product's own, to reuse its configurations and rank index.
     """
     r = len(factors)
     if r < 2:
@@ -300,9 +304,16 @@ def coordinate_swap_product(factors: Sequence[Graph], family: SwapFamily) -> Per
     part = [sum(v // place[ax] % sizes[ax] * place[ax] for ax in axes)
             for v in range(total)]
     keep = [v - p for v, p in enumerate(part)]
-    configs = tuple(subsets.ksubsets(total, 2))
+    if tg is None:
+        configs = tuple(subsets.ksubsets(total, 2))
+        index = rank_index(configs)
+    elif (tg.k, tg.n) != (2, total):
+        raise ValueError(f"token graph {tg.graph.label!r} is not a 2-token "
+                         f"graph on {total} vertices")
+    else:
+        configs, index = tg.configs, tg.index
     return Permutation(config_images(
-        rank_index(configs), configs,
+        index, configs,
         lambda ab: (keep[ab[0]] + part[ab[1]], keep[ab[1]] + part[ab[0]])))
 
 
@@ -339,7 +350,7 @@ def product_subgroup_generators(factors: Sequence[Graph],
         if not is_prime(f):
             raise ValueError(f"factor {i} is not prime with respect to the product")
     tg = _token_graph_of(cartesian_product(factors), 2, tg)
-    gens = [coordinate_swap_product(factors, product_family([ax]))
+    gens = [coordinate_swap_product(factors, product_family([ax]), tg=tg)
             for ax in range(r - 1)]
     if base_group is None:
         base_group = automorphism_group(tg.base).group

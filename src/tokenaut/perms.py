@@ -41,10 +41,10 @@ orbits. The step is used four ways:
   reaches ``bound`` (Seress 2003, section 4.3). If the group turns out
   smaller, it completes the chain it has grown.
 * A seeded automorphism search (``tokenaut.search``) grows the chain of
-  its known automorphisms by the same random elements, on levels opened
-  in advance at a base of a group containing them (``_on_base``), so no
-  level is ever opened at a first moved point; then each automorphism the
-  search finds is grown in.
+  its known automorphisms by the same random elements, up to a bound its
+  first path proves, on levels opened in advance at a base of a group
+  containing them (``_on_base``), so no level is ever opened at a first
+  moved point; then each automorphism the search finds is grown in.
 
 In every chain each level's generators lie in the pointwise stabilizer of
 the earlier base points, so each orbit is contained in the true basic

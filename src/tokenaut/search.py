@@ -103,14 +103,18 @@ generators, which their constructions have checked, so it hands them to
 prune nauty's tree with the stabilizer orbits of automorphisms known
 beforehand in the same way. The walk descends its first path as before,
 so at the first leaf the base b_0, b_1, ... is known before any node off
-the path is visited. A chain of H, the group
-the known automorphisms generate, is then grown with one level per base
-point, fixed in advance: by the known automorphisms, then by seeded
-random elements of H until ``_STALL_SIFTS`` of them in a row sift to the
-identity (Seress 2003, section 4.3; ``PermGroup._grow_randomly``, which
-``bounded_order`` uses too). A generator the walk finds later joins the
-same chain, on levels 0..i for its fork depth i. Back on the first path,
-the node at depth i skips every candidate in the orbit of b_i on level i.
+the path is visited. A chain of H, the group the known automorphisms
+generate, is then grown with one level per base point, fixed in advance:
+by the known automorphisms, then by seeded random elements of H (Seress
+2003, section 4.3; ``PermGroup._grow_randomly``) until its orbit-length
+product reaches the product of the first path's target-cell sizes, or
+``_STALL_SIFTS`` elements in a row sift to the identity. An automorphism
+fixing b_0..b_{i-1} keeps the depth-i equitable partition, so level i's
+orbit lies in b_i's target cell; at that product every level's orbit is
+its whole cell, and so Aut's basic orbit. A generator the walk finds later
+joins the same chain, on levels 0..i for its fork depth i. Back on the
+first path, the node at depth i skips every candidate in the orbit of b_i
+on level i.
 
 Why the answer stays exact. Each level-i element lies in Aut and fixes
 b_0..b_{i-1}, so it maps the subtree of b_i, which was walked first, onto
@@ -345,6 +349,8 @@ class _Search:
         self.base: list[int] = []
         self.traces: list[tuple] = []
         self.targets: list[int] = []
+        # The size of the reference path's target cell at each depth.
+        self.target_sizes: list[int] = []
         self.first_leaf: list[int] | None = None
         # The first path's vertex order at each inner depth.
         self.snapshots: list[list[int]] = []
@@ -462,6 +468,7 @@ class _Search:
         ref = self.ref
         t = ref.target()
         self.targets.append(t)
+        self.target_sizes.append(ref.size[t])
         if self.iso:
             self.traces.append(ref.individualize(t, ref.order[t]))
 
@@ -480,9 +487,14 @@ class _Search:
             self.first_leaf = list(leaf)
             self.base = list(self.path)
             if self.known:
+                # Level i's orbit lies in b_i's target cell, so the cells'
+                # product bounds the chain's order (see the module
+                # docstring).
+                bound = prod(self.target_sizes)
                 self.chain = PermGroup._on_base(self.g.n, self.base,
                                                 self.known)
-                self.chain._grow_randomly()
+                self.chain._grow_randomly(bound)
+                assert self.chain.order() <= bound
             return None
         return self._accept(self.first_leaf, leaf)
 

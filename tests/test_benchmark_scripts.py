@@ -78,7 +78,8 @@ def test_bench_search_verify_row():
     # run_verify raises unless the report passes with the closed-form
     # order: 2^(r-1) * 2^r * r! for verify_cube, where F2(Q4) has
     # C(16,2) = 120 vertices, and 2^C(10,4) * 10! for the first bipartite
-    # row, F5(K_{2,10}), with C(12,5) = 792.
+    # row, F5(K_{2,10}), with C(12,5) = 792. Both walks are seeded, so
+    # each grows a chain, a part of the pipeline's time.
     bench_search = load("bench_search")
     cube, bipartite = bench_search.run_verifies(bench_search.verify_cases(
         [4], bench_search.VERIFY_BIPARTITE[:1]))
@@ -87,3 +88,4 @@ def test_bench_search_verify_row():
         "verify_bipartite(2,10,5)", 792)
     for row in (cube, bipartite):
         assert row["nodes"] >= 1 and row["seconds"] > 0
+        assert 0 < row["chain"] <= row["seconds"]

@@ -415,7 +415,7 @@ def test_failed_generator_certificate_is_a_fail_report(monkeypatch, capsys,
     w = degree.index(max(degree))
     bad = Permutation.from_cycles(tg.graph.n, [(u, w)])
     monkeypatch.setattr(constructions, "coordinate_swap_product",
-                        lambda factors, family: bad)
+                        lambda factors, family, tg=None: bad)
     report = tmp_path / "cube.json"
     assert run(["verify", "cube", "--r", "3", "--report", str(report)]) == 4
     assert "FAIL" in capsys.readouterr().out
@@ -509,21 +509,81 @@ def test_unknown_subcommand_exits_2():
     assert run(["frobnicate"]) == 2
 
 
-def test_module_entry_point_runs_as_a_process():
+def run_fresh(*argv):
+    """``python -m tokenaut.cli`` in a new interpreter."""
     import tokenaut
     src = os.path.dirname(os.path.dirname(tokenaut.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-m", "tokenaut.cli", *argv],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=60)
 
-    def cli(*argv):
-        return subprocess.run([sys.executable, "-m", "tokenaut.cli", *argv],
-                              env=env, capture_output=True, text=True,
-                              timeout=60)
 
-    out = cli("--version")
-    assert out.returncode == 0 and tokenaut.__version__ in out.stdout
-    out = cli("verify", "bipartite", "--m", "2", "--n", "1000000", "--k", "3")
+def test_module_entry_point_runs_as_a_process():
+    from tokenaut import __version__
+
+    out = run_fresh("--version")
+    assert out.returncode == 0 and __version__ in out.stdout
+    out = run_fresh("verify", "bipartite", "--m", "2", "--n", "1000000",
+                    "--k", "3")
     assert out.returncode == 3, out.stderr
     assert "REFUSED" in out.stdout
+
+
+# -- one parser per process ----------------------------------------------
+
+
+def test_repeated_verify_runs_report_only_their_own_instances(tmp_path,
+                                                               capsys):
+    # --factors appends to a list; a reused parser must start each run
+    # from an empty one, so the second run's single instance gets an
+    # unindexed report of its own.
+    first, second = tmp_path / "a.json", tmp_path / "b.json"
+    assert run(["verify", "product", "--factors", "k2+path:3",
+                "--factors", "k2+k2", "--report", str(first)]) == 0
+    assert run(["verify", "product", "--factors", "k2+k3",
+                "--report", str(second)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert [line.split(": computed=")[0] for line in out] == [
+        "product(k2+path:3)", "product(k2+k2)", "product(k2+k3)"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "a.0.json", "a.1.json", "b.json"]
+    instances = [json.loads((tmp_path / name).read_text())["instance"]
+                 for name in ("a.0.json", "a.1.json", "b.json")]
+    assert instances == ["product(K2 x P3)", "product(K2 x K2)",
+                         "product(K2 x K3)"]
+
+
+def test_a_usage_error_leaves_the_next_call_as_in_a_fresh_process(capsys):
+    # Usage errors from the parser itself (a missing value, an unknown
+    # option) and from the command leave the reused parser as it was.
+    argv = ["verify", "cube", "--r", "3"]
+    fresh = run_fresh(*argv)
+    for bad in (["verify", "cube", "--r"], ["verify", "cube", "--bogus", "1"],
+                ["verify", "bipartite", "--m", "2"]):
+        assert run(bad) == 2
+        capsys.readouterr()
+        assert run(argv) == fresh.returncode == 0
+        assert capsys.readouterr().out == fresh.stdout
+
+
+def test_main_builds_one_parser_per_process(monkeypatch, capsys):
+    # main builds its parser on its first call and reuses it; build_parser
+    # itself still returns a new parser each time.
+    real = cli_module.build_parser
+    built = []
+
+    def counted():
+        built.append(real())
+        return built[-1]
+
+    monkeypatch.setattr(cli_module, "build_parser", counted)
+    cli_module._main_parser.cache_clear()
+    assert run(["verify", "cube", "--r", "3"]) == 0
+    assert run(["verify", "cube", "--r"]) == 2
+    assert run(["verify", "bipartite", "--m", "2", "--n", "3", "--k", "2"]) == 0
+    assert len(built) == 1
+    assert cli_module._main_parser() is built[0]
+    assert real() is not real()
 
 
 def test_no_tmp_files_left_behind(tmp_path):

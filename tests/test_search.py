@@ -1,7 +1,7 @@
 """Automorphism/isomorphism search against the brute-force oracle."""
 
 import random
-from math import factorial
+from math import factorial, prod
 
 import pytest
 
@@ -20,11 +20,13 @@ from tokenaut import (
     is_automorphism,
     is_isomorphic,
     path_graph,
+    product_subgroup_generators,
     schreier_sims,
     star_graph,
     token_graph,
 )
 from tokenaut import search as search_module
+from tokenaut.perms import _STALL_SIFTS, PermGroup
 from tokenaut.search import (TwinGroup, _class_images, _quotient_search,
                              _Search, _twin_classes, _twins_spanned)
 
@@ -498,6 +500,26 @@ def test_twin_free_graphs_search_the_whole_graph():
         assert res.group.generators == tuple(search.gens)
 
 
+def first_path_cells(walk):
+    """The target cell of each node on a walk's first path, read from the
+    vertex order kept at that node; b_i opens the cell at depth i."""
+    cells = [order[t:t + size] for order, t, size in
+             zip(walk.snapshots, walk.targets, walk.target_sizes)]
+    assert [cell[0] for cell in cells] == walk.base
+    return cells
+
+
+def assert_chain_within_first_path_cells(walk, name):
+    # A seeded chain's level at b_i keeps b_i's orbit inside b_i's target
+    # cell, so its order is at most the product of the cells' sizes.
+    if walk.chain is None:
+        return
+    cells = first_path_cells(walk)
+    for lv in walk.chain._levels:
+        assert set(lv.orbit) <= set(cells[walk.base.index(lv.point)]), name
+    assert walk.chain.order() <= prod(map(len, cells)), name
+
+
 def seeded_cases():
     """Seeded random twin-free graphs, half of them circulants (whose groups
     are large), twin blow-ups, and two larger twin-free token graphs, as
@@ -521,7 +543,7 @@ def seeded_cases():
     return cases
 
 
-def test_seeded_walks_match_unseeded_and_brute_orders():
+def test_seeded_walks_match_unseeded_and_brute_orders(searches):
     # A walk seeded with its graph's certified generators, all, none or a
     # random subset, gives the unseeded order, and the brute-force count
     # where it applies. Its chain holds exactly the automorphisms, its
@@ -540,6 +562,7 @@ def test_seeded_walks_match_unseeded_and_brute_orders():
             res = automorphism_group(g, known=seed)
             group = res.group
             assert group.order() == order, name
+            assert_chain_within_first_path_cells(searches[-1], name)
             assert schreier_sims(group.generators, degree=g.n).order() == order, name
             if res.known_generate:
                 assert schreier_sims(seed, degree=g.n).order() == order, name
@@ -573,7 +596,7 @@ def twin_seed_cases():
     return cases
 
 
-def test_seeded_twin_walks_match_unseeded_and_brute_orders():
+def test_seeded_twin_walks_match_unseeded_and_brute_orders(searches):
     # On a graph with twins the quotient's walk is seeded with the class
     # images of the known automorphisms: none, all, or a random subset of
     # certified generators with random words in them. The group keeps the
@@ -604,6 +627,7 @@ def test_seeded_twin_walks_match_unseeded_and_brute_orders():
             group = res.group
             assert isinstance(group, TwinGroup), name
             assert group.order() == order, name
+            assert_chain_within_first_path_cells(searches[-1], name)
             _, pairs = _class_images(classes, group.class_of, seed)
             if res.known_generate:
                 assert _twins_spanned(classes, pairs), name
@@ -630,6 +654,49 @@ def test_seeded_twin_walks_match_unseeded_and_brute_orders():
                     assert group.contains(p) == edge, name
                     assert group._chain().contains(p) == edge, name
     assert pruned > 0 and generate > 0 and short > 0
+
+
+def test_seeded_chains_stop_at_the_first_path_bound(monkeypatch, searches):
+    # The paper's generators seed the walks of F2(Q4), F2(P3xC5) and, in
+    # its twin quotient, F3(K_{2,5}). Each chain reaches the product of the
+    # first path's target-cell sizes, the order of the walked graph's
+    # group, after a few random elements, so _grow_randomly stops there,
+    # not at a stall of _STALL_SIFTS elements sifting to the identity, and
+    # the walk finds no generator of its own.
+    cases = []
+    for name, factors, order, drawn in (
+            ("F2(Q4)", [complete_graph(2)] * 4, 3072, 5),
+            ("F2(P3xC5)", [path_graph(3), cycle_graph(5)], 40, 0)):
+        tg = token_graph(cartesian_product(factors), 2)
+        cases.append((name, tg, product_subgroup_generators(factors, tg),
+                      order, drawn))
+    tg = token_graph(complete_bipartite(2, 5), 3)
+    cases.append(("F3(K2,5)", tg, bipartite_generators(2, 5, 3, tg), 120, 3))
+    grows = []
+    stops = []
+    grow, grow_randomly = PermGroup._grow, PermGroup._grow_randomly
+
+    def counted(self, p):
+        grows.append(p)
+        return grow(self, p)
+
+    def recorded(self, bound=None):
+        start = len(grows)
+        stalled = grow_randomly(self, bound)
+        drawn = len(grows) - start - len(self.generators)
+        stops.append((stalled, self.order(), drawn))
+        return stalled
+
+    monkeypatch.setattr(PermGroup, "_grow", counted)
+    monkeypatch.setattr(PermGroup, "_grow_randomly", recorded)
+    for name, tg, gens, order, drawn in cases:
+        stops.clear()
+        res = automorphism_group(tg.graph, known=gens)
+        walk = searches[-1]
+        cells = prod(map(len, first_path_cells(walk)))
+        assert cells == order and drawn < _STALL_SIFTS, name
+        assert stops == [(False, order, drawn)], name
+        assert res.known_generate and not walk.gens, name
 
 
 def test_twin_seeds_generate_aut_only_when_they_span_the_twins(searches):
