@@ -15,17 +15,20 @@ through the same functions:
   checking each of them edge by edge;
 * ``chain``: the quotient's stabilizer chain, at the quotient's degree;
 * ``total``: the four phases of ``automorphism_group`` together;
-* ``full``: the full-degree base and strong generators, which the group
-  builds only when they are asked for (``aut`` reports list them), and
-  which ``total`` leaves out.
+* ``full``: the base and strong generators that ``aut`` reports list,
+  read off the twin classes and the quotient's chain; the group builds
+  the generators, the lifted ones and each class's adjacent
+  transpositions, only when they are asked for, and ``total`` leaves
+  them out.
 
 ``rss`` is the process's peak resident set size in MB when ``total``
-ends, before ``full`` runs.
+ends, before ``full`` runs, and ``rss_full`` when ``full`` ends.
 
 Each order is checked against the closed form 2^C(n,k-1) * n!, doubled
 when 2k = n + 2. The search is called directly, so no scale guard
-applies. F7(K_{2,14}) takes seconds, and its ``full`` phase most of the
-memory; --skip-largest leaves it out, and F2(Q7) of the chain table.
+applies. F7(K_{2,14}) takes seconds, and its 3,016 generators at degree
+11,440 most of the memory; --skip-largest leaves it out, and F2(Q7) of
+the chain table.
 
 A second table covers a twin-free family, F2(Q_r) for r = 5 and 6 (496
 and 2,016 vertices), where ``automorphism_group`` searches the whole
@@ -150,7 +153,8 @@ def run_case(n: int, k: int) -> dict:
     base, _ = timed("full", lambda: (group.base, group.generators))
     return {"case": f"F{k}(K2,{n})", "vertices": g.n,
             "quotient": len(classes), "nodes": search.node_count,
-            "base": len(base), **seconds, "rss": rss}
+            "base": len(base), **seconds, "rss": rss,
+            "rss_full": peak_rss_mb()}
 
 
 class InnerCount(_Search):
@@ -402,13 +406,13 @@ def main() -> int:
     cases = CASES[:-1] if args.skip_largest else CASES
     print(f"{'case':<11} {'vertices':>8} {'quotient':>8} {'nodes':>6} "
           f"{'base':>5}" + "".join(f" {p:>7}" for p in PHASES)
-          + f" {'rss':>5}")
+          + f" {'rss':>5} {'rss_full':>8}")
     for n, k in cases:
         row = run_case(n, k)
         print(f"{row['case']:<11} {row['vertices']:>8} {row['quotient']:>8} "
               f"{row['nodes']:>6} {row['base']:>5}"
               + "".join(f" {row[p]:>7.3f}" for p in PHASES)
-              + f" {row['rss']:>5.0f}", flush=True)
+              + f" {row['rss']:>5.0f} {row['rss_full']:>8.0f}", flush=True)
     print(f"\n{'case':<11} {'vertices':>8} {'nodes':>6} {'gens':>5} "
           f"{'inner':>5} {'seconds':>7}")
     for r in CUBES:

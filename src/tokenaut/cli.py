@@ -183,15 +183,12 @@ def cmd_aut(args) -> int:
     started = time.perf_counter()
     result = automorphism_group(g, max_nodes=guard.max_nodes)
     wall = time.perf_counter() - started
-    payload = result.group.to_report()
-    payload.update({
-        "instance": _name(g),
-        "node_count": result.node_count,
-        "wall_time": wall,
-    })
     if args.report:
-        _write_report(args.report, payload)
-    print(f"{_name(g)}: order {payload['order']} "
+        _write_report(args.report, {**result.group.to_report(),
+                                    "instance": _name(g),
+                                    "node_count": result.node_count,
+                                    "wall_time": wall})
+    print(f"{_name(g)}: order {result.group.order()} "
           f"({len(result.group.generators)} generators, "
           f"{result.node_count} nodes, {wall:.3f}s)")
     return 0

@@ -189,34 +189,30 @@ the same class image, and a h^-1 lies in T, so H = Aut(g). If some class
 is not connected, H may still be Aut(g), but the walk cannot tell, and
 ``verify`` takes H's order as it does for an unseeded walk.
 
-The full-degree chain, whose base and strong generators ``aut`` reports
-list, is built only when they are asked for. Its base is the lifted
-quotient base (the first members of the quotient base's classes), then, for
-each class with more than one member, in class order, its members after the
-first if the class is on the quotient base, or all its members but the last
-if it is not. The strong generators are the lifts of the quotient chain's
-strong generators (for an unseeded walk, the generators it found, already
-lifted; a seeded chain's others are lifted and certified then) and, for
-every class, the adjacent transpositions (c_j c_{j+1}). An element t * l (t
-in T, l in L lifting s) fixes the first member of C_i exactly when s fixes
-C_i and t fixes that member. So the stabilizer of the first i lifted base
-points is the stabilizer of the first i quotient base points, lifted, times
-T's elements that fix the first members of those classes. The lifted
-generators that fix those points are the lifts of the quotient generators
-that fix the quotient points, which generate the quotient stabilizer by the
-search's own argument above, or, seeded, by the chain's. The transpositions
-that fix them are all of those of the other classes, and those of each
-fixed class that leave its first member alone, (c_1 c_2), (c_2 c_3), ...;
-together they generate the stabilizer's part in T. Past the quotient base
-the lifted part is trivial, and what is left is a direct product over the
-classes of the symmetric group on the members not yet fixed. The adjacent
-transpositions of c_a, ..., c_b are a strong generating set of Sym{c_a,
-..., c_b} relative to the base c_a, c_{a+1}, ...: those that fix c_a, ...,
-c_j are (c_{j+1} c_{j+2}), ..., (c_{b-1} c_b), which generate the symmetric
-group on the rest. So the generators are a strong generating set relative
-to that base, and ``from_strong_generators`` applies. A transposition (a b)
-is certified by the equal adjacency rows of a and b, which make it an
-automorphism. A twin-free graph, with every class a singleton, is searched
+The base and strong generators that ``aut`` reports list are read off the
+classes and the quotient's chain. The strong generators are the lifts of
+the quotient chain's strong generators (unseeded, the found ones, already
+lifted; a seeded chain's others are lifted and certified on first use)
+and each class's adjacent transpositions (c_j c_{j+1}), each certified by
+the equal adjacency rows of c_j and c_{j+1}. They are a
+strong generating set relative to the lifted search path (the first
+members of the path's classes), then, for each class of two or more
+members, in class order, its members after the first if the class is on
+the path, or all of them if not. An element t * l (t in T, l lifting s)
+fixes the first member of C_i exactly when s fixes C_i and t fixes that
+member. So the stabilizer of the first i lifted points is the quotient
+stabilizer of the first i path points, lifted, which its lifted strong
+generators generate, times T's elements that fix those members, which the
+other classes' transpositions and (c_1 c_2), (c_2 c_3), ... of the fixed
+classes generate. Past the path the lifted part is trivial, and the
+adjacent transpositions of c_a, ..., c_b are a strong generating set of
+Sym{c_a, ..., c_b} relative to c_a, c_{a+1}, .... The reported base drops
+the trivial levels, as ``from_strong_generators`` would. A path point's
+orbit is the union of the classes in its quotient level's orbit: trivial
+exactly when the point is not in the quotient chain's base and its class
+has one member. A class's member before its last is moved by (c_j
+c_{j+1}), which fixes the points before it, and its last is fixed once the
+others are. A twin-free graph, with every class a singleton, is searched
 as it is, and its group is the chain of its own search.
 
 The walker keeps one backtrackable ``Partition`` (``refinement``) for its
@@ -243,6 +239,7 @@ independent count for fixtures with small groups.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate
 from math import factorial, prod
 from typing import Iterable, Iterator
@@ -642,10 +639,11 @@ def _twins_spanned(classes: list[list[int]], pairs: list[list[int]]) -> bool:
 class TwinGroup:
     """Aut(g) of a graph g with twins, held as T extended by the lifted
     quotient group (see the module docstring): the twin classes and the
-    quotient's chain, at the quotient's degree. ``order`` and ``contains``
-    need nothing more. The full-degree chain, whose base and strong
-    generators the reports list, is built on first use. ``lifted`` are the
-    certified lifts of the generators the quotient's walk found."""
+    quotient's chain, at the quotient's degree. ``order``, ``contains``,
+    ``orbit`` and ``base`` need nothing more; the strong generators the
+    reports list are built on first use. ``path`` is the quotient's search
+    path, and ``lifted`` are the certified lifts of the generators its
+    walk found."""
 
     def __init__(self, g: Graph, classes: list[list[int]], path: list[int],
                  quotient: PermGroup, lifted: list[Permutation]):
@@ -653,12 +651,10 @@ class TwinGroup:
         self.classes = classes
         self.quotient = quotient
         self.class_of = _class_of(g.n, classes)
-        # What the full chain is built from: g, the quotient's search path
-        # and the certified lifts of the generators its walk found.
+        # What the base and generators are read from.
         self._g = g
         self._path = path
         self._lifted = lifted
-        self._full: PermGroup | None = None
 
     def twin_order(self) -> int:
         """|T|, the product of the classes' factorials."""
@@ -693,48 +689,48 @@ class TwinGroup:
                          _lift(self._g, self.classes, rest)))
         return [lifts[q.images] for q in strong]
 
-    def _chain(self) -> PermGroup:
-        """The full-degree chain: the lifted quotient generators and each
-        class's adjacent transpositions, relative to the base of the
-        module docstring. A transposition (a b) is certified by a's and
-        b's equal adjacency rows."""
-        if self._full is None:
-            gens = self._strong_lifts()
-            adj = self._g.adj
-            identity = list(range(self.degree))
-            for c in self.classes:
-                for a, b in zip(c, c[1:]):
-                    if adj[a] != adj[b]:
-                        raise CertificationError(
-                            "a twin transposition failed the edge check")
-                    images = identity.copy()
-                    images[a], images[b] = b, a
-                    gens.append(Permutation._raw(tuple(images)))
-            on_base = set(self._path)
-            base = [self.classes[b][0] for b in self._path]
-            for i, c in enumerate(self.classes):
-                if len(c) > 1:
-                    base.extend(c[1:] if i in on_base else c[:-1])
-            self._full = PermGroup.from_strong_generators(self.degree, base,
-                                                          gens)
-        return self._full
-
     @property
     def base(self) -> tuple[int, ...]:
-        return self._chain().base
+        """The base of the module docstring, without its trivial levels."""
+        quotient_base = set(self.quotient.base)
+        base = [self.classes[b][0] for b in self._path
+                if b in quotient_base or len(self.classes[b]) > 1]
+        on_path = set(self._path)
+        for i, c in enumerate(self.classes):
+            if len(c) > 1:
+                base.extend(c[1:-1] if i in on_path else c[:-1])
+        return tuple(base)
 
-    @property
+    @cached_property
     def generators(self) -> tuple[Permutation, ...]:
-        return self._chain().generators
+        """The lifted strong generators, then each class's adjacent
+        transpositions. A transposition (a b) is certified by a's and b's
+        equal adjacency rows."""
+        gens = self._strong_lifts()
+        adj = self._g.adj
+        identity = _id_images(self.degree)
+        for c in self.classes:
+            for a, b in zip(c, c[1:]):
+                if adj[a] != adj[b]:
+                    raise CertificationError(
+                        "a twin transposition failed the edge check")
+                images = list(identity)
+                images[a], images[b] = b, a
+                gens.append(Permutation._raw(tuple(images)))
+        return tuple(gens)
 
     def elements(self) -> Iterator[Permutation]:
-        return self._chain().elements()
+        """All group elements (intended for small groups only)."""
+        return PermGroup.from_strong_generators(
+            self.degree, self.base, self.generators).elements()
 
     def orbit(self, point: int) -> frozenset[int]:
-        return self._chain().orbit(point)
+        """The members of the classes in the quotient orbit of
+        ``point``'s class."""
+        return frozenset(v for i in self.quotient.orbit(self.class_of[point])
+                         for v in self.classes[i])
 
-    def to_report(self) -> dict:
-        return self._chain().to_report()
+    to_report = PermGroup.to_report
 
     def __repr__(self):
         return f"<TwinGroup degree={self.degree} order={self.order()}>"

@@ -30,6 +30,7 @@ def test_bench_search_case_matches_the_closed_form():
     assert row["case"] == "F3(K2,6)"
     assert row["vertices"] == 56
     assert row["nodes"] >= 1
+    assert row["rss_full"] >= row["rss"] > 0
 
 
 def test_bench_search_cube_matches_the_closed_form():

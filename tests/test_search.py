@@ -582,12 +582,22 @@ def test_seeded_walks_match_unseeded_and_brute_orders(searches):
     assert pruned > 0 and proper > 0
 
 
+FRUCHT_EDGES = [(0, 1), (0, 6), (0, 7), (1, 2), (1, 7), (2, 3), (2, 8), (3, 4),
+                (3, 9), (4, 5), (4, 9), (5, 6), (5, 10), (6, 10), (7, 11),
+                (8, 9), (8, 11), (10, 11)]
+
+
 def twin_seed_cases():
-    """Twin blow-ups, seeded with the generators of their group, and
-    F_k(K_{2,n}) for 2 <= k <= n <= 6, seeded with the paper's generators,
-    as (name, graph, generators); None stands for the group's own."""
+    """Twin blow-ups and the Frucht graph with K_{1,2}, seeded with the
+    generators of their group, and F_k(K_{2,n}) for 2 <= k <= n <= 6,
+    seeded with the paper's generators, as (name, graph, generators); None
+    stands for the group's own."""
     cases = [(name, g, None) for name, g in twin_cases()[:60]
              if len(_twin_classes(g)) < g.n]
+    # The Frucht graph, cubic and rigid, so its first path point has a
+    # trivial level, with K_{1,2}, whose leaves 13 and 14 are twins.
+    cases.append(("Frucht+K1,2", graph_from_edges(15, FRUCHT_EDGES + [
+        (12, 13), (12, 14)]), None))
     for n in range(2, 7):
         for k in range(2, n + 1):
             tg = token_graph(complete_bipartite(2, n), k)
@@ -602,9 +612,11 @@ def test_seeded_twin_walks_match_unseeded_and_brute_orders(searches):
     # certified generators with random words in them. The group keeps the
     # unseeded order, and the brute-force count where it applies; its
     # membership agrees with the edge check; its reported generators
-    # generate it, and the reported order and a full-degree chain's
-    # memberships match. known_generate is set only when the seed's twin
-    # transpositions connect every class, and the seed then generates Aut.
+    # generate it, and the reported order and orbits match. A chain rebuilt
+    # from the reported base and generators keeps that base, so no level
+    # of it is trivial, and has the group's order and memberships.
+    # known_generate is set only when the seed's twin transpositions
+    # connect every class, and the seed then generates Aut.
     rng = random.Random(2222)
     pruned = generate = short = 0
     for name, g, gens in twin_seed_cases():
@@ -641,6 +653,11 @@ def test_seeded_twin_walks_match_unseeded_and_brute_orders(searches):
             full = schreier_sims(group.generators, degree=g.n)
             assert full.order() == order, name
             assert all(plain.group.contains(p) for p in group.generators), name
+            assert all(group.orbit(v) == full.orbit(v) for v in range(g.n)), name
+            chain = PermGroup.from_strong_generators(g.n, group.base,
+                                                     group.generators)
+            assert chain.base == group.base, name
+            assert chain.order() == order, name
             for _ in range(4):
                 word = Permutation.identity(g.n)
                 for _ in range(rng.randint(0, 5)):
@@ -652,7 +669,7 @@ def test_seeded_twin_walks_match_unseeded_and_brute_orders(searches):
                 for p in (word, twisted, Permutation(tuple(images))):
                     edge = is_automorphism(g, p)
                     assert group.contains(p) == edge, name
-                    assert group._chain().contains(p) == edge, name
+                    assert chain.contains(p) == edge, name
     assert pruned > 0 and generate > 0 and short > 0
 
 
@@ -837,17 +854,16 @@ def test_twin_group_rejects_a_class_split_across_classes_of_its_size():
         (1, 0, 2, 4, 5, 3)))
 
 
-def test_twin_group_builds_its_full_chain_only_when_asked():
+def test_twin_group_generators_are_lifts_and_twin_transpositions():
     # Order and membership come from the classes and the quotient's chain;
-    # the full-degree chain waits for the base or the generators, and
-    # agrees with a Schreier-Sims chain on them.
+    # the reported generators, the lifts and each class's adjacent
+    # transpositions, generate a group of that order.
     g = token_graph(complete_bipartite(2, 5), 3).graph
     group = automorphism_group(g).group
     assert group.quotient.degree == len(group.classes) == 25
     assert group.order() == 122880 == group.twin_order() * 120
     assert all(group.contains(p) for p in group._lifted)
-    assert group._full is None
-    assert len(group.base) == 14 and group._full is not None
+    assert len(group.base) == 14
     oracle = schreier_sims(group.generators, degree=g.n)
     assert oracle.order() == group.order()
     twins = [p for p in group.generators if len(p.moved_points()) == 2]
