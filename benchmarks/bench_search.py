@@ -10,10 +10,13 @@ through the same functions:
 
 * ``build``: the token graph (not part of ``automorphism_group``);
 * ``classes``: grouping the vertices into twin classes;
-* ``search``: the walk over the twin quotient;
+* ``search``: the walk over the twin quotient, which grows the
+  quotient's stabilizer chain, at the quotient's degree, by each generator
+  it finds;
 * ``lift``: lifting the quotient's generators to the token graph and
   checking each of them edge by edge;
-* ``chain``: the quotient's stabilizer chain, at the quotient's degree;
+* ``chain``: ``_Search.group()``, which hands that chain over with its
+  trivial levels dropped;
 * ``total``: the four phases of ``automorphism_group`` together;
 * ``full``: the base and strong generators that ``aut`` reports list,
   read off the twin classes and the quotient's chain; the group builds
@@ -143,8 +146,7 @@ def run_case(n: int, k: int) -> dict:
     classes = timed("classes", _twin_classes, g)
     search = timed("search", _quotient_search, g, classes, None)
     lifted = timed("lift", _lift, g, classes, search.gens)
-    quotient = timed("chain", PermGroup.from_strong_generators, len(classes),
-                     search.base, search.gens)
+    quotient = timed("chain", search.group)
     seconds["total"] = sum(seconds.values()) - seconds["build"]
     rss = peak_rss_mb()
     group = TwinGroup(g, classes, search.base, quotient, lifted)

@@ -363,6 +363,11 @@ def format_edge_list(g: Graph) -> str:
 
 def parse_edge_list(text: str) -> Graph:
     """Parse the edge-list text format; '#' starts a comment line."""
+    return graph_from_edges(*_edge_list(text))
+
+
+def _edge_list(text: str) -> tuple[int, list[tuple[int, int]]]:
+    """The vertex count and the edges of an edge-list text."""
     n = None
     edges = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -386,4 +391,4 @@ def parse_edge_list(text: str) -> Graph:
         edges.append((u, v))
     if n is None:
         raise ValueError("missing 'n <N>' header line")
-    return graph_from_edges(n, edges)
+    return n, edges

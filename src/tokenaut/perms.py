@@ -19,7 +19,7 @@ product, with no inversion (Seress 2003, section 4.1).
 Every chain grows by one step, ``PermGroup._grow``: sift an element, make
 a nontrivial residue a strong generator of the levels it passed (opening a
 level at its first moved point if it passed them all) and close their
-orbits. The step is used four ways:
+orbits. The step is used three ways:
 
 * ``PermGroup(degree, generators)`` grows each generator, then completes
   the chain by the deterministic Schreier-Sims algorithm (Seress,
@@ -28,23 +28,18 @@ orbits. The step is used four ways:
   through the deeper levels once, and a residue joins the chain where it
   stopped. Transversals only grow, so a Schreier generator that sifted
   once keeps sifting.
-* ``PermGroup.from_strong_generators(degree, base, generators)`` trusts
-  its caller that the generators are a strong generating set relative to
-  the base, as the certified generators of an individualization-refinement
-  search are relative to its first-leaf path. It inserts each generator
-  into every level whose earlier base points it fixes, closes each orbit
-  once and sifts nothing.
 * ``bounded_order(generators, bound)`` returns the order of a group whose
   order is known to be at most ``bound``. It grows the chain by the
   generators and then by seeded random elements (``_grow_randomly``), and
   stops as soon as the orbit-length product, a lower bound on the order,
   reaches ``bound`` (Seress 2003, section 4.3). If the group turns out
   smaller, it completes the chain it has grown.
-* A seeded automorphism search (``tokenaut.search``) grows the chain of
-  its known automorphisms by the same random elements, up to a bound its
-  first path proves, on levels opened in advance at a base of a group
-  containing them (``_on_base``), so no level is ever opened at a first
-  moved point; then each automorphism the search finds is grown in.
+* An automorphism search (``tokenaut.search``) opens one level per point
+  of its first-leaf path, a base of the graph's group (``_on_base``), so no
+  level is ever opened at a first moved point. A seeded search grows that
+  chain by its known automorphisms and the same random elements, up to a
+  bound its first path proves; then each automorphism the search finds is
+  grown in.
 
 In every chain each level's generators lie in the pointwise stabilizer of
 the earlier base points, so each orbit is contained in the true basic
@@ -254,8 +249,7 @@ class PermGroup:
     """Permutation group with a stabilizer chain.
 
     The constructor builds the chain by deterministic Schreier-Sims;
-    ``from_strong_generators`` builds it from a known base and strong
-    generating set without sifting.
+    ``_on_base`` opens one for growth on a known base.
     """
 
     def __init__(self, degree: int, generators: Iterable[Permutation] = ()):
@@ -266,34 +260,6 @@ class PermGroup:
         for g in self.generators:
             self._grow(g.images)
         self._complete()
-
-    @classmethod
-    def from_strong_generators(cls, degree: int, base: Sequence[int],
-                               generators: Iterable[Permutation]) -> "PermGroup":
-        """Chain for ``generators``, which the caller guarantees to be a
-        strong generating set relative to ``base``: for every i, the
-        generators that fix b_0..b_{i-1} generate the pointwise stabilizer
-        of those points in the group they generate.
-
-        Each generator joins levels 0..i, where b_i is the first base point
-        it moves, and each level's orbit is enumerated under its generators;
-        nothing is sifted. Levels whose orbit is trivial are dropped, so the
-        reported base is ``base`` without the points every generator fixes.
-        The order is the product of the orbit lengths. If the guarantee
-        fails, that product is still a lower bound on the order of the
-        group the generators generate, but membership tests may be wrong.
-        """
-        group = cls._on_base(degree, base, generators)
-        for g in group.generators:
-            images = g.images
-            i = next((i for i, b in enumerate(base) if images[b] != b), None)
-            if i is None:
-                raise ValueError("a nontrivial generator fixes every base point")
-            group._insert(images, i)
-        for lv in group._levels:
-            lv.close_orbit()
-        group._drop_trivial_levels()
-        return group
 
     @classmethod
     def _on_base(cls, degree: int, base: Sequence[int],
@@ -442,6 +408,9 @@ class PermGroup:
         for lv in self._levels:
             total *= len(lv.orbit)
         return total
+
+    def generator_count(self) -> int:
+        return len(self.generators)
 
     def contains(self, p: Permutation) -> bool:
         if p.degree != self.degree:

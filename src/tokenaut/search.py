@@ -92,29 +92,35 @@ generators fixing b_0..b_{i-1} have the full stabilizer orbit of b_i,
 and by induction from the trivial stabilizer of the whole path they
 generate that stabilizer: the certified generators
 are a strong generating set relative to the path (McKay & Piperno,
-"Practical graph isomorphism II", 2014). ``PermGroup.from_strong_generators``
-turns that into a chain by orbit enumeration alone, and |Aut| is the product
-of the orbit lengths.
+"Practical graph isomorphism II", 2014). At the first leaf the walk opens
+a chain with one empty level per path point (``PermGroup._on_base``), and
+each generator it finds joins it by ``PermGroup._grow``. A generator
+found at fork depth i fixes b_0..b_{i-1}, so its sift passes levels
+0..i-1, and it sends b_i to a candidate that orbit pruning did not skip,
+which is not in level i's orbit: the residue is the generator itself, it
+joins levels 0..i, and their orbits are closed under it. The chain is
+that of the strong generating set, and |Aut| is the product of the orbit
+lengths.
 
-An automorphism walk can be seeded with known automorphisms, each
-checked edge by edge first. ``verify`` seeds it with the paper's
-generators, which their constructions have checked, so it hands them to
+An automorphism walk can be seeded with known automorphisms, each checked
+edge by edge first. ``verify`` seeds it with the paper's generators, which
+their constructions have checked, so it hands them to
 ``_automorphism_group``, which does not check them again. McKay & Piperno
 prune nauty's tree with the stabilizer orbits of automorphisms known
-beforehand in the same way. The walk descends its first path as before,
-so at the first leaf the base b_0, b_1, ... is known before any node off
-the path is visited. A chain of H, the group the known automorphisms
-generate, is then grown with one level per base point, fixed in advance:
-by the known automorphisms, then by seeded random elements of H (Seress
-2003, section 4.3; ``PermGroup._grow_randomly``) until its orbit-length
-product reaches the product of the first path's target-cell sizes, or
+beforehand in the same way. The walk descends its first path as before, so
+at the first leaf the base b_0, b_1, ... is known before any node off the
+path is visited. The chain opened there is first grown as a chain of H, the
+group the known automorphisms generate, on its levels fixed in advance: by
+the known automorphisms, then by seeded random elements of H (Seress 2003,
+section 4.3; ``PermGroup._grow_randomly``) until its orbit-length product
+reaches the product of the first path's target-cell sizes, or
 ``_STALL_SIFTS`` elements in a row sift to the identity. An automorphism
 fixing b_0..b_{i-1} keeps the depth-i equitable partition, so level i's
-orbit lies in b_i's target cell; at that product every level's orbit is
-its whole cell, and so Aut's basic orbit. A generator the walk finds later
+orbit lies in b_i's target cell; at that product every level's orbit is its
+whole cell, and so Aut's basic orbit. A generator the walk finds later
 joins the same chain, on levels 0..i for its fork depth i. Back on the
 first path, the node at depth i skips every candidate in the orbit of b_i
-on level i.
+on level i, as an unseeded walk's node does.
 
 Why the answer stays exact. Each level-i element lies in Aut and fixes
 b_0..b_{i-1}, so it maps the subtree of b_i, which was walked first, onto
@@ -131,10 +137,10 @@ in the stabilizer, so sifting decides membership as in any chain. The
 levels' groups are nested, and each acts on its orbit, so the level-0
 group has at least that order: the known and the found automorphisms,
 which generate it, generate Aut. If the walk found no generator, every
-level's group lies in H, so H = Aut, and ``AutResult.known_generate``
-records it: the orders agree with no ``bounded_order`` run. Isomorphism
-walks and unseeded walks do not grow this chain; a graph with twins grows
-it in its quotient's walk (below).
+level's group lies in H, so H = Aut, and ``AutResult.known_order``, |H|,
+is |Aut| with no ``bounded_order`` run; otherwise ``bounded_order`` takes
+|H| under the bound |Aut|. Isomorphism walks grow no chain; a graph with
+twins grows it in its quotient's walk (below).
 
 Graphs with twins are searched in their twin quotient (Anders, Schweitzer &
 Stiess, "Engineering a Preprocessor for Symmetry Detection", SEA 2023). Two
@@ -179,15 +185,16 @@ Its chain, with the found generators joined, is the quotient's chain, and
 its levels' generators are a strong generating set of Aut(Q) relative to
 the path: level i's generators fix b_0..b_{i-1}, and with each level's
 orbit the whole basic orbit, by induction from the deepest level they
-generate each stabilizer. ``AutResult.known_generate`` is set when the walk
-found no generator of its own and the known twin transpositions (a known
+generate each stabilizer. When the known twin transpositions (a known
 automorphism that moves two points, keeping every class in place) connect
-every class. The images then generate Aut(Q), and the transpositions
-generate T, so the group H of the known automorphisms contains T, the
-kernel, and maps onto Aut(Q): every automorphism a of g has an h in H with
-the same class image, and a h^-1 lies in T, so H = Aut(g). If some class
-is not connected, H may still be Aut(g), but the walk cannot tell, and
-``verify`` takes H's order as it does for an unseeded walk.
+every class, they generate T, so the group H of the known automorphisms
+contains T, the kernel of its action on the classes, and |H| = |T| times
+the order of the group I its class images generate. If the walk found no
+generator of its own, I = Aut(Q) and H = Aut(g), with no ``bounded_order``
+run; otherwise ``bounded_order`` takes |I| at the quotient's degree under
+the bound |Aut(Q)|. If some class is not connected, H may still be
+Aut(g), but the walk cannot tell, and ``bounded_order`` takes |H| at g's
+degree under the bound |Aut(g)|.
 
 The base and strong generators that ``aut`` reports list are read off the
 classes and the quotient's chain. The strong generators are the lifts of
@@ -207,7 +214,7 @@ other classes' transpositions and (c_1 c_2), (c_2 c_3), ... of the fixed
 classes generate. Past the path the lifted part is trivial, and the
 adjacent transpositions of c_a, ..., c_b are a strong generating set of
 Sym{c_a, ..., c_b} relative to c_a, c_{a+1}, .... The reported base drops
-the trivial levels, as ``from_strong_generators`` would. A path point's
+the trivial levels, as a walk's chain does. A path point's
 orbit is the union of the classes in its quotient level's orbit: trivial
 exactly when the point is not in the quotient chain's base and its class
 has one member. A class's member before its last is moved by (c_j
@@ -246,7 +253,7 @@ from typing import Iterable, Iterator
 
 from .errors import CertificationError, ScaleGuardExceeded
 from .graphs import Graph
-from .perms import PermGroup, Permutation, _distinct, _id_images
+from .perms import PermGroup, Permutation, _distinct, _id_images, bounded_order
 from .refinement import Partition
 
 # An ordered partition is a list of disjoint vertex lists covering 0..n-1;
@@ -258,14 +265,12 @@ OrderedPartition = list[list[int]]
 class AutResult:
     """Automorphism group plus search telemetry. ``node_count`` counts the
     nodes of the search tree that was walked: g's own, or, when g has twins,
-    that of its twin quotient. ``known_generate`` is set when a walk seeded
-    with known automorphisms found no generator of its own, and, on a
-    graph with twins, their twin transpositions connect every class, which
-    proves that they generate the whole group."""
+    that of its twin quotient. ``known_order`` is the order of the group
+    the known automorphisms generate, 1 when there are none."""
 
     group: PermGroup | TwinGroup
     node_count: int
-    known_generate: bool = False
+    known_order: int = 1
 
 
 def is_automorphism(g: Graph, p: Permutation) -> bool:
@@ -320,10 +325,11 @@ class _Search:
     of g, and an automorphism walk compares each inner node off its first
     path with that path's node at the same depth. ``cells`` colours g's
     automorphism search: the tree starts from them instead of the unit
-    partition, and every leaf map keeps each of them in place. ``known``,
-    certified automorphisms of g, seed an automorphism walk: at its first
-    leaf their group's chain is grown on the first-leaf path, and its
-    orbits prune the first path's nodes (see the module docstring)."""
+    partition, and every leaf map keeps each of them in place. At its first
+    leaf an automorphism walk opens a chain on the first-leaf path, and
+    every generator it finds joins it. ``known``, certified automorphisms
+    of g, seed that chain: their group's chain is grown on it first, and
+    its orbits prune the first path's nodes (see the module docstring)."""
 
     def __init__(self, g: Graph, max_nodes: int | None,
                  source: Graph | None = None,
@@ -354,7 +360,8 @@ class _Search:
         self.gens: list[Permutation] = []
         self.mapping: list[int] | None = None
         self.known = known
-        # The chain of <known, gens> on the first-leaf path, once it is known.
+        # An automorphism walk's chain of <known, gens> on the first-leaf
+        # path, once that path is known.
         self.chain: PermGroup | None = None
 
     def run(self) -> None:
@@ -448,11 +455,8 @@ class _Search:
 
     def group(self) -> PermGroup:
         """The chain of the group a finished automorphism walk found: the
-        seeded chain with the found generators joined, or, unseeded, the
-        chain of the found generators relative to the first-leaf path."""
-        if self.chain is None:
-            return PermGroup.from_strong_generators(self.g.n, self.base,
-                                                    self.gens)
+        chain it grew on its first-leaf path, whose generators are the
+        known ones and the found ones."""
         self.chain.generators += tuple(self.gens)
         self.chain._drop_trivial_levels()
         return self.chain
@@ -483,13 +487,14 @@ class _Search:
         if self.first_leaf is None:
             self.first_leaf = list(leaf)
             self.base = list(self.path)
+            if not self.iso:
+                self.chain = PermGroup._on_base(self.g.n, self.base,
+                                                self.known)
             if self.known:
                 # Level i's orbit lies in b_i's target cell, so the cells'
                 # product bounds the chain's order (see the module
                 # docstring).
                 bound = prod(self.target_sizes)
-                self.chain = PermGroup._on_base(self.g.n, self.base,
-                                                self.known)
                 self.chain._grow_randomly(bound)
                 assert self.chain.order() <= bound
             return None
@@ -640,10 +645,10 @@ class TwinGroup:
     """Aut(g) of a graph g with twins, held as T extended by the lifted
     quotient group (see the module docstring): the twin classes and the
     quotient's chain, at the quotient's degree. ``order``, ``contains``,
-    ``orbit`` and ``base`` need nothing more; the strong generators the
-    reports list are built on first use. ``path`` is the quotient's search
-    path, and ``lifted`` are the certified lifts of the generators its
-    walk found."""
+    ``orbit``, ``base`` and ``generator_count`` need nothing more; the
+    strong generators the reports list are built on first use. ``path`` is
+    the quotient's search path, and ``lifted`` are the certified lifts of
+    the generators its walk found."""
 
     def __init__(self, g: Graph, classes: list[list[int]], path: list[int],
                  quotient: PermGroup, lifted: list[Permutation]):
@@ -719,10 +724,17 @@ class TwinGroup:
                 gens.append(Permutation._raw(tuple(images)))
         return tuple(gens)
 
+    def generator_count(self) -> int:
+        """How many ``generators`` there are, without building them: a lift
+        per strong generator of the quotient chain, and a transposition per
+        class member after the first."""
+        levels = self.quotient._levels
+        strong = len(levels[0].gens) if levels else 0
+        return strong + self.degree - len(self.classes)
+
     def elements(self) -> Iterator[Permutation]:
         """All group elements (intended for small groups only)."""
-        return PermGroup.from_strong_generators(
-            self.degree, self.base, self.generators).elements()
+        return PermGroup(self.degree, self.generators).elements()
 
     def orbit(self, point: int) -> frozenset[int]:
         """The members of the classes in the quotient orbit of
@@ -740,9 +752,9 @@ def automorphism_group(g: Graph, max_nodes: int | None = None,
                        known: Iterable[Permutation] = ()) -> AutResult:
     """Automorphism group of g with every generator certified edge-by-edge.
 
-    The group's chain is built from the search itself, with no Schreier
-    sifting: its base is the first-leaf path, without the points that
-    every generator fixes, and its strong generators are the certified
+    The group's chain is grown by the search itself, with no Schreier
+    generator formed: its base is the first-leaf path, without the points
+    that every generator fixes, and its strong generators are the certified
     generators. When g has twins, the search runs on the twin quotient,
     and the group is a ``TwinGroup``: the twin classes and the quotient's
     chain, with the quotient's generators lifted to g and certified there
@@ -755,6 +767,8 @@ def automorphism_group(g: Graph, max_nodes: int | None = None,
     path. The group's generators are then ``known`` and the found ones. On
     a graph with twins the quotient's walk is seeded with their class
     images, and its chain's generators are those images and the found ones.
+    The result's ``known_order`` is the order of the group ``known``
+    generates (see the module docstring).
     """
     known = tuple(known)
     certify(known, g, "a known automorphism")
@@ -769,22 +783,35 @@ def _automorphism_group(g: Graph, max_nodes: int | None,
     if len(classes) == g.n:
         search = _Search(g, max_nodes, known=known)
         search.run()
-        return AutResult(search.group(), search.node_count, known_generate=(
-            search.chain is not None and not search.gens))
+        group = search.group()
+        # With no generator of its own, the walk proved <known> = Aut.
+        known_order = (group.order() if not search.gens
+                       else _generated(known, group.order(), g.n))
+        return AutResult(group, search.node_count, known_order)
     # An automorphism of g maps each class onto a class, so its class image
     # is a coloured automorphism of the quotient; the identity images and
     # repeats are dropped, and the rest seed the quotient's walk.
     images, pairs = _class_images(classes, _class_of(g.n, classes), known)
-    search = _quotient_search(g, classes, max_nodes,
-                              _distinct(len(classes), images))
+    seeds = _distinct(len(classes), images)
+    search = _quotient_search(g, classes, max_nodes, seeds)
+    quotient = search.group()
     lifted = _lift(g, classes, search.gens)
-    group = TwinGroup(g, classes, search.base, search.group(), lifted)
-    # With no generator of its own, the walk proved that the class images
-    # generate the quotient's group; twin transpositions that connect each
-    # class add T, the kernel, so the known automorphisms generate Aut(g).
-    return AutResult(group, search.node_count, known_generate=(
-        search.chain is not None and not search.gens
-        and _twins_spanned(classes, pairs)))
+    group = TwinGroup(g, classes, search.base, quotient, lifted)
+    # Twin transpositions that connect each class give T, the kernel, so
+    # |<known>| is |T| times the order of the class images' group.
+    if _twins_spanned(classes, pairs):
+        known_order = group.twin_order() * (
+            quotient.order() if not search.gens
+            else _generated(seeds, quotient.order(), len(classes)))
+    else:
+        known_order = _generated(known, group.order(), g.n)
+    return AutResult(group, search.node_count, known_order)
+
+
+def _generated(gens: tuple[Permutation, ...], bound: int, degree: int) -> int:
+    """The order of the group ``gens`` generate, which ``bound`` bounds; no
+    chain is grown for no generators."""
+    return bounded_order(gens, bound, degree=degree) if gens else 1
 
 
 def is_isomorphic(g: Graph, h: Graph,

@@ -6,20 +6,16 @@ oracle, and reports. The generators, certified edge by edge by their
 construction, seed the token graph's search (``automorphism_group``'s
 body, ``_automorphism_group``, which does not check them again); on a
 graph with twins, as every bipartite instance's token graph is, their
-class images seed the twin quotient's walk. When the walk finds no
-generator of its own (and, with twins, the generators' twin
-transpositions connect every class), it has proved that they generate
-the whole group, and no separate order computation runs. Otherwise the
-generated order comes from ``_generated_order``. The report's fields:
+class images seed the twin quotient's walk. The search's result carries
+the order the generators generate (``AutResult.known_order``), read off
+the walk's own chain where that proves it and taken by ``bounded_order``
+otherwise, so nothing here sifts or counts again. The report's fields:
 
 * generators_certified: every constructed generator passed the edge check;
   when one fails, the report fails and the other certificates are false;
 * subgroup_certified: the generated group sits inside the computed group
-  (by the edge check, or by sifting) and its order equals the prediction
-  exactly; on a graph with twins the generators' class images are sifted
-  in the twin quotient's chain, and the order is taken at the quotient's
-  degree when the generators hold every twin transposition group
-  (``_generated_order``);
+  (every generator passed the edge check) and its order equals the
+  prediction exactly;
 * equality: computed order matches predicted order on top of the
   subgroup certificate (the report-level invariant).
 
@@ -44,9 +40,8 @@ from .constructions import (PredictedAut, bipartite_generators,
 from .errors import CertificationError, ScaleGuardExceeded
 from .graphs import (BipartiteSpec, Graph, cartesian_product, complete_graph,
                      product_label)
-from .perms import Permutation, bounded_order
-from .search import (TwinGroup, _automorphism_group, _class_images,
-                     _twins_spanned, automorphism_group)
+from .perms import Permutation
+from .search import _automorphism_group, automorphism_group
 from .tokens import token_graph
 
 
@@ -83,8 +78,8 @@ class VerificationReport:
     wall_time: float
     node_count: int
     # Left out of to_dict: the prediction's tag, the certified generators
-    # (None when one failed the edge check) and the order they generate
-    # (None unless all of them lie in the computed group).
+    # and the order they generate (both None when one failed the edge
+    # check).
     structure_tag: str = ""
     generators: tuple[Permutation, ...] | None = field(default=None, repr=False)
     generated_order: int | None = None
@@ -121,41 +116,13 @@ def _constructed(build, *args, **kwargs):
         return None
 
 
-def _generated_order(group, gens: list[Permutation]) -> int | None:
-    """The order of the group ``gens`` generate, or None unless every
-    generator lies in ``group``, whose order then bounds it.
-
-    For a ``TwinGroup``, each generator's class image is worked out once,
-    from the points it moves. When the generators' transpositions inside
-    the twin classes connect each class, the generated group H contains T,
-    the kernel of the action on the classes, so |H| = |T| times the order
-    of the class images, which lie in the quotient's group of known order.
-    Otherwise the order comes from a chain at full degree."""
-    if not isinstance(group, TwinGroup):
-        if not all(group.contains(p) for p in gens):
-            return None
-        return bounded_order(gens, group.order(), degree=group.degree)
-    images, pairs = _class_images(group.classes, group.class_of, gens)
-    if not all(q is not None and group.quotient.contains(q) for q in images):
-        return None
-    if _twins_spanned(group.classes, pairs):
-        return group.twin_order() * bounded_order(
-            images, group.quotient.order(), degree=group.quotient.degree)
-    return bounded_order(gens, group.order(), degree=group.degree)
-
-
 def _finish(instance: str, gens, pred: PredictedAut, conjectured: bool,
             started: float, aut_result) -> VerificationReport:
     """Report on the generators from ``_constructed``: certified ones, or
     None for a construction whose generator failed the edge check."""
     computed = aut_result.group.order()
     certified = gens is not None
-    if not certified:
-        sub_order = None
-    elif aut_result.known_generate:  # the search proved <gens> = Aut
-        sub_order = computed
-    else:
-        sub_order = _generated_order(aut_result.group, gens)
+    sub_order = aut_result.known_order if certified else None
     if sub_order is not None and computed % sub_order != 0:
         raise AssertionError("subgroup order fails Lagrange divisibility")
     subgroup_certified = sub_order == pred.order

@@ -392,30 +392,6 @@ def test_bounded_order_rejects_bad_bounds():
         bounded_order([], 1)
 
 
-def test_chain_from_strong_generators():
-    # S_4 with base (0, 1, 2): (0 1 2 3) and (0 1) generate it, (1 2 3)
-    # and (1 2) its stabilizer of 0, and (2 3) that of 0 and 1.
-    gens = [Permutation.from_cycles(4, [(0, 1, 2, 3)]),
-            Permutation.from_cycles(4, [(0, 1)]),
-            Permutation.from_cycles(4, [(1, 2, 3)]),
-            Permutation.from_cycles(4, [(1, 2)]),
-            Permutation.from_cycles(4, [(2, 3)])]
-    group = PermGroup.from_strong_generators(4, (0, 1, 2, 3), gens)
-    assert group.order() == 24
-    assert group.base == (0, 1, 2)  # the trivial level of 3 is dropped
-    assert group.generators == tuple(gens)
-    for p in permutations(range(4)):
-        assert group.contains(Permutation(p))
-    cyclic = PermGroup.from_strong_generators(4, (3, 0), gens[:1])
-    assert cyclic.order() == 4 and cyclic.base == (3,)
-    assert not cyclic.contains(gens[1])
-    assert PermGroup.from_strong_generators(4, (), []).order() == 1
-    with pytest.raises(ValueError):
-        PermGroup.from_strong_generators(4, (0,), gens[4:])  # (2 3) fixes 0
-    with pytest.raises(ValueError):
-        PermGroup.from_strong_generators(4, (0, 0), gens[:1])
-
-
 def test_generators_are_deduplicated_in_first_seen_order():
     a = Permutation.from_cycles(4, [(0, 1)])
     b = Permutation.from_cycles(4, [(1, 2, 3)])
@@ -423,7 +399,7 @@ def test_generators_are_deduplicated_in_first_seen_order():
     ident = Permutation.identity(4)
     listed = [ident, b, a, Permutation(b.images), ident, c, a, b]
     assert PermGroup(4, listed).generators == (b, a, c)
-    assert PermGroup.from_strong_generators(4, (0, 1, 2), listed).generators == (b, a, c)
+    assert PermGroup._on_base(4, (0, 1, 2), listed).generators == (b, a, c)
     assert PermGroup(4, [ident, ident]).generators == ()
 
 
@@ -450,12 +426,9 @@ def assert_schreier_tree(group):
 
 
 def test_transversals_are_products_with_stored_inverses():
-    # Chains that sift nothing come first: with wrong transversals,
-    # Schreier-Sims need not terminate.
-    gens = [Permutation.from_cycles(4, [(0, 1, 2, 3)]),
-            Permutation.from_cycles(4, [(1, 2, 3)]),
-            Permutation.from_cycles(4, [(2, 3)])]
-    assert_schreier_tree(PermGroup.from_strong_generators(4, (0, 1, 2), gens))
+    # Chains that unseeded searches grew come first: with wrong
+    # transversals, Schreier-Sims need not terminate.
+    assert_schreier_tree(automorphism_group(complete_graph(4)).group)
     assert_schreier_tree(
         automorphism_group(token_graph(hypercube(3), 2).graph).group)
     assert_schreier_tree(schreier_sims(bipartite_generators(2, 5, 3)))

@@ -27,8 +27,7 @@ from tokenaut import (
 )
 from tokenaut import search as search_module
 from tokenaut.perms import _STALL_SIFTS, PermGroup
-from tokenaut.search import (TwinGroup, _class_images, _quotient_search,
-                             _Search, _twin_classes, _twins_spanned)
+from tokenaut.search import TwinGroup, _quotient_search, _Search, _twin_classes
 
 
 def shrikhande():
@@ -510,10 +509,9 @@ def first_path_cells(walk):
 
 
 def assert_chain_within_first_path_cells(walk, name):
-    # A seeded chain's level at b_i keeps b_i's orbit inside b_i's target
-    # cell, so its order is at most the product of the cells' sizes.
-    if walk.chain is None:
-        return
+    # A walk's chain, seeded or not, keeps b_i's orbit on its level at b_i
+    # inside b_i's target cell, so its order is at most the product of the
+    # cells' sizes.
     cells = first_path_cells(walk)
     for lv in walk.chain._levels:
         assert set(lv.orbit) <= set(cells[walk.base.index(lv.point)]), name
@@ -547,9 +545,10 @@ def test_seeded_walks_match_unseeded_and_brute_orders(searches):
     # A walk seeded with its graph's certified generators, all, none or a
     # random subset, gives the unseeded order, and the brute-force count
     # where it applies. Its chain holds exactly the automorphisms, its
-    # generators generate them, and when it found no generator of its own
-    # the seed alone does. Graphs with twins seed their quotient's walk
-    # (see test_seeded_twin_walks_match_unseeded_and_brute_orders).
+    # generators generate them, and the order it reports for the seed is
+    # the seed's Schreier-Sims order. Graphs with twins seed their
+    # quotient's walk (see
+    # test_seeded_twin_walks_match_unseeded_and_brute_orders).
     rng = random.Random(2122)
     pruned = proper = 0
     for name, g, brute in seeded_cases():
@@ -564,10 +563,10 @@ def test_seeded_walks_match_unseeded_and_brute_orders(searches):
             assert group.order() == order, name
             assert_chain_within_first_path_cells(searches[-1], name)
             assert schreier_sims(group.generators, degree=g.n).order() == order, name
-            if res.known_generate:
-                assert schreier_sims(seed, degree=g.n).order() == order, name
-            else:
-                proper += bool(seed) and len(_twin_classes(g)) == g.n
+            known = schreier_sims(seed, degree=g.n).order()
+            assert res.known_order == known, name
+            proper += (bool(seed) and len(_twin_classes(g)) == g.n
+                       and bool(searches[-1].gens))
             pruned += res.node_count < plain.node_count
             for _ in range(4):
                 word = Permutation.identity(g.n)
@@ -612,11 +611,12 @@ def test_seeded_twin_walks_match_unseeded_and_brute_orders(searches):
     # certified generators with random words in them. The group keeps the
     # unseeded order, and the brute-force count where it applies; its
     # membership agrees with the edge check; its reported generators
-    # generate it, and the reported order and orbits match. A chain rebuilt
-    # from the reported base and generators keeps that base, so no level
-    # of it is trivial, and has the group's order and memberships.
-    # known_generate is set only when the seed's twin transpositions
-    # connect every class, and the seed then generates Aut.
+    # generate it, and the reported order and orbits match. The reported
+    # generators are a strong generating set relative to the reported
+    # base, with no trivial level: the basic orbits, each that of those
+    # generators that fix the earlier base points, are not trivial, and
+    # their lengths multiply to the order. The order reported for the seed
+    # is the seed's Schreier-Sims order.
     rng = random.Random(2222)
     pruned = generate = short = 0
     for name, g, gens in twin_seed_cases():
@@ -640,13 +640,10 @@ def test_seeded_twin_walks_match_unseeded_and_brute_orders(searches):
             assert isinstance(group, TwinGroup), name
             assert group.order() == order, name
             assert_chain_within_first_path_cells(searches[-1], name)
-            _, pairs = _class_images(classes, group.class_of, seed)
-            if res.known_generate:
-                assert _twins_spanned(classes, pairs), name
-                assert schreier_sims(seed, degree=g.n).order() == order, name
-                generate += 1
-            else:
-                short += bool(seed)
+            known = schreier_sims(seed, degree=g.n).order()
+            assert res.known_order == known, name
+            generate += known == order
+            short += bool(seed) and known < order
             pruned += res.node_count < plain.node_count
             report = group.to_report()
             assert report["order"] == str(order), name
@@ -654,10 +651,9 @@ def test_seeded_twin_walks_match_unseeded_and_brute_orders(searches):
             assert full.order() == order, name
             assert all(plain.group.contains(p) for p in group.generators), name
             assert all(group.orbit(v) == full.orbit(v) for v in range(g.n)), name
-            chain = PermGroup.from_strong_generators(g.n, group.base,
-                                                     group.generators)
-            assert chain.base == group.base, name
-            assert chain.order() == order, name
+            orbits = basic_orbits(group.base, group.generators)
+            assert all(len(o) > 1 for o in orbits), name
+            assert prod(map(len, orbits)) == order, name
             for _ in range(4):
                 word = Permutation.identity(g.n)
                 for _ in range(rng.randint(0, 5)):
@@ -667,10 +663,41 @@ def test_seeded_twin_walks_match_unseeded_and_brute_orders(searches):
                 images = list(range(g.n))
                 rng.shuffle(images)
                 for p in (word, twisted, Permutation(tuple(images))):
-                    edge = is_automorphism(g, p)
-                    assert group.contains(p) == edge, name
-                    assert chain.contains(p) == edge, name
+                    assert group.contains(p) == is_automorphism(g, p), name
     assert pruned > 0 and generate > 0 and short > 0
+
+
+def test_twin_generator_count_needs_no_generator():
+    # aut prints how many generators a twin group has without building
+    # them: a lift per strong generator of the quotient chain, and a
+    # transposition per class member after the first. Unseeded and seeded,
+    # the count is that of the generators the report lists.
+    for name, g, gens in twin_seed_cases():
+        plain = automorphism_group(g).group
+        count = plain.generator_count()
+        assert "generators" not in vars(plain), name
+        assert count == len(plain.generators), name
+        seeded = automorphism_group(g, known=gens or plain.generators).group
+        count = seeded.generator_count()
+        assert "generators" not in vars(seeded), name
+        assert count == len(seeded.generators), name
+
+
+def basic_orbits(base, gens):
+    """The orbit of each base point under the generators that fix the
+    earlier base points, by breadth-first search."""
+    orbits = []
+    for i, b in enumerate(base):
+        level = [p.images for p in gens
+                 if all(p.images[a] == a for a in base[:i])]
+        seen = {b}
+        frontier = [b]
+        while frontier:
+            frontier = [y for y in {q[x] for x in frontier for q in level}
+                        if y not in seen]
+            seen.update(frontier)
+        orbits.append(seen)
+    return orbits
 
 
 def test_seeded_chains_stop_at_the_first_path_bound(monkeypatch, searches):
@@ -713,7 +740,9 @@ def test_seeded_chains_stop_at_the_first_path_bound(monkeypatch, searches):
         cells = prod(map(len, first_path_cells(walk)))
         assert cells == order and drawn < _STALL_SIFTS, name
         assert stops == [(False, order, drawn)], name
-        assert res.known_generate and not walk.gens, name
+        assert not walk.gens, name
+        assert res.known_order == res.group.order() \
+            == schreier_sims(gens, degree=tg.graph.n).order(), name
 
 
 def test_twin_seeds_generate_aut_only_when_they_span_the_twins(searches):
@@ -723,34 +752,39 @@ def test_twin_seeds_generate_aut_only_when_they_span_the_twins(searches):
     # the swaps connect every class: the seed generates Aut. Less one side
     # swap the walk again finds nothing, and the seed still generates Aut
     # (the lifts conjugate the other swaps onto it), but its transpositions
-    # leave one class unconnected, so the walk cannot tell. Less the
-    # Y-cycle's lift the walk finds generators of its own.
+    # leave one class unconnected, so the walk cannot tell, and the seed's
+    # order is taken at full degree. Less the Y-cycle's lift the walk finds
+    # generators of its own, and the seed generates 2^11.
     g = token_graph(complete_bipartite(2, 5), 3).graph
     gens = bipartite_generators(2, 5, 3)
     assert [len(p.moved_points()) for p in gens] == [2] * 10 + [20, 35]
     plain = automorphism_group(g)
     assert plain.node_count == 9
-    for seed, nodes, found, generate in ((gens, 5, 0, True),
-                                         (gens[1:], 5, 0, False),
-                                         (gens[:-1], 8, 3, False)):
+    for seed, nodes, found, known in ((gens, 5, 0, 122880),
+                                      (gens[1:], 5, 0, 122880),
+                                      (gens[:-1], 8, 3, 2048)):
         res = automorphism_group(g, known=seed)
         assert res.group.order() == plain.group.order() == 122880
         assert (res.node_count, len(searches[-1].gens)) == (nodes, found)
-        assert res.known_generate == generate
+        assert res.known_order == known \
+            == schreier_sims(seed, degree=g.n).order()
 
 
 def test_twin_seeds_with_identity_class_images_leave_the_walk_unseeded(
         searches):
     # Side swaps keep every twin class in place, so their class images are
     # the identity. They are dropped, so nothing seeds the quotient's walk:
-    # no chain is grown for it, and it runs as an unseeded walk does.
+    # its chain holds only the generators it finds, and it runs as an
+    # unseeded walk does. The swaps connect every class, so they generate
+    # T, of order 2^10.
     g = token_graph(complete_bipartite(2, 5), 3).graph
     swaps = bipartite_generators(2, 5, 3)[:10]
     plain = automorphism_group(g)
     res = automorphism_group(g, known=swaps)
     walk = searches[-1]
-    assert walk.known == () and walk.chain is None
-    assert res.node_count == plain.node_count and not res.known_generate
+    assert walk.known == () and walk.chain.generators == tuple(walk.gens)
+    assert res.node_count == plain.node_count
+    assert res.known_order == schreier_sims(swaps).order() == 2 ** 10
     assert res.group.to_report() == plain.group.to_report()
 
 

@@ -256,8 +256,9 @@ def test_a_bipartite_seed_short_of_aut_keeps_the_verdict_and_orders(
 
 
 def order_route(monkeypatch):
-    """The degrees of the ``bounded_order`` calls that ``verify`` makes."""
-    from tokenaut import verify
+    """The degrees of the ``bounded_order`` calls that the search makes for
+    the order of the known automorphisms."""
+    from tokenaut import search
 
     degrees = []
 
@@ -265,57 +266,59 @@ def order_route(monkeypatch):
         degrees.append(degree)
         return bounded_order(gens, bound, degree=degree)
 
-    monkeypatch.setattr(verify, "bounded_order", recorded)
+    monkeypatch.setattr(search, "bounded_order", recorded)
     return degrees
 
 
 def test_class_image_orders_match_schreier_sims(monkeypatch):
     # The constructed generators' transpositions join each pair of twins,
-    # so their order is |T| times that of their class images, taken at the
-    # quotient's degree. Without one side swap a pair has no transposition,
-    # and the order comes from the generators themselves.
-    from tokenaut.verify import _generated_order
-
+    # so their order is |T| times that of their class images. With all of
+    # them the quotient's walk finds nothing of its own, which proves that
+    # order to be the group's; less the Y-cycle's lift the walk finds
+    # generators, and the images' order is taken at the quotient's degree.
+    # Without one side swap a pair has no transposition, and the order
+    # comes from the generators themselves.
     degrees = order_route(monkeypatch)
     for n, k in ((5, 3), (6, 4)):
         tg = token_graph(complete_bipartite(2, n), k)
-        group = automorphism_group(tg.graph).group
         gens = bipartite_generators(2, n, k, tg)
-        want = schreier_sims(gens, degree=tg.graph.n).order()
-        assert _generated_order(group, gens) == want
-        assert degrees.pop() == len(group.classes) < tg.graph.n
-        assert _generated_order(group, gens[1:]) == want
-        assert degrees.pop() == tg.graph.n
+        quotient = len(automorphism_group(tg.graph).group.classes)
+        assert quotient < tg.graph.n
+        for seed, calls in ((gens, []), (gens[:-1], [quotient]),
+                            (gens[1:], [tg.graph.n])):
+            want = schreier_sims(seed, degree=tg.graph.n).order()
+            assert automorphism_group(tg.graph, known=seed).known_order == want
+            assert degrees == calls, (n, k)
+            degrees.clear()
 
 
 def test_dropping_a_side_swap_takes_the_full_degree_fallback(monkeypatch):
     # F5(K_{2,10}): 792 vertices, 210 side swaps. The Y-lifts conjugate the
     # remaining swaps onto the dropped one, so the order is unchanged.
-    from tokenaut.verify import _generated_order
-
     degrees = order_route(monkeypatch)
     tg = token_graph(complete_bipartite(2, 10), 5)
-    group = automorphism_group(tg.graph).group
     gens = bipartite_generators(2, 10, 5, tg)
-    assert _generated_order(group, gens[1:]) == group.order() \
+    res = automorphism_group(tg.graph, known=gens[1:])
+    assert res.known_order == res.group.order() \
         == predicted_order(2, 10, 5).order
     assert degrees == [792]
 
 
 def test_disconnected_transpositions_take_the_fallback(monkeypatch):
     # K_{3,4}: transpositions (3 4) and (5 6) leave the class {3,4,5,6}
-    # in two pieces, so they do not give Sym of it; with (4 5) they do.
-    from tokenaut.verify import _generated_order
-
+    # in two pieces, so they do not give Sym of it; with (4 5) they do, and
+    # the quotient, two classes of different sizes, has no automorphism
+    # but the identity, so the order needs no chain at all. (2 3) joins
+    # the two sides, so it is no automorphism, and the search refuses it.
     degrees = order_route(monkeypatch)
     g = complete_bipartite(3, 4)
-    group = automorphism_group(g).group
     pieces = [Permutation.from_cycles(7, [c])
               for c in ((0, 1), (1, 2), (3, 4), (5, 6))]
-    assert _generated_order(group, pieces) == 24
+    assert automorphism_group(g, known=pieces).known_order == 24
     assert degrees.pop() == 7
     joined = pieces + [Permutation.from_cycles(7, [(4, 5)])]
-    assert _generated_order(group, joined) == 144
-    assert degrees.pop() == 2
+    assert automorphism_group(g, known=joined).known_order == 144
+    assert degrees == []
     outside = pieces + [Permutation.from_cycles(7, [(2, 3)])]
-    assert _generated_order(group, outside) is None
+    with pytest.raises(CertificationError):
+        automorphism_group(g, known=outside)
