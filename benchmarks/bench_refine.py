@@ -6,10 +6,12 @@ automorphism searches, where chain building and certification dilute the
 kernel's share, and isomorphism tests, which walk the same search tree
 against another graph's first path, extended one level whenever the walk
 first reaches a depth. The kernel calls cover a unit partition, a long
-cycle and a search-shaped call: one vertex individualized in the root
-partition, so that the splitters are small. The isomorphism tests are one
-match against a seeded relabeling and one rejection of a pair with equal
-strongly regular parameters.
+cycle and two search-shaped cases: one vertex individualized in the root
+partition, so that the splitters are small, and the search's whole first
+path, twelve refines and about 500 splitters down to a discrete
+partition. The isomorphism tests are one match against a seeded
+relabeling and one rejection of a pair with equal strongly regular
+parameters.
 
 Each figure is the best of --repeat runs. Every case builds its
 ``Partition`` in each run, but the graph's neighbour table,
@@ -62,6 +64,19 @@ def individualized_case(g):
     return kernel_case(g, root[:t] + [[v], rest] + root[t + 1:], [t, t + 1])
 
 
+def first_path_case(g):
+    """The search's first path: from the unit partition, the first vertex
+    of the first smallest non-singleton cell is individualized and refined
+    against, level after level, until the partition is discrete."""
+    def run():
+        part = Partition(g.nbrs, [list(range(g.n))])
+        part.refine([0])
+        while not part.is_discrete():
+            t = part.target()
+            part.individualize(t, part.order[t])
+    return run
+
+
 def search_case(g):
     return lambda: automorphism_group(g)
 
@@ -94,6 +109,8 @@ def build_cases():
          kernel_case(f2q5, [list(range(f2q5.n))])),
         ("refine F2(Q5), one vertex individualized in the root partition",
          individualized_case(f2q5)),
+        ("refine F2(Q5) down its first path to a discrete partition",
+         first_path_case(f2q5)),
         ("refine C499, individualized vertex",
          kernel_case(long_cycle, [[0], list(range(1, long_cycle.n))])),
         ("aut search F2(Q4), 120 vertices, order 3072",

@@ -167,21 +167,16 @@ class Graph:
         return Graph(self.n, tuple(adj), self.label)
 
     def induced(self, vertices: Sequence[int]) -> "Graph":
-        """Induced subgraph; new vertex i is old vertices[i]."""
+        """Induced subgraph; new vertex i is old vertices[i]. It is built
+        from this graph's neighbour table, and keeps its own."""
         index = {v: i for i, v in enumerate(vertices)}
         if len(index) != len(vertices):
             raise ValueError("duplicate vertex in induced set")
         if any(not 0 <= v < self.n for v in vertices):
             raise ValueError(f"induced vertex out of range 0..{self.n - 1}")
-        adj = [0] * len(vertices)
-        for i, v in enumerate(vertices):
-            m = 0
-            for w in _bits(self.adj[v]):
-                j = index.get(w)
-                if j is not None:
-                    m |= 1 << j
-            adj[i] = m
-        return Graph(len(vertices), tuple(adj))
+        kept, new_of = index.__contains__, index.__getitem__
+        return Graph.from_nbrs([sorted(map(new_of, filter(kept, self.nbrs[v])))
+                                for v in vertices])
 
     def is_connected(self) -> bool:
         seen = 1

@@ -17,6 +17,12 @@ equally often, has uniform counts and is skipped without being scanned.
 A singleton splitter, the common case in the search, only needs to know
 how many of its neighbours fall in each cell.
 
+Counts go into plain dicts through ``collections._count_elements``, the
+C loop that ``Counter.update`` calls, with a Python fallback defined in
+``collections``. Most splitters are a cell of one or two vertices, so a
+``Counter`` per splitter, with its Python-level ``__init__``, ``update``
+and ``Mapping`` check, cost more than the counting itself.
+
 Splitters are queued by Hopcroft's rule, as in nauty and Traces: of the
 fragments of a split cell, every one but the first largest is queued,
 unless the cell itself is still queued, in which case its queue entry
@@ -50,7 +56,8 @@ A rejected node pays only for the shared prefix of its trace.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+# Counter.update's C counting loop; collections defines a Python fallback.
+from collections import _count_elements, deque
 from itertools import chain
 
 
@@ -199,13 +206,16 @@ class Partition:
                 # when it holds some but not all of them, into the
                 # vertices outside the neighbourhood and those inside.
                 nb = nbrs[order[s]]
-                hits = Counter(map(cell_of, nb))
+                hits = {}
+                _count_elements(hits, map(cell_of, nb))
                 split = [t for t, k in hits.items() if k != size[t]]
                 count = set(nb) if split else None
             else:
                 splitter = order[s:s + size[s]]
-                count = Counter(chain.from_iterable(map(neighbours, splitter)))
-                hits = Counter(zip(map(cell_of, count), count.values()))
+                count, hits = {}, {}
+                _count_elements(count,
+                                chain.from_iterable(map(neighbours, splitter)))
+                _count_elements(hits, zip(map(cell_of, count), count.values()))
                 # A (cell, count) pair short of the whole cell means the
                 # cell holds a second count, if only 0 for untouched
                 # vertices, and splits.

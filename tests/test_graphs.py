@@ -194,6 +194,39 @@ def test_induced_and_relabel():
     assert back.has_edge(4, 2) and not back.has_edge(4, 3)
 
 
+def bitmask_induced(g, vertices):
+    """Reference: the induced subgraph's rows, built bit by bit from g's
+    bitmasks and checked by the constructor."""
+    adj = [0] * len(vertices)
+    for i, v in enumerate(vertices):
+        for j, w in enumerate(vertices):
+            if g.adj[v] >> w & 1:
+                adj[i] |= 1 << j
+    return Graph(len(vertices), tuple(adj))
+
+
+def test_induced_matches_the_bitmask_construction():
+    rng = random.Random(11)
+    isolated = 0
+    for trial in range(150):
+        n = rng.randint(1, 30)
+        p = rng.choice((0.05, 0.2, 0.5, 0.9))
+        g = graph_from_edges(n, [e for e in combinations(range(n), 2)
+                                 if rng.random() < p])
+        vertices = rng.sample(range(n), rng.randint(1, n))
+        sub, want = g.induced(vertices), bitmask_induced(g, vertices)
+        assert (sub.n, sub.adj, sub.nbrs, sub.label) == \
+            (want.n, want.adj, want.nbrs, None), trial
+        isolated += sub.nbrs.count(())
+        with pytest.raises(ValueError, match="duplicate"):
+            g.induced(vertices + vertices[:1])
+        with pytest.raises(ValueError, match="out of range"):
+            g.induced(vertices[1:] + [rng.choice((-1, n))])
+    assert isolated > 0
+    single = hypercube(3).induced([5])
+    assert (single.n, single.adj, single.nbrs) == (1, (0,), ((),))
+
+
 def test_edge_list_round_trip():
     for g in (complete_graph(4), complete_bipartite(2, 3), hypercube(3),
               path_graph(5), graph_from_edges(3, [])):

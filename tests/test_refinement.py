@@ -297,6 +297,33 @@ def test_partition_trail_undo_and_in_place_refines():
         assert snapshot(part) == initial, trial
 
 
+def test_first_path_matches_reference_at_every_level():
+    # The search's first path, from the unit partition down to a discrete
+    # one: each level individualizes the first vertex of the first smallest
+    # non-singleton cell, in place, and must give the reference's cells and
+    # trace. The other reference comparisons stop one level below the
+    # root, short of the cascades of size-2 cells near the leaf.
+    g = token_graph(hypercube(4), 2).graph
+    images = list(range(g.n))
+    random.Random(10).shuffle(images)
+    for h in (g, g.relabel(images)):
+        part = Partition(h.nbrs, [list(range(h.n))])
+        cells, trace = hopcroft_scan_refine(h.n, h.adj, [list(range(h.n))],
+                                            [0])
+        assert (part.refine([0]), part.cells()) == (trace, cells)
+        depth = 0
+        while not part.is_discrete():
+            start = part.target()
+            t = live_starts(part).index(start)
+            v, *rest = cells[t]
+            child = cells[:t] + [[v], rest] + cells[t + 1:]
+            cells, trace = hopcroft_scan_refine(h.n, h.adj, child, [t, t + 1])
+            assert part.individualize(start, v) == trace, depth
+            assert part.cells() == cells, depth
+            depth += 1
+        assert depth > 2
+
+
 def altered_traces(rng, trace):
     """Traces that differ from trace: one event changed (the last one, and
     one at random), one marker dropped, one added."""
