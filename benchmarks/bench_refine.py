@@ -14,9 +14,9 @@ relabeling and one rejection of a pair with equal strongly regular
 parameters.
 
 Each figure is the best of --repeat runs. Every case builds its
-``Partition`` in each run, but the graph's neighbour table,
-``Graph.nbrs``, is built only in the first run and then cached on the
-graph, so with --repeat above 1 no figure counts building the table.
+``Partition`` in each run, but no figure counts building the graph's
+neighbour table, ``Graph.nbrs``: it comes with the graph from its
+constructor.
 
     PYTHONPATH=src python benchmarks/bench_refine.py [--repeat N] [--skip-large]
 """

@@ -60,8 +60,13 @@ below the bound and the grown chain is completed by Schreier-Sims.
 
 A fifth table, ``run_builds``, times ``token_graph`` itself, best of
 three builds: F2(Q_6), F2(Q_7), F6(K_{2,12}) and F7(K_{2,14}) (the last
-left out by --skip-largest), each checked against the edge-count law,
-C(n-2, k-1) token edges per base edge.
+left out by --skip-largest). Its read rows time reading a token graph's
+edge list as ``aut --in`` and ``factor --in`` do, ``cli._read_graph``,
+plus the first use of its neighbour table, best of three: F2(Q_7) and
+F7(K_{2,14}) (left out by --skip-largest), each written to a temporary
+file first. Every row is checked against the edge-count law, C(n-2, k-1)
+token edges per base edge, and ``rss`` is the process's peak resident set
+size in MB when the row ends; run a row alone for its own peak.
 
 A sixth table, ``run_verifies``, times whole verify pipelines under an
 explicit guard raised to 10,000 vertices, so that F2(Q7)'s 8,128 are
@@ -80,8 +85,10 @@ The last line is the process's peak resident set size.
 """
 
 import argparse
+import os
 import random
 import resource
+import tempfile
 import time
 from functools import partial
 from math import comb, factorial
@@ -96,6 +103,7 @@ from tokenaut import (
     cartesian_product,
     complete_bipartite,
     complete_graph,
+    format_edge_list,
     graph_from_edges,
     hypercube,
     is_isomorphic,
@@ -105,6 +113,7 @@ from tokenaut import (
     verify_bipartite,
     verify_cube,
 )
+from tokenaut.cli import _read_graph
 from tokenaut.refinement import Partition
 from tokenaut.search import (TwinGroup, _lift, _quotient_search, _Search,
                              _twin_classes)
@@ -317,6 +326,21 @@ def build_cases() -> list[tuple]:
             ("F7(K2,14)", complete_bipartite(2, 14), 7)]
 
 
+def read_cases() -> list[tuple]:
+    """The read rows of the build table, as (case, base, k)."""
+    return [("read F2(Q7)", hypercube(7), 2),
+            ("read F7(K2,14)", complete_bipartite(2, 14), 7)]
+
+
+def check_edge_count(case: str, g, base, k: int) -> int:
+    """The k-token graph's edge count by the edge-count law; raises unless
+    ``g`` has that many edges on C(n, k) vertices."""
+    edges = comb(base.n - 2, k - 1) * base.edge_count()
+    if (g.n, g.edge_count()) != (comb(base.n, k), edges):
+        raise AssertionError(f"{case}: size differs from the edge-count law")
+    return edges
+
+
 def run_build(case: str, base, k: int) -> dict:
     """Time the fastest of BUILD_REPEATS builds of the k-token graph of
     ``base`` and check its edge count."""
@@ -325,21 +349,42 @@ def run_build(case: str, base, k: int) -> dict:
         started = time.perf_counter()
         g = token_graph(base, k).graph
         seconds.append(time.perf_counter() - started)
-    edges = comb(base.n - 2, k - 1) * base.edge_count()
-    if (g.n, g.edge_count()) != (comb(base.n, k), edges):
-        raise AssertionError(f"{case}: size differs from the edge-count law")
-    return {"case": case, "vertices": g.n, "edges": edges,
-            "seconds": min(seconds)}
+    return {"case": case, "vertices": g.n,
+            "edges": check_edge_count(case, g, base, k),
+            "seconds": min(seconds), "rss": peak_rss_mb()}
 
 
-def run_builds(cases) -> list[dict]:
-    """Print a row per build case and return the rows."""
-    print(f"{'case':<11} {'vertices':>8} {'edges':>7} {'seconds':>7}")
+def run_read(case: str, base, k: int) -> dict:
+    """Time the fastest of BUILD_REPEATS reads of the k-token graph's edge
+    list, each with the first use of its neighbour table, and check the
+    graph read."""
+    seconds = []
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "graph.el")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(format_edge_list(token_graph(base, k).graph))
+        for _ in range(BUILD_REPEATS):
+            g = None  # hold one graph at a time
+            started = time.perf_counter()
+            g = _read_graph(path)
+            g.nbrs
+            seconds.append(time.perf_counter() - started)
+    return {"case": case, "vertices": g.n,
+            "edges": check_edge_count(case, g, base, k),
+            "seconds": min(seconds), "rss": peak_rss_mb()}
+
+
+def run_builds(cases, reads=()) -> list[dict]:
+    """Print a row per build case, then per read case, and return the
+    rows."""
+    print(f"{'case':<14} {'vertices':>8} {'edges':>7} {'seconds':>7} "
+          f"{'rss':>5}")
     rows = []
-    for case in cases:
-        row = run_build(*case)
-        print(f"{row['case']:<11} {row['vertices']:>8} {row['edges']:>7} "
-              f"{row['seconds']:>7.3f}", flush=True)
+    for run, case in ([(run_build, c) for c in cases]
+                      + [(run_read, c) for c in reads]):
+        row = run(*case)
+        print(f"{row['case']:<14} {row['vertices']:>8} {row['edges']:>7} "
+              f"{row['seconds']:>7.3f} {row['rss']:>5.0f}", flush=True)
         rows.append(row)
     return rows
 
@@ -402,8 +447,8 @@ def main() -> int:
     parser = argparse.ArgumentParser(
         description="time automorphism_group on F_k(K_{2,n})")
     parser.add_argument("--skip-largest", action="store_true",
-                        help="leave out F7(K2,14)'s search and build, "
-                             "and F2(Q7)'s chain and verify")
+                        help="leave out F7(K2,14)'s search, build and "
+                             "read, and F2(Q7)'s chain and verify")
     args = parser.parse_args()
     cases = CASES[:-1] if args.skip_largest else CASES
     print(f"{'case':<11} {'vertices':>8} {'quotient':>8} {'nodes':>6} "
@@ -428,8 +473,10 @@ def main() -> int:
     run_chains(chain_cases(CHAIN_CUBES[:-1] if args.skip_largest
                            else CHAIN_CUBES))
     print()
-    builds = build_cases()
-    run_builds(builds[:-1] if args.skip_largest else builds)
+    builds, reads = build_cases(), read_cases()
+    if args.skip_largest:
+        builds, reads = builds[:-1], reads[:-1]
+    run_builds(builds, reads)
     print()
     run_verifies(verify_cases(VERIFY_CUBES[:-1] if args.skip_largest
                               else VERIFY_CUBES, VERIFY_BIPARTITE))

@@ -18,7 +18,7 @@ from .graphs import (BipartiteSpec, Graph, cartesian_product,
                      distance_matrix, format_edge_list, graph_from_edges,
                      hypercube, parse_edge_list, path_graph, star_graph)
 from .subsets import ksubsets, rank, unrank
-from .tokens import TokenGraph, complement_map, token_graph
+from .tokens import TokenGraph, token_graph
 from .perms import (PermGroup, Permutation, bounded_order, is_subgroup,
                     permutation_from_str, permutation_to_str, schreier_sims)
 from .refinement import available_backends, default_backend
@@ -45,7 +45,7 @@ __all__ = [
     "cartesian_product", "hypercube", "distance_matrix",
     "format_edge_list", "parse_edge_list",
     "rank", "unrank", "ksubsets",
-    "TokenGraph", "token_graph", "complement_map",
+    "TokenGraph", "token_graph",
     "Permutation", "PermGroup", "schreier_sims",
     "bounded_order",
     "is_subgroup", "permutation_to_str", "permutation_from_str",

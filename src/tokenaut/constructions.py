@@ -18,7 +18,9 @@ distinguished "last" factor r-1 in the twisted subset action.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from math import comb, factorial, prod
+from operator import add, or_, xor
 from typing import Iterable, Sequence
 
 from . import subsets
@@ -26,7 +28,8 @@ from .graphs import BipartiteSpec, Graph, cartesian_product, complete_bipartite
 from .perms import PermGroup, Permutation, _id_images
 from .search import (automorphism_group, certify, is_automorphism,
                      is_isomorphic)
-from .tokens import TokenGraph, config_images, rank_index, token_graph
+from .tokens import (TokenGraph, config_index, lift_masks, mask_ranks,
+                     token_graph)
 
 
 @dataclass(frozen=True)
@@ -85,14 +88,8 @@ def lift_to_token_graph(phi: Permutation, tg: TokenGraph) -> Permutation:
         raise ValueError(f"degree {phi.degree} != base order {tg.n}")
     if not is_automorphism(tg.base, phi):
         raise ValueError("permutation is not an automorphism of the base graph")
-    return _lifted(phi, tg.index, tg.configs)
-
-
-def _lifted(phi: Permutation, index: dict,
-            configs: Sequence[tuple[int, ...]]) -> Permutation:
-    """The permutation of ranks that phi induces on ``configs``."""
-    point = phi.images.__getitem__
-    return Permutation(config_images(index, configs, lambda a: map(point, a)))
+    return Permutation(mask_ranks(tg.rank_of_mask,
+                                  lift_masks(tg.configs, phi.images)))
 
 
 def complement_automorphism(tg: TokenGraph) -> Permutation:
@@ -100,8 +97,9 @@ def complement_automorphism(tg: TokenGraph) -> Permutation:
     if 2 * tg.k != tg.n:
         raise ValueError(f"complement needs 2k = n, got k={tg.k}, n={tg.n}")
     # With n = 2k the complements of the k-subsets are k-subsets again.
-    return Permutation(config_images(tg.index, tg.configs,
-                                     frozenset(range(tg.n)).difference))
+    full = (1 << tg.n) - 1
+    return Permutation(mask_ranks(tg.rank_of_mask,
+                                  map(xor, tg.rank_of_mask, repeat(full))))
 
 
 def _validate_bipartite_family(spec: BipartiteSpec, k: int, family: SwapFamily):
@@ -153,8 +151,8 @@ def y_permutation_lift(spec: BipartiteSpec, k: int, pi: Permutation) -> Permutat
         raise ValueError("permutation must map Y onto Y")
     if not (1 <= k <= total - 1):
         raise ValueError(f"need 1 <= k <= {total - 1}, got k={k}")
-    configs = tuple(subsets.ksubsets(total, k))
-    return _lifted(pi, rank_index(configs), configs)
+    configs, rank_of_mask = config_index(total, k)
+    return Permutation(mask_ranks(rank_of_mask, lift_masks(configs, pi.images)))
 
 
 def _token_graph_of(base: Graph, k: int, tg: TokenGraph | None) -> TokenGraph:
@@ -305,16 +303,23 @@ def coordinate_swap_product(factors: Sequence[Graph], family: SwapFamily,
             for v in range(total)]
     keep = [v - p for v, p in enumerate(part)]
     if tg is None:
-        configs = tuple(subsets.ksubsets(total, 2))
-        index = rank_index(configs)
+        configs, rank_of_mask = config_index(total, 2)
     elif (tg.k, tg.n) != (2, total):
         raise ValueError(f"token graph {tg.graph.label!r} is not a 2-token "
                          f"graph on {total} vertices")
     else:
-        configs, index = tg.configs, tg.index
-    return Permutation(config_images(
-        index, configs,
-        lambda ab: (keep[ab[0]] + part[ab[1]], keep[ab[1]] + part[ab[0]])))
+        configs, rank_of_mask = tg.configs, tg.rank_of_mask
+    # {a, b} goes to {keep[a] + part[b], keep[b] + part[a]}: one column of
+    # image points per token, each point read as its bit.
+    bit = [1 << v for v in range(total)]
+    first, second = zip(*configs)
+
+    def column(own, other):
+        return map(bit.__getitem__, map(add, map(keep.__getitem__, own),
+                                        map(part.__getitem__, other)))
+
+    return Permutation(mask_ranks(rank_of_mask, map(
+        or_, column(first, second), column(second, first))))
 
 
 def check_factors(factors: Sequence[Graph]) -> None:

@@ -1,9 +1,13 @@
 """Dense simple-graph representation and standard constructions.
 
-Vertices are always 0..n-1. Adjacency is stored as one Python-int bitmask
-per vertex, which keeps neighbourhood intersections cheap in the search
-inner loops. Graphs are immutable, hashable, and loop-free; every function
-here is pure.
+Vertices are always 0..n-1. Adjacency is stored twice: as one Python-int
+bitmask per vertex, which keeps edge tests and neighbourhood intersections
+cheap in the search inner loops, and as each vertex's ascending neighbour
+list, ``Graph.nbrs``, which refinement and the edge checks walk. Every
+constructor here builds its graph from neighbour lists through
+``Graph.from_nbrs``, which checks the lists once and makes the bitmasks
+from them, so no graph built here walks its rows bit by bit. Graphs are
+immutable, hashable, and loop-free; every function here is pure.
 
 Cartesian products use a mixed-radix vertex encoding with the first factor
 most significant, so a product vertex is identified with its coordinate
@@ -18,8 +22,9 @@ from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import compress, repeat
-from operator import lshift, lt, ne, or_
+from itertools import compress, product, repeat
+from math import prod
+from operator import lshift, lt, ne, or_, xor
 from typing import Iterable, Iterator, Sequence
 
 
@@ -33,7 +38,10 @@ def _bits(mask: int) -> Iterator[int]:
 
 @dataclass(frozen=True)
 class Graph:
-    """Simple undirected graph on 0..n-1 with bitmask adjacency rows."""
+    """Simple undirected graph on 0..n-1 with bitmask adjacency rows.
+
+    ``Graph(n, adj)`` takes rows that the caller supplies and checks them
+    bit by bit; the library's constructors go through ``from_nbrs``."""
 
     n: int
     adj: tuple[int, ...]
@@ -55,7 +63,8 @@ class Graph:
                     raise ValueError("adjacency must be symmetric")
 
     @classmethod
-    def from_nbrs(cls, nbrs: Sequence[list[int]], label: str | None = None) -> "Graph":
+    def from_nbrs(cls, nbrs: Sequence[Sequence[int]],
+                  label: str | None = None) -> "Graph":
         """Graph in which vertex u has the neighbours ``nbrs[u]``, each list
         in ascending order; the lists become the graph's ``nbrs`` table.
 
@@ -98,16 +107,20 @@ class Graph:
         return (self.adj[u] >> v) & 1 == 1
 
     def neighbors(self, u: int) -> list[int]:
-        return list(_bits(self.adj[u]))
+        return list(self.nbrs[u])
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (u, v) pairs with u < v, lexicographically sorted."""
-        return [(u, v) for u in range(self.n) for v in _bits(self.adj[u] >> (u + 1) << (u + 1))]
+        return [(u, v) for u, nu in enumerate(self.nbrs)
+                for v in nu[bisect_right(nu, u):]]
 
     @cached_property
     def nbrs(self) -> tuple[tuple[int, ...], ...]:
-        """Each vertex's neighbours in ascending order, built on first use.
-        Refinement partitions and the edge checks all read this one table."""
+        """Each vertex's neighbours in ascending order. Refinement
+        partitions, the edge checks, ``edges`` and ``distance_matrix`` all
+        read this one table. ``from_nbrs`` hands it over with the graph;
+        only a graph made by ``Graph(n, adj)`` builds it here, from its
+        rows, on first use."""
         out = []
         for row in self.adj:
             nb = []
@@ -158,13 +171,11 @@ class Graph:
         """Graph with vertex u renamed to images[u] (a bijection on 0..n-1)."""
         if sorted(images) != list(range(self.n)):
             raise ValueError("relabeling must be a bijection")
-        adj = [0] * self.n
-        for u, row in enumerate(self.adj):
-            m = 0
-            for v in _bits(row):
-                m |= 1 << images[v]
-            adj[images[u]] = m
-        return Graph(self.n, tuple(adj), self.label)
+        nbrs = [None] * self.n
+        point = images.__getitem__
+        for u, nu in enumerate(self.nbrs):
+            nbrs[images[u]] = sorted(map(point, nu))
+        return Graph.from_nbrs(nbrs, self.label)
 
     def induced(self, vertices: Sequence[int]) -> "Graph":
         """Induced subgraph; new vertex i is old vertices[i]. It is built
@@ -192,15 +203,17 @@ class Graph:
 
 
 def graph_from_edges(n: int, edges: Iterable[tuple[int, int]], label: str | None = None) -> Graph:
-    adj = [0] * n
+    """Graph on 0..n-1 with the given edges; a repeated edge, in either
+    orientation, is the same edge."""
+    nbrs: list[list[int]] = [[] for _ in range(n)]
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"edge ({u},{v}) out of range for n={n}")
         if u == v:
             raise ValueError(f"loop at vertex {u} not allowed")
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-    return Graph(n, tuple(adj), label)
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    return Graph.from_nbrs([sorted(set(nb)) for nb in nbrs], label)
 
 
 @dataclass(frozen=True)
@@ -234,17 +247,21 @@ class BipartiteSpec:
 def complete_graph(n: int) -> Graph:
     if n < 1:
         raise ValueError("complete_graph needs n >= 1")
-    full = (1 << n) - 1
-    return Graph(n, tuple(full ^ (1 << u) for u in range(n)), f"K{n}")
+    return Graph.from_nbrs([[*range(u), *range(u + 1, n)] for u in range(n)],
+                           f"K{n}")
 
 
 def complete_bipartite(m: int, n: int) -> Graph:
     if m < 1 or n < 1:
         raise ValueError("complete_bipartite needs m, n >= 1")
-    x_mask = (1 << m) - 1
-    y_mask = ((1 << (m + n)) - 1) ^ x_mask
-    adj = tuple(y_mask if u < m else x_mask for u in range(m + n))
-    return Graph(m + n, adj, f"K{m},{n}")
+    return Graph.from_nbrs(_bipartite_nbrs(m, n), f"K{m},{n}")
+
+
+def _bipartite_nbrs(m: int, n: int) -> list[tuple[int, ...]]:
+    """Neighbour lists of K_{m,n}, X = 0..m-1 first; each side shares one
+    tuple."""
+    x, y = tuple(range(m)), tuple(range(m, m + n))
+    return [y] * m + [x] * n
 
 
 def path_graph(n: int) -> Graph:
@@ -264,7 +281,7 @@ def star_graph(n: int) -> Graph:
     """Star with center 0 and n leaves; identical to K_{1,n}."""
     if n < 1:
         raise ValueError("star_graph needs n >= 1 leaves")
-    return Graph(n + 1, complete_bipartite(1, n).adj, f"K1,{n}")
+    return Graph.from_nbrs(_bipartite_nbrs(1, n), f"K1,{n}")
 
 
 def mixed_radix_encode(coords: Sequence[int], sizes: Sequence[int]) -> int:
@@ -297,22 +314,17 @@ def cartesian_product(factors: Sequence[Graph]) -> Graph:
     """
     if len(factors) < 1:
         raise ValueError("cartesian_product needs at least one factor")
-    sizes = [g.n for g in factors]
-    total = 1
-    for s in sizes:
-        total *= s
-    strides = [1] * len(sizes)
-    for i in range(len(sizes) - 2, -1, -1):
-        strides[i] = strides[i + 1] * sizes[i + 1]
-    adj = [0] * total
-    for code in range(total):
-        coords = mixed_radix_decode(code, sizes)
-        m = 0
-        for i, g in enumerate(factors):
-            for w in _bits(g.adj[coords[i]]):
-                m |= 1 << (code + (w - coords[i]) * strides[i])
-        adj[code] = m
-    return Graph(total, tuple(adj), product_label(factors))
+    # steps[i][c]: how far the code moves along each edge of factor i at
+    # coordinate c; the codes run through the coordinate tuples in order.
+    stride = prod(g.n for g in factors)
+    steps = []
+    for g in factors:
+        stride //= g.n
+        steps.append([[(w - c) * stride for w in nb]
+                      for c, nb in enumerate(g.nbrs)])
+    nbrs = [sorted([code + d for step in row for d in step])
+            for code, row in enumerate(product(*steps))]
+    return Graph.from_nbrs(nbrs, product_label(factors))
 
 
 def product_label(factors: Sequence[Graph]) -> str:
@@ -321,19 +333,22 @@ def product_label(factors: Sequence[Graph]) -> str:
 
 
 def hypercube(r: int) -> Graph:
-    """r-dimensional hypercube as the r-fold product of K_2.
+    """r-dimensional hypercube, the r-fold product of K_2.
 
-    Vertex codes read as r-bit strings, coordinate 0 most significant.
+    Vertex codes read as r-bit strings, coordinate 0 most significant, so
+    the neighbours of a vertex are the codes one bit flip away.
     """
     if r < 1:
         raise ValueError("hypercube needs r >= 1")
-    g = cartesian_product([complete_graph(2)] * r)
-    return Graph(g.n, g.adj, f"Q{r}")
+    flips = [1 << b for b in range(r)]
+    return Graph.from_nbrs([sorted(map(xor, repeat(v), flips))
+                            for v in range(1 << r)], f"Q{r}")
 
 
 def distance_matrix(g: Graph) -> list[list[int]]:
     """All-pairs hop distances; unreachable pairs get the sentinel value n."""
     out = []
+    nbrs = g.nbrs
     for src in range(g.n):
         dist = [g.n] * g.n
         dist[src] = 0
@@ -341,7 +356,7 @@ def distance_matrix(g: Graph) -> list[list[int]]:
         while q:
             u = q.popleft()
             du = dist[u]
-            for v in _bits(g.adj[u]):
+            for v in nbrs[u]:
                 if dist[v] == g.n:
                     dist[v] = du + 1
                     q.append(v)

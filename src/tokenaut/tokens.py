@@ -8,18 +8,22 @@ subset, so the vertex set is exactly 0..C(n,k)-1.
 The graph is built by token moves: each configuration's neighbour list
 collects the ranks of the configurations reached by moving one of its
 tokens to a free base neighbour, so each token-graph edge is found once
-from either end, and each row is made once from its list. A map on
-configurations becomes a permutation of ranks through one rank index, a
-dict from each sorted configuration to its rank: a configuration that is
-not a sorted k-subset of 0..n-1 misses it, so the lookup is also the
+from either end, and each row is made once from its list. Moves are looked
+up in one rank index, a dict from each configuration's bitmask (bit v set
+for each token on v) to its rank, which the token graph keeps. A map on
+configurations becomes a permutation of ranks through the same index: the
+image masks are built column by column, token by token, and a mask that is
+no k-subset of 0..n-1 misses the index, so the lookup is also the
 validation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
-from typing import Callable, Iterable, Sequence
+from dataclasses import dataclass, field
+from functools import partial, reduce
+from itertools import repeat
+from operator import lshift, or_
+from typing import Iterable, Sequence
 
 from . import subsets
 from .graphs import Graph
@@ -27,26 +31,27 @@ from .graphs import Graph
 
 @dataclass(frozen=True)
 class TokenGraph:
-    """A token graph together with its base graph and rank bookkeeping."""
+    """A token graph together with its base graph and rank bookkeeping:
+    configs[r] is the configuration at rank r, and rank_of_mask maps each
+    configuration's bitmask to its rank."""
 
     base: Graph
     k: int
     graph: Graph
     configs: tuple[tuple[int, ...], ...]
+    rank_of_mask: dict[int, int] = field(repr=False, compare=False)
 
     @property
     def n(self) -> int:
         return self.base.n
 
-    @cached_property
-    def index(self) -> dict[tuple[int, ...], int]:
-        """The rank index of ``configs``, built on first use."""
-        return rank_index(self.configs)
-
     def rank_of(self, members) -> int:
-        """Vertex rank of a k-subset of the base's vertices; configs[r] is
-        the configuration at rank r."""
-        return config_images(self.index, [members], lambda a: a)[0]
+        """Vertex rank of a k-subset of the base's vertices."""
+        members = tuple(members)
+        if len(members) != self.k:
+            raise ValueError(f"{list(members)} is not a {self.k}-subset")
+        return mask_ranks(self.rank_of_mask,
+                          [reduce(or_, map(lshift, repeat(1), members))])[0]
 
 
 def token_graph(base: Graph, k: int) -> TokenGraph:
@@ -63,54 +68,50 @@ def token_graph(base: Graph, k: int) -> TokenGraph:
         raise ValueError("token graph needs a base with at least 2 vertices")
     if not (1 <= k <= n - 1):
         raise ValueError(f"need 1 <= k <= n-1, got k={k} for n={n}")
-    configs = tuple(subsets.ksubsets(n, k))
+    configs, rank_of_mask = config_index(n, k)
     bit = [1 << v for v in range(n)]
-    masks = [sum(map(bit.__getitem__, sub)) for sub in configs]
-    rank_of_mask = rank_index(masks)
     nbits = [[bit[v] for v in nb] for nb in base.nbrs]
     nbrs = []
-    for sub, m in zip(configs, masks):
+    for sub, m in zip(configs, rank_of_mask):
         moves = [rank_of_mask[m ^ bit[u] | b]
                  for u in sub for b in nbits[u] if not m & b]
         moves.sort()
         nbrs.append(moves)
     label = f"F{k}({base.label})" if base.label else f"F{k}"
-    return TokenGraph(base, k, Graph.from_nbrs(nbrs, label), configs)
+    return TokenGraph(base, k, Graph.from_nbrs(nbrs, label), configs,
+                      rank_of_mask)
 
 
-def rank_index(configs: Sequence) -> dict:
-    """Map each entry of ``configs``, a configuration or its bitmask, to
-    its position, its rank."""
-    return dict(zip(configs, range(len(configs))))
+def config_index(n: int, k: int) -> tuple[tuple[tuple[int, ...], ...],
+                                          dict[int, int]]:
+    """The k-subsets of 0..n-1 in rank order, and the rank index of their
+    bitmasks, in the same order."""
+    configs = tuple(subsets.ksubsets(n, k))
+    masks = lift_masks(configs, range(n))
+    return configs, dict(zip(masks, range(len(configs))))
 
 
-def config_images(index: dict[tuple[int, ...], int],
-                  configs: Iterable[tuple[int, ...]],
-                  image: Callable[[tuple[int, ...]], Iterable[int]]
-                  ) -> tuple[int, ...]:
-    """Rank table of a map on configurations.
+def lift_masks(configs: Sequence[tuple[int, ...]],
+               points: Sequence[int]) -> Iterable[int]:
+    """The bitmask of {points[a] : a in A} for each A of ``configs``, in
+    order, built a column (one token of every configuration) at a time."""
+    bit = [1 << p for p in points]
+    return reduce(partial(map, or_),
+                  [map(bit.__getitem__, column) for column in zip(*configs)])
 
-    Entry r is the rank in ``index`` of image(A) for the r-th configuration
-    A of ``configs``; the image may have another size than A, as long as
-    ``index`` ranks subsets of its size. Raises ValueError when an image
-    is not in ``index``: a repeated member, a point outside the base or a
-    wrong size.
+
+def mask_ranks(rank_of_mask: dict[int, int],
+               masks: Iterable[int]) -> tuple[int, ...]:
+    """Rank table of a map on configurations: entry r is the rank in
+    ``rank_of_mask`` of the r-th of ``masks``, the image of the
+    configuration at rank r. Raises ValueError when an image is not in
+    the index: a point repeated (its bits merge), a point outside the base
+    or a wrong size.
     """
     try:
-        return tuple([index[tuple(sorted(image(a)))] for a in configs])
+        return tuple(map(rank_of_mask.__getitem__, masks))
     except KeyError as missing:
-        raise ValueError(f"{list(missing.args[0])} is not a configuration "
+        mask = missing.args[0]
+        members = [v for v in range(mask.bit_length()) if mask >> v & 1]
+        raise ValueError(f"{members} is not a configuration "
                          f"of this rank index") from None
-
-
-def complement_map(n: int, k: int) -> tuple[int, ...]:
-    """Rank table of the complement bijection from k-subsets to (n-k)-subsets.
-
-    Entry r is the colex rank (among (n-k)-subsets) of the complement of
-    the rank-r k-subset. Applying the table for (n, k) and then (n, n-k)
-    gives the identity.
-    """
-    if not (0 <= k <= n):
-        raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
-    return config_images(rank_index(tuple(subsets.ksubsets(n, n - k))),
-                         subsets.ksubsets(n, k), frozenset(range(n)).difference)

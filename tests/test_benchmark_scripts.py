@@ -90,3 +90,15 @@ def test_bench_search_verify_row():
     for row in (cube, bipartite):
         assert row["nodes"] >= 1 and row["seconds"] > 0
         assert 0 < row["chain"] <= row["seconds"]
+
+
+def test_bench_search_read_row():
+    # run_read raises when the graph read back differs from the edge-count
+    # law: F2(Q4) again, written as an edge list and read by the CLI.
+    bench_search = load("bench_search")
+    (row,) = bench_search.run_builds([], [("read F2(Q4)", hypercube(4), 2)])
+    assert (row["case"], row["vertices"], row["edges"]) == (
+        "read F2(Q4)", 120, 448)
+    assert row["seconds"] > 0 and row["rss"] > 0
+    assert [case[0] for case in bench_search.read_cases()] == [
+        "read F2(Q7)", "read F7(K2,14)"]

@@ -1,6 +1,7 @@
 """Graph construction, products, distances, and the edge-list format."""
 
 import random
+import re
 from itertools import combinations
 
 import pytest
@@ -20,7 +21,8 @@ from tokenaut import (
     path_graph,
     star_graph,
 )
-from tokenaut.graphs import mixed_radix_decode, mixed_radix_encode
+from tokenaut.graphs import mixed_radix_decode, mixed_radix_encode, product_label
+from tokenaut.tokens import token_graph
 
 
 def test_complete_graph_edge_counts():
@@ -225,6 +227,157 @@ def test_induced_matches_the_bitmask_construction():
     assert isolated > 0
     single = hypercube(3).induced([5])
     assert (single.n, single.adj, single.nbrs) == (1, (0,), ((),))
+
+
+def bitmask_from_edges(n, edges, label=None):
+    """Reference: rows set bit by bit from the edges, with the checks and
+    messages of the edge-list constructor, checked by ``Graph(n, adj)``."""
+    adj = [0] * n
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u},{v}) out of range for n={n}")
+        if u == v:
+            raise ValueError(f"loop at vertex {u} not allowed")
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    return Graph(n, tuple(adj), label)
+
+
+def bitmask_product(factors):
+    """Reference: the product's rows set bit by bit from the factors' rows."""
+    sizes = [g.n for g in factors]
+    total = 1
+    for size in sizes:
+        total *= size
+    strides = [total // size for size in sizes]
+    for i in range(1, len(sizes)):
+        strides[i] = strides[i - 1] // sizes[i]
+    adj = [0] * total
+    for code in range(total):
+        coords = mixed_radix_decode(code, sizes)
+        for i, g in enumerate(factors):
+            c = coords[i]
+            for w in range(g.n):
+                if g.adj[c] >> w & 1:
+                    adj[code] |= 1 << (code + (w - c) * strides[i])
+    return Graph(total, tuple(adj), product_label(factors))
+
+
+def bitmask_relabel(g, images):
+    adj = [0] * g.n
+    for u in range(g.n):
+        for v in range(g.n):
+            if g.adj[u] >> v & 1:
+                adj[images[u]] |= 1 << images[v]
+    return Graph(g.n, tuple(adj), g.label)
+
+
+def assert_same(g, want, context):
+    """Equal in n, rows, label and the neighbour table, which ``want``,
+    built by ``Graph(n, adj)``, reads off its rows."""
+    assert (g.n, g.adj, g.nbrs, g.label) == \
+        (want.n, want.adj, want.nbrs, want.label), context
+
+
+def random_edge_list(rng, n):
+    """Random edges on 0..n-1, some repeated in either orientation; low
+    densities leave vertices isolated."""
+    p = rng.choice((0.0, 0.05, 0.2, 0.5, 0.9))
+    edges = [e if rng.random() < 0.5 else e[::-1]
+             for e in combinations(range(n), 2) if rng.random() < p]
+    edges += rng.sample(edges, min(len(edges), rng.randint(0, 4)))
+    edges += [(v, u) for u, v in edges[:rng.randint(0, 2)]]
+    rng.shuffle(edges)
+    return edges
+
+
+def test_constructors_match_the_bitmask_construction():
+    rng = random.Random(27)
+    inputs = [(1, []), (5, []), (2, [(0, 1), (1, 0), (0, 1)])]
+    inputs += [(n, random_edge_list(rng, n))
+               for n in (rng.randint(1, 30) for _ in range(150))]
+    isolated = repeated = 0
+    graphs = []
+    for trial, (n, edges) in enumerate(inputs):
+        label = rng.choice((None, f"g{trial}"))
+        g = graph_from_edges(n, edges, label)
+        assert_same(g, bitmask_from_edges(n, edges, label), trial)
+        isolated += g.nbrs.count(())
+        repeated += len(edges) > g.edge_count()
+        text = "n %d\n%s" % (n, "".join(f"{u} {v}\n" for u, v in edges))
+        assert_same(parse_edge_list(text), bitmask_from_edges(n, edges), trial)
+        images = rng.sample(range(n), n)
+        assert_same(g.relabel(images), bitmask_relabel(g, images), trial)
+        graphs.append(g)
+    assert isolated > 0 and repeated > 0
+    small = [g for g in graphs if g.n <= 5]
+    for trial in range(40):
+        factors = rng.sample(small, rng.randint(1, 3))
+        assert_same(cartesian_product(factors), bitmask_product(factors), trial)
+    for r in range(1, 6):
+        k2 = bitmask_from_edges(2, [(0, 1)], "K2")
+        want = bitmask_product([k2] * r)
+        assert_same(hypercube(r), Graph(want.n, want.adj, f"Q{r}"), r)
+    for n in range(1, 9):
+        assert_same(path_graph(n), bitmask_from_edges(
+            n, [(i, i + 1) for i in range(n - 1)], f"P{n}"), n)
+        if n >= 3:
+            assert_same(cycle_graph(n), bitmask_from_edges(
+                n, [(i, (i + 1) % n) for i in range(n)], f"C{n}"), n)
+        full = (1 << n) - 1
+        assert_same(complete_graph(n), Graph(
+            n, tuple(full ^ 1 << u for u in range(n)), f"K{n}"), n)
+        for m in range(1, n + 1):
+            x, y = (1 << m) - 1, ((1 << m + n) - 1) ^ ((1 << m) - 1)
+            rows = tuple(y if u < m else x for u in range(m + n))
+            assert_same(complete_bipartite(m, n), Graph(m + n, rows, f"K{m},{n}"), (m, n))
+        rows = tuple(((1 << n + 1) - 2) if u == 0 else 1 for u in range(n + 1))
+        assert_same(star_graph(n), Graph(n + 1, rows, f"K1,{n}"), n)
+    # A token graph's table is its rows' table too.
+    for g in small[:20]:
+        for k in range(1, g.n):
+            h = token_graph(g, k).graph
+            assert_same(h, Graph(h.n, h.adj, h.label), (g, k))
+
+
+def test_constructor_errors_keep_their_messages():
+    for n, edges in ((3, [(0, 3)]), (3, [(-1, 0)]), (3, [(1, 1)]),
+                     (3, [(0, 1), (2, 2), (0, 7)]), (3, [(0, 1), (0, 7), (2, 2)]),
+                     (0, []), (-2, []), (0, [(0, 0)])):
+        with pytest.raises(ValueError) as want:
+            bitmask_from_edges(n, edges)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(want.value))}$"):
+            graph_from_edges(n, edges)
+    with pytest.raises(ValueError, match="^line 3: expected 'u v', got '1'$"):
+        parse_edge_list("n 3\n0 1\n1\n")
+    with pytest.raises(ValueError, match=r"^edge \(0,5\) out of range for n=2$"):
+        parse_edge_list("n 2\n0 5\n")
+    for images in ([0, 0, 1], [0, 1], [1, 2, 3]):
+        with pytest.raises(ValueError, match="^relabeling must be a bijection$"):
+            path_graph(3).relabel(images)
+
+
+def test_raw_graphs_read_edges_and_distances_off_their_rows():
+    rng = random.Random(8)
+    for trial in range(40):
+        n = rng.randint(1, 12)
+        rows = [0] * n
+        for u, v in random_edge_list(rng, n):
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+        g = Graph(n, tuple(rows))
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n)
+                 if rows[u] >> v & 1]
+        assert g.edges() == edges, trial
+        assert g.neighbors(0) == [v for v in range(n) if rows[0] >> v & 1]
+        dist = [[0 if u == v else n for v in range(n)] for u in range(n)]
+        for u, v in edges:
+            dist[u][v] = dist[v][u] = 1
+        for w in range(n):
+            for u in range(n):
+                for v in range(n):
+                    dist[u][v] = min(dist[u][v], dist[u][w] + dist[w][v])
+        assert distance_matrix(g) == dist, trial
 
 
 def test_edge_list_round_trip():

@@ -7,7 +7,6 @@ from math import comb
 import pytest
 
 from tokenaut import (
-    complement_map,
     complete_bipartite,
     complete_graph,
     cycle_graph,
@@ -16,11 +15,12 @@ from tokenaut import (
     is_isomorphic,
     ksubsets,
     path_graph,
+    rank,
     star_graph,
     token_graph,
     unrank,
 )
-from tokenaut.tokens import config_images, rank_index
+from tokenaut.tokens import config_index, lift_masks, mask_ranks
 
 
 def brute_token_adjacency(base, k):
@@ -143,12 +143,20 @@ def test_rank_of_takes_only_k_subsets():
             tg.rank_of(bad)
 
 
+def complement_ranks(n, k):
+    """Rank table of the complement bijection from k-subsets to
+    (n-k)-subsets: entry r is the colex rank of the complement of the
+    rank-r k-subset."""
+    return [rank(set(range(n)).difference(unrank(r, n, k)), n)
+            for r in range(comb(n, k))]
+
+
 def test_complement_map_is_isomorphism():
     for base in FIXTURES:
         n = base.n
         for k in range(1, n):
-            cm = complement_map(n, k)
-            back = complement_map(n, n - k)
+            cm = complement_ranks(n, k)
+            back = complement_ranks(n, n - k)
             fk = token_graph(base, k).graph
             fnk = token_graph(base, n - k).graph
             assert all(back[cm[r]] == r for r in range(fk.n))
@@ -158,7 +166,7 @@ def test_complement_map_is_isomorphism():
 
 
 def test_complement_map_frozen_example():
-    cm = complement_map(4, 2)
+    cm = complement_ranks(4, 2)
     assert cm[0] == 5  # {0,1} -> {2,3}
     assert [cm[r] for r in range(6)] == [5, 4, 3, 2, 1, 0]
 
@@ -184,16 +192,20 @@ def test_cube_two_token_degrees():
 
 
 def test_rank_index_lookup_is_a_validation():
-    configs = tuple(ksubsets(6, 3))
-    index = rank_index(configs)
-    assert config_images(index, configs, lambda a: a) == tuple(range(20))
-    assert config_images(index, configs, reversed) == tuple(range(20))
+    configs, index = config_index(6, 3)
+    assert configs == tuple(ksubsets(6, 3))
+    assert list(index) == [sum(1 << v for v in a) for a in configs]
+    assert mask_ranks(index, lift_masks(configs, range(6))) == tuple(range(20))
+    swap = [1, 0, 2, 3, 4, 5]
+    assert mask_ranks(index, lift_masks(configs, swap)) == tuple(
+        rank({swap[v] for v in a}, 6) for a in configs)
     for bad in (
-        lambda a: (a[0], a[0], a[1]),  # a repeated member
-        lambda a: (a[0], a[1], 6),     # a point past n - 1
-        lambda a: (-1, a[1], a[2]),    # a point below 0
-        lambda a: a[:2],               # too few members
-        lambda a: (*a, 7),             # too many members
+        [0, 0, 2, 3, 4, 5],    # a repeated point
+        [0, 1, 2, 3, 4, 6],    # a point past n - 1
+        [-1, 1, 2, 3, 4, 5],   # a point below 0
     ):
         with pytest.raises(ValueError):
-            config_images(index, configs, bad)
+            mask_ranks(index, lift_masks(configs, bad))
+    for bad in (0b11, 0b1111):  # too few, too many members
+        with pytest.raises(ValueError, match="not a configuration"):
+            mask_ranks(index, [0b111, bad])
