@@ -19,19 +19,17 @@ from .graphs import (BipartiteSpec, Graph, cartesian_product,
                      hypercube, parse_edge_list, path_graph, star_graph)
 from .subsets import ksubsets, rank, unrank
 from .tokens import TokenGraph, token_graph
-from .perms import (PermGroup, Permutation, bounded_order, is_subgroup,
+from .perms import (PermGroup, Permutation, bounded_order,
                     permutation_from_str, permutation_to_str, schreier_sims)
 from .refinement import available_backends, default_backend
 from .search import (AutResult, automorphism_group, count_automorphisms_brute,
                      is_automorphism, is_isomorphic, refine)
 from .constructions import (PredictedAut, SwapFamily, bipartite_family,
                             bipartite_generators, complement_automorphism,
-                            coordinate_swap_product, cube_slices,
-                            lift_to_token_graph, predicted_order,
-                            predicted_order_cube, product_family,
-                            product_subgroup_generators, side_swap_bipartite,
-                            singleton_swap_families, twisted_subset_action,
-                            x_layer_partition, y_permutation_lift)
+                            coordinate_swap_product, lift_to_token_graph,
+                            predicted_order, predicted_order_cube,
+                            product_family, product_subgroup_generators,
+                            side_swap_bipartite, singleton_swap_families)
 from .factorization import (Factorization, is_prime,
                             prime_factor_decomposition)
 from .verify import (DEFAULT_GUARD, ScaleGuard, VerificationReport,
@@ -47,17 +45,15 @@ __all__ = [
     "rank", "unrank", "ksubsets",
     "TokenGraph", "token_graph",
     "Permutation", "PermGroup", "schreier_sims",
-    "bounded_order",
-    "is_subgroup", "permutation_to_str", "permutation_from_str",
+    "bounded_order", "permutation_to_str", "permutation_from_str",
     "available_backends", "default_backend",
     "AutResult", "refine", "automorphism_group", "is_automorphism",
     "is_isomorphic", "count_automorphisms_brute",
     "SwapFamily", "PredictedAut", "bipartite_family", "product_family",
     "lift_to_token_graph", "complement_automorphism", "side_swap_bipartite",
-    "y_permutation_lift", "bipartite_generators", "singleton_swap_families",
-    "predicted_order", "twisted_subset_action", "coordinate_swap_product",
+    "bipartite_generators", "singleton_swap_families",
+    "predicted_order", "coordinate_swap_product",
     "product_subgroup_generators", "predicted_order_cube",
-    "x_layer_partition", "cube_slices",
     "Factorization", "is_prime", "prime_factor_decomposition",
     "ScaleGuard", "DEFAULT_GUARD", "VerificationReport",
     "verify_bipartite", "verify_cube", "verify_product",

@@ -11,8 +11,7 @@ constructs generator-by-generator:
   automorphisms plus coordinate swaps between the two endpoints of a
   2-token configuration, driven by a set of factor axes.
 
-All indices are 0-based throughout: vertices, factor axes, and the
-distinguished "last" factor r-1 in the twisted subset action.
+All indices are 0-based throughout: vertices and factor axes.
 """
 
 from __future__ import annotations
@@ -47,11 +46,6 @@ class SwapFamily:
     def __post_init__(self):
         if self.kind not in ("bipartite", "product"):
             raise ValueError(f"unknown SwapFamily kind {self.kind!r}")
-
-    def symmetric_difference(self, other: "SwapFamily") -> "SwapFamily":
-        if self.kind != other.kind:
-            raise ValueError("cannot combine swap families of different kinds")
-        return SwapFamily(self.kind, self.members ^ other.members)
 
     def to_sorted_lists(self):
         """Canonical serialization: sorted list of sorted member lists."""
@@ -138,21 +132,6 @@ def side_swap_bipartite(spec: BipartiteSpec, k: int, family: SwapFamily) -> Perm
     if len(set(moved)) != len(moved):
         raise ValueError("side swap transpositions overlap")
     return Permutation._raw(tuple(images))
-
-
-def y_permutation_lift(spec: BipartiteSpec, k: int, pi: Permutation) -> Permutation:
-    """Lift of a base automorphism permuting only Y to the k-token graph."""
-    total = spec.order
-    if pi.degree != total:
-        raise ValueError(f"degree {pi.degree} != {total}")
-    if any(pi(v) != v for v in spec.x_vertices):
-        raise ValueError("permutation must fix X pointwise")
-    if any(not spec.m <= pi(v) < total for v in spec.y_vertices):
-        raise ValueError("permutation must map Y onto Y")
-    if not (1 <= k <= total - 1):
-        raise ValueError(f"need 1 <= k <= {total - 1}, got k={k}")
-    configs, rank_of_mask = config_index(total, k)
-    return Permutation(mask_ranks(rank_of_mask, lift_masks(configs, pi.images)))
 
 
 def _token_graph_of(base: Graph, k: int, tg: TokenGraph | None) -> TokenGraph:
@@ -253,26 +232,6 @@ def predicted_order(m: int, n: int, k: int) -> PredictedAut:
     if 2 * k == total:
         return PredictedAut(2 * order, "AUT_KMN_TIMES_Z2", params)
     return PredictedAut(order, "AUT_KMN", params)
-
-
-def twisted_subset_action(pi: Permutation, xs: Iterable[int], n: int) -> frozenset[int]:
-    """Action of a permutation of 0..n-1 on subsets of {0..n-2}.
-
-    The preimage set {pi^-1(x)} is taken, and complemented inside 0..n-1
-    whenever it contains the distinguished last point n-1, so the result
-    lives in {0..n-2} again. The empty set is always fixed, and the action
-    is XOR-linear in the subset argument.
-    """
-    if pi.degree != n:
-        raise ValueError(f"degree {pi.degree} != n = {n}")
-    xs = frozenset(xs)
-    if any(not 0 <= x <= n - 2 for x in xs):
-        raise ValueError(f"subset {sorted(xs)} not within 0..{n - 2}")
-    inv = pi.inverse()
-    pre = frozenset(inv(x) for x in xs)
-    if n - 1 in pre:
-        return frozenset(range(n)) - pre
-    return pre
 
 
 def coordinate_swap_product(factors: Sequence[Graph], family: SwapFamily,
@@ -380,47 +339,3 @@ def predicted_order_product(factors: Sequence[Graph],
     r = len(factors)
     return PredictedAut((1 << (r - 1)) * base_group.order(),
                         "Z2POW_SEMIDIRECT", {"r": r})
-
-
-def x_layer_partition(spec: BipartiteSpec, k: int) -> list[frozenset[int]]:
-    """Partition of the k-token graph of K_{m,n} by |A intersect X|.
-
-    Entry i holds the vertex ranks whose configuration meets X in exactly
-    i vertices, for 0 <= i <= min(m, k); cells with k - i > n are empty.
-    """
-    total = spec.order
-    if not (1 <= k <= total - 1):
-        raise ValueError(f"need 1 <= k <= {total - 1}, got k={k}")
-    top = min(spec.m, k)
-    layers: list[set[int]] = [set() for _ in range(top + 1)]
-    for r, sub in enumerate(subsets.ksubsets(total, k)):
-        i = sum(1 for v in sub if v < spec.m)
-        layers[i].add(r)
-    return [frozenset(s) for s in layers]
-
-
-def cube_slices(r: int, axis: int) -> tuple[frozenset[int], frozenset[int], frozenset[int]]:
-    """Classify 2-token configurations on the r-cube by one coordinate.
-
-    Returns (zeros, ones, split): pairs where both endpoints have the axis
-    coordinate 0, both 1, or one each. The two constant slices induce
-    copies of the 2-token graph of the (r-1)-cube and the split slice
-    induces a 2(r-1)-cube.
-    """
-    if r < 2:
-        raise ValueError(f"need r >= 2, got r={r}")
-    if not 0 <= axis <= r - 1:
-        raise ValueError(f"axis {axis} out of range for r={r}")
-    bit = r - 1 - axis  # coordinate 0 is the most significant code bit
-    total = 1 << r
-    zeros, ones, split = set(), set(), set()
-    for rank, (a, b) in enumerate(subsets.ksubsets(total, 2)):
-        ba = (a >> bit) & 1
-        bb = (b >> bit) & 1
-        if ba == 0 and bb == 0:
-            zeros.add(rank)
-        elif ba == 1 and bb == 1:
-            ones.add(rank)
-        else:
-            split.add(rank)
-    return frozenset(zeros), frozenset(ones), frozenset(split)

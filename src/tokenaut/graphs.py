@@ -388,7 +388,11 @@ def _edge_list(text: str) -> tuple[int, list[tuple[int, int]]]:
         if n is None:
             if len(parts) != 2 or parts[0] != "n":
                 raise ValueError(f"line {lineno}: expected header 'n <N>', got {raw!r}")
-            n = int(parts[1])
+            try:
+                n = int(parts[1])
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: non-integer vertex count "
+                                 f"in {raw!r}") from exc
             if n < 1:
                 raise ValueError(f"line {lineno}: vertex count must be >= 1")
             continue

@@ -139,9 +139,6 @@ class Permutation:
         points = _id_images(len(self.images))
         return list(compress(points, map(ne, self.images, points)))
 
-    def image_of_set(self, members: Iterable[int]) -> frozenset[int]:
-        return frozenset(self.images[v] for v in members)
-
     def cycles(self) -> list[tuple[int, ...]]:
         """Nontrivial cycles, each starting at its smallest point."""
         seen = [False] * len(self.images)
@@ -535,10 +532,3 @@ def bounded_order(generators: Iterable[Permutation], bound: int,
     if order > bound:
         raise ValueError(f"bound {bound} is below the group order")
     return order
-
-
-def is_subgroup(h: PermGroup, g: PermGroup) -> bool:
-    """True iff every generator of h sifts to identity in g's chain."""
-    if h.degree != g.degree:
-        raise ValueError(f"degree mismatch: {h.degree} vs {g.degree}")
-    return all(g.contains(p) for p in h.generators)

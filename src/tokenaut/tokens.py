@@ -21,8 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial, reduce
-from itertools import repeat
-from operator import lshift, or_
+from operator import or_
 from typing import Iterable, Sequence
 
 from . import subsets
@@ -44,14 +43,6 @@ class TokenGraph:
     @property
     def n(self) -> int:
         return self.base.n
-
-    def rank_of(self, members) -> int:
-        """Vertex rank of a k-subset of the base's vertices."""
-        members = tuple(members)
-        if len(members) != self.k:
-            raise ValueError(f"{list(members)} is not a {self.k}-subset")
-        return mask_ranks(self.rank_of_mask,
-                          [reduce(or_, map(lshift, repeat(1), members))])[0]
 
 
 def token_graph(base: Graph, k: int) -> TokenGraph:

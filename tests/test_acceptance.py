@@ -22,7 +22,6 @@ from tokenaut import (
     distance_matrix,
     hypercube,
     is_isomorphic,
-    is_subgroup,
     lift_to_token_graph,
     path_graph,
     predicted_order,
@@ -32,9 +31,6 @@ from tokenaut import (
     singleton_swap_families,
     token_graph,
     verify_product,
-    x_layer_partition,
-    y_permutation_lift,
-    cube_slices,
 )
 
 
@@ -52,12 +48,12 @@ def test_criterion_1_two_tokens_on_k22():
 
     transported = schreier_sims(bipartite_generators(2, 2, 2), degree=6)
     assert transported.order() == 48
-    assert is_subgroup(transported, full)
+    assert all(full.contains(p) for p in transported.generators)
 
     lifts = [lift_to_token_graph(p, tg)
              for p in automorphism_group(tg.base).group.generators]
     naive = schreier_sims(lifts + [complement_automorphism(tg)], degree=6)
-    assert is_subgroup(naive, full)
+    assert all(full.contains(p) for p in naive.generators)
     assert naive.order() == 16
 
     print("criterion 1: PASS computed=48 transported-subgroup=48 "
@@ -94,7 +90,7 @@ def test_criterion_3_middle_k_doubling():
 
     swaps = [side_swap_bipartite(spec, k, fam)
              for fam in singleton_swap_families(spec, k)]
-    y_gens = [y_permutation_lift(spec, k, Permutation.from_cycles(6, cyc))
+    y_gens = [lift_to_token_graph(Permutation.from_cycles(6, cyc), tg)
               for cyc in ([(2, 3)], [(2, 3, 4, 5)])]
     without_complement = schreier_sims(swaps + y_gens, degree=20)
     assert without_complement.order() == 1536
@@ -185,29 +181,30 @@ def test_criterion_7_lemma_suites():
         for n in range(m, 10 - m):
             spec = BipartiteSpec(m, n)
             for k in range(1, min(n, m + n - 1) + 1):
-                layers = x_layer_partition(spec, k)
                 tg = token_graph(spec.graph(), k)
+                layer = [sum(v < m for v in sub) for sub in tg.configs]
                 dm = distance_matrix(tg.graph)
-                bottom = sorted(layers[0])
-                for j, layer in enumerate(layers):
-                    for v in layer:
-                        assert min(dm[v][u] for u in bottom) == j
+                bottom = [u for u, j in enumerate(layer) if j == 0]
+                for v, j in enumerate(layer):
+                    assert min(dm[v][u] for u in bottom) == j
 
     # (iii) coordinate slices of F_2(Q_r), every axis, r = 3 and 4
     for r in (3, 4):
         tg = token_graph(hypercube(r), 2)
         smaller = token_graph(hypercube(r - 1), 2).graph
         for axis in range(r):
-            zeros, ones, split = cube_slices(r, axis)
-            for part in (zeros, ones):
-                assert is_isomorphic(tg.graph.induced(sorted(part)),
-                                     smaller) is not None
-            assert is_isomorphic(tg.graph.induced(sorted(split)),
-                                 hypercube(2 * (r - 1))) is not None
+            bit = r - 1 - axis  # coordinate 0 is the most significant bit
+            ones_at = [(a >> bit & 1) + (b >> bit & 1) for a, b in tg.configs]
+            for count, want in ((0, smaller), (2, smaller),
+                                (1, hypercube(2 * (r - 1)))):
+                part = [v for v, c in enumerate(ones_at) if c == count]
+                assert is_isomorphic(tg.graph.induced(part),
+                                     want) is not None
 
     # (iv) composition laws, exhaustive over all families
     for n, k in ((3, 2), (4, 3)):
         spec = BipartiteSpec(2, n)
+        tg = token_graph(spec.graph(), k)
         y = sorted(spec.y_vertices)
         members = [frozenset(s) for s in itertools.combinations(y, k - 1)]
         families = [frozenset(c) for r in range(len(members) + 1)
@@ -219,12 +216,11 @@ def test_criterion_7_lemma_suites():
                 assert swap[f1] * swap[f2] == swap[f1 ^ f2]
         for images in itertools.permutations(y):
             pi = Permutation((0, 1) + images)
-            psi = y_permutation_lift(spec, k, pi)
+            psi = lift_to_token_graph(pi, tg)
             for f in families:
                 mapped = frozenset(frozenset(pi(v) for v in s) for s in f)
                 assert psi * swap[f] * psi.inverse() == swap[mapped]
         if 2 * k == n + 2:  # complement exists only at the middle
-            tg = token_graph(spec.graph(), k)
             c = complement_automorphism(tg)
             yset = frozenset(y)
             for f in families:
@@ -232,7 +228,7 @@ def test_criterion_7_lemma_suites():
                 assert c * swap[f] * c.inverse() == swap[flipped]
                 assert (c * swap[f] == swap[f] * c) == (flipped == f)
             for images in itertools.permutations(y):
-                psi = y_permutation_lift(spec, k, Permutation((0, 1) + images))
+                psi = lift_to_token_graph(Permutation((0, 1) + images), tg)
                 assert c * psi == psi * c
 
     print(f"criterion 7: PASS degrees checked on {checked} vertices; layer "

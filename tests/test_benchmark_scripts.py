@@ -1,17 +1,27 @@
-"""The scripts under benchmarks/ still import and run against the package."""
+"""The scripts under benchmarks/ and perfbench/ still import and run
+against the package."""
 
 import importlib.util
+import sys
 from itertools import islice
 from pathlib import Path
 
 from tokenaut import hypercube
 
-BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
+ROOT = Path(__file__).resolve().parent.parent
+BENCHMARKS = ROOT / "benchmarks"
+PERFBENCH = ROOT / "perfbench"
 
 
-def load(name):
-    spec = importlib.util.spec_from_file_location(name, BENCHMARKS / f"{name}.py")
+def load(name, where=BENCHMARKS, monkeypatch=None):
+    """Run the script ``name`` in ``where`` as a module. With
+    ``monkeypatch`` it is put in sys.modules, until the test ends, before
+    it runs, so that its dataclasses and its sibling scripts'
+    ``import name`` find it."""
+    spec = importlib.util.spec_from_file_location(name, where / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    if monkeypatch is not None:
+        monkeypatch.setitem(sys.modules, name, module)
     spec.loader.exec_module(module)
     return module
 
@@ -102,3 +112,22 @@ def test_bench_search_read_row():
     assert row["seconds"] > 0 and row["rss"] > 0
     assert [case[0] for case in bench_search.read_cases()] == [
         "read F2(Q7)", "read F7(K2,14)"]
+
+
+def test_perfbench_workloads_run_and_check(tmp_path, monkeypatch):
+    # Every workload's seed-1 sweep gets its known answers, and the probe
+    # names a backend, so nothing perfbench reaches in the package is gone.
+    # sweep.py imports the other three by name.
+    _, _, workloads, sweep = (
+        load(name, PERFBENCH, monkeypatch)
+        for name in ("reference", "tracer", "workloads", "sweep"))
+    assert sorted(workloads.WORKLOADS) == ["bipartite-chain", "iso-factor",
+                                           "product-seed"]
+    for name, workload in workloads.WORKLOADS.items():
+        inputs = workload.prepare(1, str(tmp_path))
+        workload.run(inputs)
+        instances = workload.check(inputs)
+        assert instances, name
+        assert not [(i.label, i.problems) for i in instances if i.problems]
+    probe = sweep.probe(str(ROOT / "src"))
+    assert probe["default_backend"] in probe["available_backends"]

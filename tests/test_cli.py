@@ -161,6 +161,15 @@ def test_aut_missing_file(capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+def test_aut_non_integer_header_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "g.el"
+    path.write_text("# header below\nn x\n0 1\n")
+    rc = run(["aut", "--in", str(path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"{path}: line 2: non-integer vertex count in 'n x'" in err
+
+
 # -- generators ---------------------------------------------------------------
 
 

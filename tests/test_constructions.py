@@ -6,7 +6,7 @@ import os
 import random
 import subprocess
 import sys
-from math import comb, factorial
+from math import comb
 
 import pytest
 
@@ -21,12 +21,10 @@ from tokenaut import (
     complete_bipartite,
     complete_graph,
     coordinate_swap_product,
-    cube_slices,
     cycle_graph,
     distance_matrix,
     graph_from_edges,
     hypercube,
-    is_automorphism,
     is_isomorphic,
     ksubsets,
     lift_to_token_graph,
@@ -40,9 +38,6 @@ from tokenaut import (
     singleton_swap_families,
     star_graph,
     token_graph,
-    twisted_subset_action,
-    x_layer_partition,
-    y_permutation_lift,
 )
 
 # -- lifting base automorphisms -----------------------------------------
@@ -95,7 +90,7 @@ def test_complement_commutes_with_lifts():
     tg = token_graph(spec.graph(), k)
     c = complement_automorphism(tg)
     for cycles in ([(2, 3)], [(2, 3, 4, 5)]):
-        psi = y_permutation_lift(spec, k, Permutation.from_cycles(6, cycles))
+        psi = lift_to_token_graph(Permutation.from_cycles(6, cycles), tg)
         assert c * psi == psi * c
     for p in automorphism_group(spec.graph()).group.elements():
         lift = lift_to_token_graph(p, tg)
@@ -147,9 +142,8 @@ def test_side_swap_composition_is_symmetric_difference():
     swaps = {f.members: side_swap_bipartite(spec, k, f) for f in all_families}
     for f1 in all_families:
         for f2 in all_families:
-            combined = f1.symmetric_difference(f2)
             assert swaps[f1.members] * swaps[f2.members] == \
-                swaps[combined.members]
+                swaps[f1.members ^ f2.members]
 
 
 def test_side_swap_composition_sampled_large():
@@ -161,7 +155,8 @@ def test_side_swap_composition_sampled_large():
         f1 = bipartite_family(rng.sample(members, rng.randrange(len(members))))
         f2 = bipartite_family(rng.sample(members, rng.randrange(len(members))))
         left = side_swap_bipartite(spec, k, f1) * side_swap_bipartite(spec, k, f2)
-        assert left == side_swap_bipartite(spec, k, f1.symmetric_difference(f2))
+        combined = bipartite_family(f1.members ^ f2.members)
+        assert left == side_swap_bipartite(spec, k, combined)
 
 
 def test_side_swap_images_and_shared_points():
@@ -189,9 +184,9 @@ def test_side_swap_images_and_shared_points():
 def test_side_swap_conjugation_relabels_family():
     for spec, k, cycles in ((BipartiteSpec(2, 3), 2, [(2, 3, 4)]),
                             (BipartiteSpec(2, 4), 3, [(2, 3), (4, 5)])):
-        total = spec.order
-        pi = Permutation.from_cycles(total, cycles)
-        psi = y_permutation_lift(spec, k, pi)
+        tg = token_graph(spec.graph(), k)
+        pi = Permutation.from_cycles(spec.order, cycles)
+        psi = lift_to_token_graph(pi, tg)
         for fam in singleton_swap_families(spec, k):
             phi = side_swap_bipartite(spec, k, fam)
             mapped = bipartite_family(
@@ -203,6 +198,7 @@ def test_side_swap_conjugation_relabels_family():
 def test_swaps_meet_y_lifts_only_in_identity():
     spec = BipartiteSpec(2, 3)
     k = 2
+    tg = token_graph(spec.graph(), k)
     singles = [f.members for f in singleton_swap_families(spec, k)]
     all_members = [frozenset().union(*c) if c else frozenset()
                    for r in range(len(singles) + 1)
@@ -210,8 +206,8 @@ def test_swaps_meet_y_lifts_only_in_identity():
     swaps = {side_swap_bipartite(spec, k,
                                  bipartite_family(m)).images
              for m in all_members}
-    y_lifts = {y_permutation_lift(spec, k, Permutation(
-        (0, 1) + tuple(v + 2 for v in perm))).images
+    y_lifts = {lift_to_token_graph(Permutation(
+        (0, 1) + tuple(v + 2 for v in perm)), tg).images
         for perm in itertools.permutations(range(3))}
     assert len(swaps) == 8 and len(y_lifts) == 6
     ident = Permutation.identity(comb(5, 2)).images
@@ -243,8 +239,6 @@ def test_side_swap_input_validation():
         side_swap_bipartite(spec, 2, bipartite_family([[2, 3]]))  # wrong size
     with pytest.raises(ValueError):
         side_swap_bipartite(spec, 2, bipartite_family([[0]]))  # not in Y
-    with pytest.raises(ValueError):
-        y_permutation_lift(spec, 2, Permutation.from_cycles(5, [(0, 1)]))
 
 
 # -- generator sets and predictions ---------------------------------------
@@ -342,67 +336,6 @@ def test_k22_certificate_check_survives_optimize_flag():
                          capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr
     assert out.stdout.startswith("refused: K_{2,2} 2-token graph"), out.stdout
-
-
-# -- twisted subset action --------------------------------------------------
-
-
-def all_perms(n):
-    return [Permutation(p) for p in itertools.permutations(range(n))]
-
-
-def all_subsets(n):
-    pts = range(n - 1)
-    return [frozenset(c) for r in range(n) for c in itertools.combinations(pts, r)]
-
-
-def test_twisted_action_composition_reverses_order():
-    n = 4
-    perms = all_perms(n)
-    subs = all_subsets(n)
-    for p in perms:
-        for q in perms:
-            pq = p * q
-            for xs in subs:
-                assert twisted_subset_action(pq, xs, n) == \
-                    twisted_subset_action(q, twisted_subset_action(p, xs, n), n)
-
-
-def test_twisted_action_same_order_form_fails():
-    n = 4
-    perms = all_perms(n)
-    subs = all_subsets(n)
-    bad = 0
-    for p in perms:
-        for q in perms:
-            pq = p * q
-            for xs in subs:
-                if twisted_subset_action(pq, xs, n) != \
-                        twisted_subset_action(p, twisted_subset_action(q, xs, n), n):
-                    bad += 1
-    assert bad > 0
-
-
-def test_twisted_action_is_xor_linear_and_fixes_empty():
-    n = 5
-    rng = random.Random(11)
-    perms = [Permutation(tuple(rng.sample(range(n), n))) for _ in range(10)]
-    subs = all_subsets(n)
-    for p in perms:
-        assert twisted_subset_action(p, frozenset(), n) == frozenset()
-        for xs in subs:
-            for ys in subs:
-                lhs = twisted_subset_action(p, xs ^ ys, n)
-                rhs = twisted_subset_action(p, xs, n) ^ \
-                    twisted_subset_action(p, ys, n)
-                assert lhs == rhs
-
-
-def test_twisted_action_validation():
-    with pytest.raises(ValueError):
-        twisted_subset_action(Permutation((0, 1, 2)), [2], 3)  # 2 not <= n-2
-    with pytest.raises(ValueError):
-        twisted_subset_action(Permutation((0, 1)), [0], 3)  # degree mismatch
 
 
 # -- product coordinate swaps ------------------------------------------------
@@ -505,37 +438,23 @@ def test_predicted_order_cube_values():
         predicted_order_cube(2)
 
 
-# -- layer partitions and cube slices ----------------------------------------
-
-
-def test_x_layer_partition_sizes_and_levels():
-    for m, n, k in ((2, 3, 2), (2, 3, 3), (3, 4, 3), (1, 4, 2), (3, 3, 4)):
-        spec = BipartiteSpec(m, n)
-        layers = x_layer_partition(spec, k)
-        assert len(layers) == min(m, k) + 1
-        for i, layer in enumerate(layers):
-            assert len(layer) == comb(m, i) * comb(n, k - i), (m, n, k, i)
-        level_of = {}
-        for i, layer in enumerate(layers):
-            for v in layer:
-                level_of[v] = i
-        tg = token_graph(spec.graph(), k)
-        assert len(level_of) == tg.graph.n
-        # every edge joins consecutive layers
-        for a, b in tg.graph.edges():
-            assert abs(level_of[a] - level_of[b]) == 1
+# -- X-layers and cube slices ------------------------------------------------
 
 
 def test_x_layer_distance_to_bottom_layer():
+    # A configuration's layer is the number of its tokens on X: every edge
+    # joins consecutive layers, and a vertex lies as far from layer 0 as
+    # its layer number.
     spec = BipartiteSpec(2, 4)
-    k = 2
-    layers = x_layer_partition(spec, k)
-    tg = token_graph(spec.graph(), k)
+    tg = token_graph(spec.graph(), 2)
+    layer = [sum(v < spec.m for v in sub) for sub in tg.configs]
+    assert sorted(set(layer)) == [0, 1, 2]
+    for a, b in tg.graph.edges():
+        assert abs(layer[a] - layer[b]) == 1
     dm = distance_matrix(tg.graph)
-    bottom = sorted(layers[0])
-    for i, layer in enumerate(layers):
-        for v in layer:
-            assert min(dm[v][u] for u in bottom) == i
+    bottom = [u for u, i in enumerate(layer) if i == 0]
+    for v, i in enumerate(layer):
+        assert min(dm[v][u] for u in bottom) == i
 
 
 def test_cube_slices_sizes_and_isomorphism_types():
@@ -544,20 +463,16 @@ def test_cube_slices_sizes_and_isomorphism_types():
         tg = token_graph(hypercube(r), 2)
         smaller = token_graph(hypercube(r - 1), 2).graph
         for axis in range(r) if r == 3 else (0, r - 1):
-            zeros, ones, split = cube_slices(r, axis)
+            bit = r - 1 - axis  # coordinate 0 is the most significant bit
+            ones_at = [(a >> bit & 1) + (b >> bit & 1) for a, b in tg.configs]
+            zeros, split, ones = (frozenset(v for v, c in enumerate(ones_at)
+                                            if c == count)
+                                  for count in range(3))
             assert len(zeros) == len(ones) == comb(total // 2, 2)
             assert len(split) == 1 << (2 * (r - 1))
-            assert zeros | ones | split == frozenset(range(comb(total, 2)))
-            assert not (zeros & ones or zeros & split or ones & split)
             for part in (zeros, ones):
                 sub = tg.graph.induced(sorted(part))
                 assert is_isomorphic(sub, smaller) is not None
             sub = tg.graph.induced(sorted(split))
             assert is_isomorphic(sub, hypercube(2 * (r - 1))) is not None
 
-
-def test_cube_slices_validation():
-    with pytest.raises(ValueError):
-        cube_slices(1, 0)
-    with pytest.raises(ValueError):
-        cube_slices(3, 3)

@@ -398,6 +398,12 @@ def test_edge_list_parsing_errors_and_comments():
         parse_edge_list("n 2\n0 5\n")
     with pytest.raises(ValueError):
         parse_edge_list("n 2\n0 x\n")
+    # a header's line number counts the comment and blank lines before it
+    for text, line, header in (("n x\n0 1\n", 1, "n x"),
+                               ("# a\n\n  # b\nn 2.5\n", 4, "n 2.5")):
+        want = f"line {line}: non-integer vertex count in '{header}'"
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+            parse_edge_list(text)
 
 
 def test_edges_are_sorted_unique():

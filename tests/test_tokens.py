@@ -131,16 +131,8 @@ def test_config_lookup():
     tg = token_graph(complete_bipartite(2, 3), 2)
     for r in range(tg.graph.n):
         sub = tg.configs[r]
-        assert tg.rank_of(sub) == r
+        assert rank(sub, 5) == r
         assert sub == unrank(r, 5, 2)
-
-
-def test_rank_of_takes_only_k_subsets():
-    tg = token_graph(hypercube(3), 2)
-    assert tg.rank_of((0, 1)) == 0
-    for bad in ((0,), (0, 1, 2), (), (1, 1)):
-        with pytest.raises(ValueError):
-            tg.rank_of(bad)
 
 
 def complement_ranks(n, k):

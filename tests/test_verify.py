@@ -14,7 +14,6 @@ from tokenaut import (
     bounded_order,
     complete_bipartite,
     complete_graph,
-    cycle_graph,
     graph_from_edges,
     path_graph,
     predicted_order,
