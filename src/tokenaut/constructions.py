@@ -138,7 +138,7 @@ def _token_graph_of(base: Graph, k: int, tg: TokenGraph | None) -> TokenGraph:
     """``tg`` when it is the k-token graph of ``base``, else a new build."""
     if tg is None:
         return token_graph(base, k)
-    if tg.k != k or tg.base.adj != base.adj:
+    if tg.k != k or tg.base.nbrs != base.nbrs:
         raise ValueError(f"token graph {tg.graph.label!r} is not the "
                          f"{k}-token graph of {base.label or 'the base'}")
     return tg

@@ -91,11 +91,11 @@ def _edge_classes(g: Graph) -> list[list[tuple[int, int]]]:
             if dx[u] + dy[v] != dx[v] + dy[u]:
                 union(i, j)
     index = {e: i for i, e in enumerate(edges)}
-    adj = g.adj
+    sets = [set(nb) for nb in g.nbrs]
     for x, nbrs in enumerate(g.nbrs):
         for a, y in enumerate(nbrs):
             for z in nbrs[a + 1:]:
-                if not adj[y] >> z & 1 and (adj[y] & adj[z]).bit_count() == 1:
+                if z not in sets[y] and len(sets[y] & sets[z]) == 1:
                     union(index[min(x, y), max(x, y)], index[min(x, z), max(x, z)])
     classes: dict[int, list[tuple[int, int]]] = {}
     for i, e in enumerate(edges):

@@ -1,13 +1,12 @@
-"""Dense simple-graph representation and standard constructions.
+"""Simple-graph representation and standard constructions.
 
-Vertices are always 0..n-1. Adjacency is stored twice: as one Python-int
-bitmask per vertex, which keeps edge tests and neighbourhood intersections
-cheap in the search inner loops, and as each vertex's ascending neighbour
-list, ``Graph.nbrs``, which refinement and the edge checks walk. Every
-constructor here builds its graph from neighbour lists through
-``Graph.from_nbrs``, which checks the lists once and makes the bitmasks
-from them, so no graph built here walks its rows bit by bit. Graphs are
-immutable, hashable, and loop-free; every function here is pure.
+Vertices are always 0..n-1. A graph is held as each vertex's ascending
+neighbour list, ``Graph.nbrs``, the one table that refinement, the edge
+checks, ``edges`` and ``distance_matrix`` read; it takes space in
+proportion to the edges, as in Traces and sparse nauty. Every constructor
+here builds its graph from such lists through ``Graph(nbrs, label)``,
+which checks them once. Graphs are immutable, hashable, and loop-free;
+every function here is pure.
 
 Cartesian products use a mixed-radix vertex encoding with the first factor
 most significant, so a product vertex is identified with its coordinate
@@ -21,63 +20,30 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property, reduce
 from itertools import compress, product, repeat
 from math import prod
-from operator import lshift, lt, ne, or_, xor
-from typing import Iterable, Iterator, Sequence
-
-
-def _bits(mask: int) -> Iterator[int]:
-    """Yield the set bit positions of ``mask`` in ascending order."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+from operator import lt, ne, xor
+from typing import Iterable, Sequence
 
 
 @dataclass(frozen=True)
 class Graph:
-    """Simple undirected graph on 0..n-1 with bitmask adjacency rows.
+    """Simple undirected graph on 0..n-1 in which vertex u has the
+    neighbours ``nbrs[u]``, in ascending order; n is the number of lists.
 
-    ``Graph(n, adj)`` takes rows that the caller supplies and checks them
-    bit by bit; the library's constructors go through ``from_nbrs``."""
+    The constructor checks the lists once: each must be strictly
+    ascending, within 0..n-1 and without u, and must equal u's column, the
+    vertices whose lists hold u. They are kept as a tuple of tuples."""
 
-    n: int
-    adj: tuple[int, ...]
+    nbrs: tuple[tuple[int, ...], ...]
     label: str | None = None
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("graph needs at least one vertex")
-        if len(self.adj) != self.n:
-            raise ValueError("one adjacency row per vertex")
-        full = (1 << self.n) - 1
-        for u, row in enumerate(self.adj):
-            if row & ~full:
-                raise ValueError("adjacency bit out of range")
-            if (row >> u) & 1:
-                raise ValueError("loops are not allowed")
-            for v in _bits(row):
-                if not (self.adj[v] >> u) & 1:
-                    raise ValueError("adjacency must be symmetric")
-
-    @classmethod
-    def from_nbrs(cls, nbrs: Sequence[Sequence[int]],
-                  label: str | None = None) -> "Graph":
-        """Graph in which vertex u has the neighbours ``nbrs[u]``, each list
-        in ascending order; the lists become the graph's ``nbrs`` table.
-
-        The constructor's checks are made on the lists, which is cheaper
-        than walking the set bits of every large row: each list must be
-        strictly ascending, within 0..n-1 and without u, and must equal
-        u's column, the vertices whose lists hold u.
-        """
+        nbrs = tuple(map(tuple, self.nbrs))
         n = len(nbrs)
         if n < 1:
             raise ValueError("graph needs at least one vertex")
         column: list[list[int]] = [[] for _ in range(n)]
-        adj = []
         for u, nb in enumerate(nbrs):
             if nb and not (0 <= nb[0] and nb[-1] < n):
                 raise ValueError("adjacency bit out of range")
@@ -87,24 +53,23 @@ class Graph:
                 raise ValueError("loops are not allowed")
             for v in nb:
                 column[v].append(u)
-            adj.append(reduce(or_, map(lshift, repeat(1), nb), 0))
-        if any(map(ne, column, map(list, nbrs))):
+        if any(map(ne, map(tuple, column), nbrs)):
             raise ValueError("adjacency must be symmetric")
-        g = object.__new__(cls)
-        for name, value in (("n", n), ("adj", tuple(adj)), ("label", label)):
-            object.__setattr__(g, name, value)
-        g.__dict__["nbrs"] = tuple(map(tuple, nbrs))
-        return g
+        object.__setattr__(self, "nbrs", nbrs)
+
+    @property
+    def n(self) -> int:
+        return len(self.nbrs)
 
     def __repr__(self):
         name = self.label or "Graph"
         return f"<{name}: n={self.n}, m={self.edge_count()}>"
 
     def degree(self, u: int) -> int:
-        return self.adj[u].bit_count()
+        return len(self.nbrs[u])
 
     def has_edge(self, u: int, v: int) -> bool:
-        return (self.adj[u] >> v) & 1 == 1
+        return v in self.nbrs[u]
 
     def neighbors(self, u: int) -> list[int]:
         return list(self.nbrs[u])
@@ -114,58 +79,33 @@ class Graph:
         return [(u, v) for u, nu in enumerate(self.nbrs)
                 for v in nu[bisect_right(nu, u):]]
 
-    @cached_property
-    def nbrs(self) -> tuple[tuple[int, ...], ...]:
-        """Each vertex's neighbours in ascending order. Refinement
-        partitions, the edge checks, ``edges`` and ``distance_matrix`` all
-        read this one table. ``from_nbrs`` hands it over with the graph;
-        only a graph made by ``Graph(n, adj)`` builds it here, from its
-        rows, on first use."""
-        out = []
-        for row in self.adj:
-            nb = []
-            while row:
-                low = row & -row
-                nb.append(low.bit_length() - 1)
-                row ^= low
-            out.append(tuple(nb))
-        return tuple(out)
-
     def maps_edges_into(self, images: Sequence[int], target: "Graph") -> bool:
-        """Whether u -> images[u] sends every edge of this graph to an edge
-        of ``target``. For a bijection onto a graph with as many edges this
-        is exactly an isomorphism check.
+        """Whether u -> images[u] maps each checked vertex's neighbour list
+        onto the list of its image in ``target``.
 
-        When ``target`` is this graph, ``images`` must be a permutation, and
-        only the edges at moved vertices are checked, each once: from its
-        smaller endpoint, or from its moved endpoint when the other is
-        fixed. An edge between fixed vertices maps to itself, so this is
-        still the whole automorphism check, at the cost of the support."""
-        adj = target.adj
-        nbrs = self.nbrs
+        Every caller passes a bijection onto a graph with as many edges,
+        and for those this is the same check as that every edge goes to an
+        edge of ``target``: an isomorphism check. When ``target`` is this
+        graph, ``images`` must be a permutation, and only the vertices it
+        moves are checked: a fixed vertex's edge to a moved vertex is
+        checked from the moved end, and an edge between fixed vertices
+        maps to itself, so this is still the whole automorphism check, at
+        the cost of the support. Otherwise every vertex is checked."""
+        nbrs, into = self.nbrs, target.nbrs
+        point = images.__getitem__
+        checked = range(self.n)
         if target is self:
-            points = range(self.n)
-            for u in compress(points, map(ne, images, points)):
-                row = adj[images[u]]
-                for v in nbrs[u]:
-                    iv = images[v]
-                    if v < u and iv != v:
-                        continue
-                    if not row >> iv & 1:
-                        return False
-            return True
-        for u, nu in enumerate(nbrs):
-            row = adj[images[u]]
-            for v in nu[bisect_right(nu, u):]:
-                if not row >> images[v] & 1:
-                    return False
+            checked = compress(checked, map(ne, images, checked))
+        for u in checked:
+            if tuple(sorted(map(point, nbrs[u]))) != into[images[u]]:
+                return False
         return True
 
     def edge_count(self) -> int:
-        return sum(row.bit_count() for row in self.adj) // 2
+        return sum(map(len, self.nbrs)) // 2
 
     def degree_sequence(self) -> tuple[int, ...]:
-        return tuple(sorted(row.bit_count() for row in self.adj))
+        return tuple(sorted(map(len, self.nbrs)))
 
     def relabel(self, images: Sequence[int]) -> "Graph":
         """Graph with vertex u renamed to images[u] (a bijection on 0..n-1)."""
@@ -175,31 +115,30 @@ class Graph:
         point = images.__getitem__
         for u, nu in enumerate(self.nbrs):
             nbrs[images[u]] = sorted(map(point, nu))
-        return Graph.from_nbrs(nbrs, self.label)
+        return Graph(nbrs, self.label)
 
     def induced(self, vertices: Sequence[int]) -> "Graph":
         """Induced subgraph; new vertex i is old vertices[i]. It is built
-        from this graph's neighbour table, and keeps its own."""
+        from this graph's neighbour lists."""
         index = {v: i for i, v in enumerate(vertices)}
         if len(index) != len(vertices):
             raise ValueError("duplicate vertex in induced set")
         if any(not 0 <= v < self.n for v in vertices):
             raise ValueError(f"induced vertex out of range 0..{self.n - 1}")
         kept, new_of = index.__contains__, index.__getitem__
-        return Graph.from_nbrs([sorted(map(new_of, filter(kept, self.nbrs[v])))
-                                for v in vertices])
+        return Graph([sorted(map(new_of, filter(kept, self.nbrs[v])))
+                      for v in vertices])
 
     def is_connected(self) -> bool:
-        seen = 1
+        seen = [False] * self.n
+        seen[0] = True
         frontier = [0]
-        while frontier:
-            nxt = 0
-            for u in frontier:
-                nxt |= self.adj[u]
-            nxt &= ~seen
-            seen |= nxt
-            frontier = list(_bits(nxt))
-        return seen == (1 << self.n) - 1
+        for u in frontier:
+            for v in self.nbrs[u]:
+                if not seen[v]:
+                    seen[v] = True
+                    frontier.append(v)
+        return len(frontier) == self.n
 
 
 def graph_from_edges(n: int, edges: Iterable[tuple[int, int]], label: str | None = None) -> Graph:
@@ -213,7 +152,7 @@ def graph_from_edges(n: int, edges: Iterable[tuple[int, int]], label: str | None
             raise ValueError(f"loop at vertex {u} not allowed")
         nbrs[u].append(v)
         nbrs[v].append(u)
-    return Graph.from_nbrs([sorted(set(nb)) for nb in nbrs], label)
+    return Graph([sorted(set(nb)) for nb in nbrs], label)
 
 
 @dataclass(frozen=True)
@@ -247,14 +186,13 @@ class BipartiteSpec:
 def complete_graph(n: int) -> Graph:
     if n < 1:
         raise ValueError("complete_graph needs n >= 1")
-    return Graph.from_nbrs([[*range(u), *range(u + 1, n)] for u in range(n)],
-                           f"K{n}")
+    return Graph([[*range(u), *range(u + 1, n)] for u in range(n)], f"K{n}")
 
 
 def complete_bipartite(m: int, n: int) -> Graph:
     if m < 1 or n < 1:
         raise ValueError("complete_bipartite needs m, n >= 1")
-    return Graph.from_nbrs(_bipartite_nbrs(m, n), f"K{m},{n}")
+    return Graph(_bipartite_nbrs(m, n), f"K{m},{n}")
 
 
 def _bipartite_nbrs(m: int, n: int) -> list[tuple[int, ...]]:
@@ -281,7 +219,7 @@ def star_graph(n: int) -> Graph:
     """Star with center 0 and n leaves; identical to K_{1,n}."""
     if n < 1:
         raise ValueError("star_graph needs n >= 1 leaves")
-    return Graph.from_nbrs(_bipartite_nbrs(1, n), f"K1,{n}")
+    return Graph(_bipartite_nbrs(1, n), f"K1,{n}")
 
 
 def mixed_radix_encode(coords: Sequence[int], sizes: Sequence[int]) -> int:
@@ -324,7 +262,7 @@ def cartesian_product(factors: Sequence[Graph]) -> Graph:
                       for c, nb in enumerate(g.nbrs)])
     nbrs = [sorted([code + d for step in row for d in step])
             for code, row in enumerate(product(*steps))]
-    return Graph.from_nbrs(nbrs, product_label(factors))
+    return Graph(nbrs, product_label(factors))
 
 
 def product_label(factors: Sequence[Graph]) -> str:
@@ -341,8 +279,8 @@ def hypercube(r: int) -> Graph:
     if r < 1:
         raise ValueError("hypercube needs r >= 1")
     flips = [1 << b for b in range(r)]
-    return Graph.from_nbrs([sorted(map(xor, repeat(v), flips))
-                            for v in range(1 << r)], f"Q{r}")
+    return Graph([sorted(map(xor, repeat(v), flips)) for v in range(1 << r)],
+                 f"Q{r}")
 
 
 def distance_matrix(g: Graph) -> list[list[int]]:

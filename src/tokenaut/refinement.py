@@ -43,8 +43,7 @@ costs its splitting work (the splitters' degree sums and the cells that
 split, once to split and once to undo), not a pass over all n vertices.
 Only choosing a target cell walks every cell, and the search does that
 once per depth. Starting a partition costs one pass over the vertices;
-the neighbour table costs one pass over every adjacency row, the first
-time the graph is asked for it.
+the neighbour table is the graph's own, so it costs nothing more.
 
 A search node off the reference path is kept only if its trace equals the
 reference path's trace at its depth, so ``refine`` can be handed that

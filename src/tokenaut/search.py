@@ -144,7 +144,7 @@ twins grows it in its quotient's walk (below).
 
 Graphs with twins are searched in their twin quotient (Anders, Schweitzer &
 Stiess, "Engineering a Preprocessor for Symmetry Detection", SEA 2023). Two
-vertices are open twins when their adjacency rows are equal; twins are
+vertices are open twins when their neighbour lists are equal; twins are
 never adjacent, since there are no loops. The twin classes C_1, ..., C_r
 each list their members c_0 < c_1 < ... in ascending order, and the
 quotient Q is the subgraph induced on the classes' first members, searched
@@ -201,7 +201,7 @@ classes and the quotient's chain. The strong generators are the lifts of
 the quotient chain's strong generators (unseeded, the found ones, already
 lifted; a seeded chain's others are lifted and certified on first use)
 and each class's adjacent transpositions (c_j c_{j+1}), each certified by
-the equal adjacency rows of c_j and c_{j+1}. They are a
+the equal neighbour lists of c_j and c_{j+1}. They are a
 strong generating set relative to the lifted search path (the first
 members of the path's classes), then, for each class of two or more
 members, in class order, its members after the first if the class is on
@@ -528,12 +528,12 @@ def _position_map(ref: list[int], order: list[int]) -> list[int]:
 
 
 def _twin_classes(g: Graph) -> list[list[int]]:
-    """Open-twin classes of g: vertices with equal adjacency rows, so the
+    """Open-twin classes of g: vertices with equal neighbour lists, so the
     isolated vertices form one class. Each class is ascending, and the
     classes come in order of their first member."""
-    classes: dict[int, list[int]] = {}
-    for v, row in enumerate(g.adj):
-        classes.setdefault(row, []).append(v)
+    classes: dict[tuple[int, ...], list[int]] = {}
+    for v, nb in enumerate(g.nbrs):
+        classes.setdefault(nb, []).append(v)
     return list(classes.values())
 
 
@@ -710,13 +710,13 @@ class TwinGroup:
     def generators(self) -> tuple[Permutation, ...]:
         """The lifted strong generators, then each class's adjacent
         transpositions. A transposition (a b) is certified by a's and b's
-        equal adjacency rows."""
+        equal neighbour lists."""
         gens = self._strong_lifts()
-        adj = self._g.adj
+        nbrs = self._g.nbrs
         identity = _id_images(self.degree)
         for c in self.classes:
             for a, b in zip(c, c[1:]):
-                if adj[a] != adj[b]:
+                if nbrs[a] != nbrs[b]:
                     raise CertificationError(
                         "a twin transposition failed the edge check")
                 images = list(identity)
@@ -839,7 +839,7 @@ def count_automorphisms_brute(g: Graph) -> int:
     fixtures (roughly |Aut| <= 1e5 and n <= 12).
     """
     n = g.n
-    adj = g.adj
+    adj = [sum(1 << v for v in nb) for nb in g.nbrs]
     deg = [adj[v].bit_count() for v in range(n)]
     images = [0] * n
     used = [False] * n

@@ -52,7 +52,7 @@ def token_graph(base: Graph, k: int) -> TokenGraph:
     u in A and each base neighbour v of u not in A, A's neighbour list gets
     the rank of (A - {u}) + {v}, looked up by bitmask. The edge back to A
     is found when that configuration is processed, so each list is built
-    once, and the graph's rows and neighbour table are made from the lists.
+    once, and the lists become the graph.
     """
     n = base.n
     if n < 2:
@@ -69,7 +69,7 @@ def token_graph(base: Graph, k: int) -> TokenGraph:
         moves.sort()
         nbrs.append(moves)
     label = f"F{k}({base.label})" if base.label else f"F{k}"
-    return TokenGraph(base, k, Graph.from_nbrs(nbrs, label), configs,
+    return TokenGraph(base, k, Graph(nbrs, label), configs,
                       rank_of_mask)
 
 

@@ -172,7 +172,7 @@ def test_criterion_7_lemma_suites():
                 for r, sub in enumerate(tg.configs):
                     j = sum(1 for v in sub if v < m)
                     want = j * (n - k + j) + (k - j) * (m - j)
-                    assert tg.graph.adj[r].bit_count() == want, (m, n, k, r)
+                    assert tg.graph.degree(r) == want, (m, n, k, r)
                     checked += 1
 
     # (ii) distance from a layer-j vertex to the bottom layer equals j,

@@ -82,7 +82,7 @@ def test_bench_search_build_row():
     assert (row["case"], row["vertices"], row["edges"]) == ("F2(Q4)", 120, 448)
     assert row["seconds"] > 0
     assert [case[0] for case in bench_search.build_cases()] == [
-        "F2(Q6)", "F2(Q7)", "F6(K2,12)", "F7(K2,14)"]
+        "F2(Q6)", "F2(Q7)", "F6(K2,12)", "F7(K2,14)", "F8(K2,16)"]
 
 
 def test_bench_search_verify_row():
@@ -112,6 +112,24 @@ def test_bench_search_read_row():
     assert row["seconds"] > 0 and row["rss"] > 0
     assert [case[0] for case in bench_search.read_cases()] == [
         "read F2(Q7)", "read F7(K2,14)"]
+
+
+def test_digest_outputs_repeat():
+    # Two runs of the same commands give the same digests, although the
+    # aut run's printed time and report wall_time differ between them; the
+    # subset holds a file: build with repeated edges, an aut report, a
+    # factor run and a usage error.
+    digest_outputs = load("digest_outputs")
+    names = {"build dup", "aut dup", "factor dup", "usage k range"}
+    runs = [run for run in digest_outputs.RUNS if run[0] in names]
+    first = digest_outputs.digest_runs(runs)
+    assert first == digest_outputs.digest_runs(runs)
+    assert [(name, code) for name, code, _ in first] == [
+        ("build dup", 0), ("aut dup", 0), ("factor dup", 0),
+        ("usage k range", 2)]
+    assert len({digest for _, _, digest in first}) == 4
+    assert digest_outputs.masked(b'1.234s) "wall_time": 5.6e-05') == \
+        b'<t>s) "wall_time": <t>'
 
 
 def test_perfbench_workloads_run_and_check(tmp_path, monkeypatch):

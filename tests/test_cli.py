@@ -415,7 +415,7 @@ def test_failed_generator_certificate_is_a_fail_report(monkeypatch, capsys,
     # A coordinate swap replaced by a transposition of two token-graph
     # vertices of different degree, which no automorphism can be.
     tg = token_graph(cartesian_product([complete_graph(2)] * 3), 2)
-    degree = [row.bit_count() for row in tg.graph.adj]
+    degree = [len(nb) for nb in tg.graph.nbrs]
     u = degree.index(min(degree))
     w = degree.index(max(degree))
     bad = Permutation.from_cycles(tg.graph.n, [(u, w)])

@@ -24,6 +24,8 @@ from tokenaut import (
 from tokenaut.graphs import mixed_radix_decode, mixed_radix_encode, product_label
 from tokenaut.tokens import token_graph
 
+from bitmask_rows import graph_from_rows, rows_of
+
 
 def test_complete_graph_edge_counts():
     assert complete_graph(1).edge_count() == 0
@@ -45,13 +47,12 @@ def test_graph_from_edges_validation():
 
 
 def test_graph_validation_raises_value_error():
-    for n, adj in [(2, (1, 0)),        # asymmetric row
-                   (2, (1, 2)),        # loop at vertex 0
-                   (2, (4, 0)),        # bit past n
-                   (3, (0, 0)),        # row count differs from n
-                   (0, ())]:           # no vertices
+    for nbrs in ([[1], []],          # asymmetric lists
+                 [[0], [1]],         # loops at vertices 0 and 1
+                 [[2], []],          # a neighbour past n - 1
+                 []):                # no vertices
         with pytest.raises(ValueError):
-            Graph(n, adj)
+            Graph(nbrs)
     with pytest.raises(ValueError):
         graph_from_edges(-1, [])
     with pytest.raises(ValueError):
@@ -106,7 +107,7 @@ def test_path_cycle_star():
         cycle_graph(2)
     s = star_graph(3)
     k13 = complete_bipartite(1, 3)
-    assert s.adj == k13.adj
+    assert s.nbrs == k13.nbrs
 
 
 def test_mixed_radix_round_trip():
@@ -166,7 +167,7 @@ def test_hypercube_regularity():
 
 def test_hypercube_matches_k2_power():
     for r in (1, 2, 3, 4):
-        assert hypercube(r).adj == cartesian_product([complete_graph(2)] * r).adj
+        assert hypercube(r).nbrs == cartesian_product([complete_graph(2)] * r).nbrs
 
 
 def test_distance_matrix():
@@ -198,13 +199,14 @@ def test_induced_and_relabel():
 
 def bitmask_induced(g, vertices):
     """Reference: the induced subgraph's rows, built bit by bit from g's
-    bitmasks and checked by the constructor."""
+    bitmask rows and checked by the constructor."""
+    rows = rows_of(g)
     adj = [0] * len(vertices)
     for i, v in enumerate(vertices):
         for j, w in enumerate(vertices):
-            if g.adj[v] >> w & 1:
+            if rows[v] >> w & 1:
                 adj[i] |= 1 << j
-    return Graph(len(vertices), tuple(adj))
+    return graph_from_rows(adj)
 
 
 def test_induced_matches_the_bitmask_construction():
@@ -217,8 +219,7 @@ def test_induced_matches_the_bitmask_construction():
                                  if rng.random() < p])
         vertices = rng.sample(range(n), rng.randint(1, n))
         sub, want = g.induced(vertices), bitmask_induced(g, vertices)
-        assert (sub.n, sub.adj, sub.nbrs, sub.label) == \
-            (want.n, want.adj, want.nbrs, None), trial
+        assert (sub.n, sub.nbrs, sub.label) == (want.n, want.nbrs, None), trial
         isolated += sub.nbrs.count(())
         with pytest.raises(ValueError, match="duplicate"):
             g.induced(vertices + vertices[:1])
@@ -226,12 +227,12 @@ def test_induced_matches_the_bitmask_construction():
             g.induced(vertices[1:] + [rng.choice((-1, n))])
     assert isolated > 0
     single = hypercube(3).induced([5])
-    assert (single.n, single.adj, single.nbrs) == (1, (0,), ((),))
+    assert (single.n, single.nbrs) == (1, ((),))
 
 
 def bitmask_from_edges(n, edges, label=None):
     """Reference: rows set bit by bit from the edges, with the checks and
-    messages of the edge-list constructor, checked by ``Graph(n, adj)``."""
+    messages of the edge-list constructor, checked by ``Graph``."""
     adj = [0] * n
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):
@@ -240,7 +241,7 @@ def bitmask_from_edges(n, edges, label=None):
             raise ValueError(f"loop at vertex {u} not allowed")
         adj[u] |= 1 << v
         adj[v] |= 1 << u
-    return Graph(n, tuple(adj), label)
+    return graph_from_rows(adj, label)
 
 
 def bitmask_product(factors):
@@ -252,31 +253,32 @@ def bitmask_product(factors):
     strides = [total // size for size in sizes]
     for i in range(1, len(sizes)):
         strides[i] = strides[i - 1] // sizes[i]
+    rows = [rows_of(g) for g in factors]
     adj = [0] * total
     for code in range(total):
         coords = mixed_radix_decode(code, sizes)
         for i, g in enumerate(factors):
             c = coords[i]
             for w in range(g.n):
-                if g.adj[c] >> w & 1:
+                if rows[i][c] >> w & 1:
                     adj[code] |= 1 << (code + (w - c) * strides[i])
-    return Graph(total, tuple(adj), product_label(factors))
+    return graph_from_rows(adj, product_label(factors))
 
 
 def bitmask_relabel(g, images):
+    rows = rows_of(g)
     adj = [0] * g.n
     for u in range(g.n):
         for v in range(g.n):
-            if g.adj[u] >> v & 1:
+            if rows[u] >> v & 1:
                 adj[images[u]] |= 1 << images[v]
-    return Graph(g.n, tuple(adj), g.label)
+    return graph_from_rows(adj, g.label)
 
 
 def assert_same(g, want, context):
-    """Equal in n, rows, label and the neighbour table, which ``want``,
-    built by ``Graph(n, adj)``, reads off its rows."""
-    assert (g.n, g.adj, g.nbrs, g.label) == \
-        (want.n, want.adj, want.nbrs, want.label), context
+    """Equal in n, neighbour lists and label; ``want`` is built from
+    bitmask rows."""
+    assert (g.n, g.nbrs, g.label) == (want.n, want.nbrs, want.label), context
 
 
 def random_edge_list(rng, n):
@@ -317,7 +319,7 @@ def test_constructors_match_the_bitmask_construction():
     for r in range(1, 6):
         k2 = bitmask_from_edges(2, [(0, 1)], "K2")
         want = bitmask_product([k2] * r)
-        assert_same(hypercube(r), Graph(want.n, want.adj, f"Q{r}"), r)
+        assert_same(hypercube(r), Graph(want.nbrs, f"Q{r}"), r)
     for n in range(1, 9):
         assert_same(path_graph(n), bitmask_from_edges(
             n, [(i, i + 1) for i in range(n - 1)], f"P{n}"), n)
@@ -325,19 +327,20 @@ def test_constructors_match_the_bitmask_construction():
             assert_same(cycle_graph(n), bitmask_from_edges(
                 n, [(i, (i + 1) % n) for i in range(n)], f"C{n}"), n)
         full = (1 << n) - 1
-        assert_same(complete_graph(n), Graph(
-            n, tuple(full ^ 1 << u for u in range(n)), f"K{n}"), n)
+        assert_same(complete_graph(n), graph_from_rows(
+            [full ^ 1 << u for u in range(n)], f"K{n}"), n)
         for m in range(1, n + 1):
             x, y = (1 << m) - 1, ((1 << m + n) - 1) ^ ((1 << m) - 1)
             rows = tuple(y if u < m else x for u in range(m + n))
-            assert_same(complete_bipartite(m, n), Graph(m + n, rows, f"K{m},{n}"), (m, n))
+            assert_same(complete_bipartite(m, n),
+                        graph_from_rows(rows, f"K{m},{n}"), (m, n))
         rows = tuple(((1 << n + 1) - 2) if u == 0 else 1 for u in range(n + 1))
-        assert_same(star_graph(n), Graph(n + 1, rows, f"K1,{n}"), n)
-    # A token graph's table is its rows' table too.
+        assert_same(star_graph(n), graph_from_rows(rows, f"K1,{n}"), n)
+    # A token graph's lists are the lists its bitmask rows give.
     for g in small[:20]:
         for k in range(1, g.n):
             h = token_graph(g, k).graph
-            assert_same(h, Graph(h.n, h.adj, h.label), (g, k))
+            assert_same(h, graph_from_rows(rows_of(h), h.label), (g, k))
 
 
 def test_constructor_errors_keep_their_messages():
@@ -361,15 +364,15 @@ def test_raw_graphs_read_edges_and_distances_off_their_rows():
     rng = random.Random(8)
     for trial in range(40):
         n = rng.randint(1, 12)
-        rows = [0] * n
+        adjacent = [set() for _ in range(n)]
         for u, v in random_edge_list(rng, n):
-            rows[u] |= 1 << v
-            rows[v] |= 1 << u
-        g = Graph(n, tuple(rows))
+            adjacent[u].add(v)
+            adjacent[v].add(u)
+        g = Graph([sorted(nb) for nb in adjacent])
         edges = [(u, v) for u in range(n) for v in range(u + 1, n)
-                 if rows[u] >> v & 1]
+                 if v in adjacent[u]]
         assert g.edges() == edges, trial
-        assert g.neighbors(0) == [v for v in range(n) if rows[0] >> v & 1]
+        assert g.neighbors(0) == [v for v in range(n) if v in adjacent[0]]
         dist = [[0 if u == v else n for v in range(n)] for u in range(n)]
         for u, v in edges:
             dist[u][v] = dist[v][u] = 1
@@ -385,7 +388,7 @@ def test_edge_list_round_trip():
               path_graph(5), graph_from_edges(3, [])):
         text = format_edge_list(g)
         h = parse_edge_list(text)
-        assert h.n == g.n and h.adj == g.adj
+        assert h.n == g.n and h.nbrs == g.nbrs
         assert format_edge_list(h) == text
 
 
@@ -437,7 +440,7 @@ def test_edge_check_agrees_with_the_edge_list():
     rng = random.Random(5)
     for g in (hypercube(3), complete_bipartite(2, 4), cycle_graph(7),
               graph_from_edges(6, [(0, 1), (1, 2), (3, 4)])):
-        copy = Graph(g.n, g.adj)
+        copy = Graph(g.nbrs)
         for _ in range(200):
             images = list(range(g.n))
             for _ in range(rng.randint(1, 3)):
@@ -448,27 +451,27 @@ def test_edge_check_agrees_with_the_edge_list():
             assert g.maps_edges_into(images, copy) == want
 
 
-def test_from_nbrs_matches_the_constructor():
+def test_graph_from_lists_matches_graph_from_edges():
     rng = random.Random(3)
     for n in (1, 2, 5, 9, 70):
         edges = [e for e in combinations(range(n), 2) if rng.random() < 0.3]
         g = graph_from_edges(n, edges, "g")
         lists = [g.neighbors(u) for u in range(n)]
-        h = Graph.from_nbrs(lists, "g")
+        h = Graph(lists, "g")
         assert h == g
-        assert h.nbrs == g.nbrs
+        assert (h.n, h.nbrs) == (g.n, g.nbrs)
 
 
-def test_from_nbrs_makes_the_constructors_checks():
-    with pytest.raises(ValueError):
-        Graph.from_nbrs([])
-    for bad in (
-        [[1], [0], [3]],        # a neighbour past n - 1
-        [[1], [-1, 0], []],     # a negative neighbour
-        [[0, 1], [0], []],      # a loop
-        [[1], [], []],          # asymmetric
-        [[2, 1], [0], [0]],     # not ascending
-        [[1, 1], [0, 0], []],   # a repeated neighbour
+def test_graph_checks_its_lists():
+    with pytest.raises(ValueError, match="^graph needs at least one vertex$"):
+        Graph([])
+    for bad, message in (
+        ([[1], [0], [3]], "adjacency bit out of range"),     # past n - 1
+        ([[1], [-1, 0], []], "adjacency bit out of range"),  # negative
+        ([[0, 1], [0], []], "loops are not allowed"),
+        ([[1], [], []], "adjacency must be symmetric"),
+        ([[2, 1], [0], [0]], "neighbour lists must be strictly ascending"),
+        ([[1, 1], [0, 0], []], "neighbour lists must be strictly ascending"),
     ):
-        with pytest.raises(ValueError):
-            Graph.from_nbrs(bad)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Graph(bad)

@@ -44,7 +44,7 @@ def test_products_at_degrees_one_and_zero():
 
 def test_package_exports_resolve():
     import tokenaut
-    from tokenaut import constructions, perms, tokens
+    from tokenaut import constructions, graphs, perms, tokens
     for name in tokenaut.__all__:
         assert hasattr(tokenaut, name), name
     # p * q and p.inverse() are the only spellings of these operations;
@@ -58,6 +58,10 @@ def test_package_exports_resolve():
                       (constructions.SwapFamily, "symmetric_difference"),
                       (tokens.TokenGraph, "rank_of")):
         assert not hasattr(cls, gone), gone
+    # a graph is held as its neighbour lists alone
+    for gone in ("adj", "from_nbrs"):
+        assert not hasattr(graphs.path_graph(3), gone), gone
+    assert not hasattr(graphs, "_bits")
 
 
 def test_identity_and_inverse():

@@ -100,7 +100,7 @@ def test_edge_count_law_on_large_token_graphs():
 def test_one_token_graph_is_the_base():
     for base in FIXTURES:
         tg = token_graph(base, 1)
-        assert tg.graph.adj == base.adj
+        assert tg.graph.nbrs == base.nbrs
 
 
 def test_edge_count_law():
