@@ -64,9 +64,12 @@ F8(K_{2,16}), the paper's next rung at 43,758 vertices (the last two left
 out by --skip-largest). Its read rows time reading a token graph's edge
 list as ``aut --in`` and ``factor --in`` do, ``cli._read_graph``, best of
 three: F2(Q_7) and F7(K_{2,14}) (left out by --skip-largest), each
-written to a temporary file first. Every row is checked against the edge-count law, C(n-2, k-1)
-token edges per base edge, and ``rss`` is the process's peak resident set
-size in MB when the row ends; run a row alone for its own peak.
+written to a temporary file first. Every build and read row is checked
+against the edge-count law, C(n-2, k-1) token edges per base edge. Its
+factor row times ``prime_factor_decomposition`` on a seeded relabeling
+of Q_7, best of three, and checks the factors found against K_2 seven
+times. ``rss`` is the process's peak resident set size in MB when the
+row ends; run a row alone for its own peak.
 
 A sixth table, ``run_verifies``, times whole verify pipelines under an
 explicit guard raised to 10,000 vertices, so that F2(Q7)'s 8,128 are
@@ -107,6 +110,7 @@ from tokenaut import (
     graph_from_edges,
     hypercube,
     is_isomorphic,
+    prime_factor_decomposition,
     product_subgroup_generators,
     schreier_sims,
     token_graph,
@@ -124,6 +128,7 @@ CUBIC_SEEDS = (13, 16, 133, 250)
 CHAIN_BIPARTITE = ((5, 3), (6, 3), (7, 3), (5, 4), (6, 4))
 CHAIN_CUBES = (5, 6, 7)
 BUILD_REPEATS = 3
+FACTOR_SEED = 7
 VERIFY_CUBES = (6, 7)
 VERIFY_BIPARTITE = ((10, 5), (12, 6))
 VERIFY_GUARD = ScaleGuard(max_vertices=10_000)
@@ -333,6 +338,11 @@ def read_cases() -> list[tuple]:
             ("read F7(K2,14)", complete_bipartite(2, 14), 7)]
 
 
+def factor_cases() -> list[tuple]:
+    """The factor rows of the build table, as (case, factors, seed)."""
+    return [("factor Q7", [complete_graph(2)] * 7, FACTOR_SEED)]
+
+
 def check_edge_count(case: str, g, base, k: int) -> int:
     """The k-token graph's edge count by the edge-count law; raises unless
     ``g`` has that many edges on C(n, k) vertices."""
@@ -357,8 +367,9 @@ def run_build(case: str, base, k: int) -> dict:
 
 def run_read(case: str, base, k: int) -> dict:
     """Time the fastest of BUILD_REPEATS reads of the k-token graph's edge
-    list and check the graph read."""
+    list and check the graph read, under a guard that admits it."""
     seconds = []
+    guard = ScaleGuard(max_vertices=comb(base.n, k))
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "graph.el")
         with open(path, "w", encoding="utf-8") as fh:
@@ -366,21 +377,45 @@ def run_read(case: str, base, k: int) -> dict:
         for _ in range(BUILD_REPEATS):
             g = None  # hold one graph at a time
             started = time.perf_counter()
-            g = _read_graph(path)
+            g = _read_graph(path, guard)
             seconds.append(time.perf_counter() - started)
     return {"case": case, "vertices": g.n,
             "edges": check_edge_count(case, g, base, k),
             "seconds": min(seconds), "rss": peak_rss_mb()}
 
 
-def run_builds(cases, reads=()) -> list[dict]:
-    """Print a row per build case, then per read case, and return the
-    rows."""
+def run_factor(case: str, factors, seed: int) -> dict:
+    """Time the fastest of BUILD_REPEATS prime factor decompositions of
+    the product of ``factors``, relabeled by a shuffle seeded with
+    ``seed``, and check the factors found against ``factors``."""
+    g = cartesian_product(factors)
+    images = list(range(g.n))
+    random.Random(seed).shuffle(images)
+    g = g.relabel(images)
+    seconds = []
+    for _ in range(BUILD_REPEATS):
+        started = time.perf_counter()
+        found = prime_factor_decomposition(g).factors
+        seconds.append(time.perf_counter() - started)
+
+    def shapes(graphs):
+        return sorted((f.n, f.degree_sequence()) for f in graphs)
+
+    if shapes(found) != shapes(factors):
+        raise AssertionError(f"{case}: the factors found differ")
+    return {"case": case, "vertices": g.n, "edges": g.edge_count(),
+            "seconds": min(seconds), "rss": peak_rss_mb()}
+
+
+def run_builds(cases, reads=(), factors=()) -> list[dict]:
+    """Print a row per build case, then per read case, then per factor
+    case, and return the rows."""
     print(f"{'case':<14} {'vertices':>8} {'edges':>7} {'seconds':>7} "
           f"{'rss':>5}")
     rows = []
     for run, case in ([(run_build, c) for c in cases]
-                      + [(run_read, c) for c in reads]):
+                      + [(run_read, c) for c in reads]
+                      + [(run_factor, c) for c in factors]):
         row = run(*case)
         print(f"{row['case']:<14} {row['vertices']:>8} {row['edges']:>7} "
               f"{row['seconds']:>7.3f} {row['rss']:>5.0f}", flush=True)
@@ -476,7 +511,7 @@ def main() -> int:
     builds, reads = build_cases(), read_cases()
     if args.skip_largest:
         builds, reads = builds[:-2], reads[:-1]
-    run_builds(builds, reads)
+    run_builds(builds, reads, factor_cases())
     print()
     run_verifies(verify_cases(VERIFY_CUBES[:-1] if args.skip_largest
                               else VERIFY_CUBES, VERIFY_BIPARTITE))

@@ -76,8 +76,9 @@ def _factor_texts(text: str) -> list[str]:
 
 def _parse_spec(text: str) -> tuple[int, Callable[[], Graph]]:
     """The vertex count of the graph a spec names, read from the spec
-    alone, and a function that builds the graph. A file: spec is read
-    here, since only the file knows its size."""
+    alone, and a function that builds the graph. A file: spec's file is
+    read and parsed here, since only its header knows the size, but its
+    graph is built only by the function."""
     text = text.strip()
     bare = re.fullmatch(r"[kK](\d+)", text)
     if bare:
@@ -94,8 +95,7 @@ def _parse_spec(text: str) -> tuple[int, Callable[[], Graph]]:
             return (prod(n for n, _ in factors),
                     lambda: cartesian_product([build() for _, build in factors]))
         if head == "file":
-            g = _read_graph(rest)
-            return g.n, lambda: g
+            return _read_edge_list(rest)
         if head not in _CONSTRUCTORS:
             raise UsageError(f"unknown graph spec {text!r}; grammar: {GRAMMAR}")
         sizes = rest.split(",") if head == "kmn" else [rest]
@@ -123,16 +123,35 @@ def _positive(s: str, context: str) -> int:
     return value
 
 
-def _read_graph(path: str) -> Graph:
+def _read_edge_list(path: str) -> tuple[int, Callable[[], Graph]]:
+    """The vertex count an edge-list file's header declares, and a
+    function that builds its graph, so that a guard can refuse the count
+    before any neighbour list is built."""
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
+    n, edges = _in_file(path, _edge_list, text)
+    return n, lambda: _in_file(path, graph_from_edges, n, edges,
+                               os.path.basename(path))
+
+
+def _in_file(path: str, parse: Callable, *args):
+    """``parse(*args)``, with a ValueError turned into a usage error that
+    names ``path``."""
     try:
-        return graph_from_edges(*_edge_list(text), os.path.basename(path))
+        return parse(*args)
     except ValueError as exc:
         raise UsageError(f"{path}: {exc}") from exc
+
+
+def _read_graph(path: str, guard: ScaleGuard) -> Graph:
+    """The graph of an edge-list file, built only once ``guard`` admits
+    the vertex count its header declares."""
+    n, build = _read_edge_list(path)
+    guard.require_vertices(n, os.path.basename(path))
+    return build()
 
 
 def _write_atomic(path: str, text: str) -> None:
@@ -176,9 +195,8 @@ def cmd_build(args) -> int:
 # --- aut --------------------------------------------------------------
 
 def cmd_aut(args) -> int:
-    g = _read_graph(args.inp)
     guard = _guard(args)
-    guard.require_vertices(g.n, _name(g))
+    g = _read_graph(args.inp, guard)
     started = time.perf_counter()
     result = automorphism_group(g, max_nodes=guard.max_nodes)
     wall = time.perf_counter() - started
@@ -250,11 +268,9 @@ def _single(text: str, flag: str) -> int:
 # --- factor -----------------------------------------------------------
 
 def cmd_factor(args) -> int:
-    g = _read_graph(args.inp)
-    guard = _guard(args)
-    guard.require_vertices(g.n, _name(g))
+    g = _read_graph(args.inp, _guard(args))
     try:
-        fac = prime_factor_decomposition(g, guard.max_nodes)
+        fac = prime_factor_decomposition(g)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     prefix = args.out if args.out else os.path.splitext(args.inp)[0]

@@ -23,10 +23,10 @@ from operator import add, or_, xor
 from typing import Iterable, Sequence
 
 from . import subsets
-from .graphs import BipartiteSpec, Graph, cartesian_product, complete_bipartite
+from .factorization import is_prime
+from .graphs import BipartiteSpec, Graph, cartesian_product
 from .perms import PermGroup, Permutation, _id_images
-from .search import (automorphism_group, certify, is_automorphism,
-                     is_isomorphic)
+from .search import automorphism_group, certify, is_automorphism
 from .tokens import (TokenGraph, config_index, lift_masks, mask_ranks,
                      token_graph)
 
@@ -162,8 +162,10 @@ def bipartite_generators(m: int, n: int, k: int,
     plus lifts of a transposition and an n-cycle on Y; every other shape
     lifts a computed generating set of the base group. The complement
     involution joins whenever 2k = m + n. The (m,n,k) = (2,2,2) instance
-    is special: its token graph is K_{2,4}, and the generators are
-    transported from there through a certified isomorphism.
+    is special: its token graph is K_{2,4}, with sides {0, 5} (the ranks
+    of {0,1} and {2,3}) and {1, 2, 3, 4}, and its generators are the
+    swap of the small side, a transposition and a 4-cycle of the large
+    side, written down on those ranks.
     """
     spec = BipartiteSpec(m, n)
     total = m + n
@@ -172,14 +174,8 @@ def bipartite_generators(m: int, n: int, k: int,
     tg = _token_graph_of(spec.graph(), k, tg)
     gens: list[Permutation] = []
     if (m, n, k) == (2, 2, 2):
-        target = complete_bipartite(2, 4)
-        cert = is_isomorphic(target, tg.graph)
-        if cert is None:
-            raise AssertionError("K_{2,2} 2-token graph must be K_{2,4}")
-        mapping = Permutation(tuple(cert))
-        for cycles in ([(0, 1)], [(2, 3)], [(2, 3, 4, 5)]):
-            p = Permutation.from_cycles(6, cycles)
-            gens.append(mapping * p * mapping.inverse())
+        gens.extend(Permutation.from_cycles(6, [cycle])
+                    for cycle in ((0, 5), (1, 2), (1, 2, 3, 4)))
     elif m == 2 and n > 2:
         y0 = spec.m
         for fam in singleton_swap_families(spec, k):
@@ -306,8 +302,6 @@ def product_subgroup_generators(factors: Sequence[Graph],
     product's automorphism group, to reuse ones already computed; every
     lifted generator is still checked against the base graph.
     """
-    from .factorization import is_prime
-
     check_factors(factors)
     r = len(factors)
     for i, f in enumerate(factors):

@@ -5,8 +5,8 @@ There is one refinement kernel, ``Partition.refine``, in pure Python.
 report which kernel ran keep working.
 
 A ``Partition`` reads the neighbour table of its graph, ``Graph.nbrs``,
-which is built once per graph and cached on it; the edge checks of the
-search and of the certificates read the same table.
+which is the form a graph is held in; the edge checks of the search and
+of the certificates read the same table.
 
 The kernel is neighbour-driven (McKay & Piperno, "Practical graph
 isomorphism II", 2014): it counts neighbours by walking the splitter's

@@ -39,16 +39,17 @@ def computed_order(g):
 
 
 def test_criterion_1_two_tokens_on_k22():
-    """|Aut(F_2(K_{2,2}))| = 48, realized by generators transported through
-    the certified isomorphism F_2(K_{2,2}) = K_{2,4}; the naive subgroup
-    generated by base lifts and the complement reaches only order 16."""
+    """|Aut(F_2(K_{2,2}))| = 48, realized by the generators of K_{2,4},
+    which F_2(K_{2,2}) is, written down on its ranks and certified; the
+    naive subgroup generated by base lifts and the complement reaches
+    only order 16."""
     tg = token_graph(complete_bipartite(2, 2), 2)
     full = automorphism_group(tg.graph).group
     assert full.order() == 48
 
-    transported = schreier_sims(bipartite_generators(2, 2, 2), degree=6)
-    assert transported.order() == 48
-    assert all(full.contains(p) for p in transported.generators)
+    written = schreier_sims(bipartite_generators(2, 2, 2), degree=6)
+    assert written.order() == 48
+    assert all(full.contains(p) for p in written.generators)
 
     lifts = [lift_to_token_graph(p, tg)
              for p in automorphism_group(tg.base).group.generators]
@@ -56,7 +57,7 @@ def test_criterion_1_two_tokens_on_k22():
     assert all(full.contains(p) for p in naive.generators)
     assert naive.order() == 16
 
-    print("criterion 1: PASS computed=48 transported-subgroup=48 "
+    print("criterion 1: PASS computed=48 written-subgroup=48 "
           "lift-plus-complement-subgroup=16")
 
 

@@ -6,7 +6,7 @@ import sys
 from itertools import islice
 from pathlib import Path
 
-from tokenaut import hypercube
+from tokenaut import complete_graph, hypercube
 
 ROOT = Path(__file__).resolve().parent.parent
 BENCHMARKS = ROOT / "benchmarks"
@@ -76,13 +76,20 @@ def test_bench_search_chain_rows():
 def test_bench_search_build_row():
     # run_build raises when the token graph's size differs from the
     # edge-count law: F2(Q4) has C(16,2) = 120 vertices and C(14,1) = 14
-    # token edges per cube edge.
+    # token edges per cube edge. run_factor raises when the factors found
+    # differ from the product's: Q3, relabeled, has three K2 factors.
     bench_search = load("bench_search")
-    (row,) = bench_search.run_builds([("F2(Q4)", hypercube(4), 2)])
-    assert (row["case"], row["vertices"], row["edges"]) == ("F2(Q4)", 120, 448)
-    assert row["seconds"] > 0
+    build, factor = bench_search.run_builds(
+        [("F2(Q4)", hypercube(4), 2)], [],
+        [("factor Q3", [complete_graph(2)] * 3, 7)])
+    assert (build["case"], build["vertices"], build["edges"]) == (
+        "F2(Q4)", 120, 448)
+    assert (factor["case"], factor["vertices"], factor["edges"]) == (
+        "factor Q3", 8, 12)
+    assert build["seconds"] > 0 and factor["seconds"] > 0
     assert [case[0] for case in bench_search.build_cases()] == [
         "F2(Q6)", "F2(Q7)", "F6(K2,12)", "F7(K2,14)", "F8(K2,16)"]
+    assert [case[0] for case in bench_search.factor_cases()] == ["factor Q7"]
 
 
 def test_bench_search_verify_row():

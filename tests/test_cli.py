@@ -290,17 +290,21 @@ def test_factor_prefix_override(tmp_path):
     assert (tmp_path / "out" / "fac.factor1.el").exists()
 
 
-def test_factor_respects_the_node_budget(tmp_path, capsys):
-    # The product of Q4's factors is matched to Q4 by a 5-node isomorphism
-    # search, which a 1-node budget refuses, as verify and generators do.
+def test_factor_ignores_the_node_budget(tmp_path, capsys):
+    # factor reads the coordinates off the edge classes and runs no
+    # search, so a 1-node budget changes nothing it writes.
     el = tmp_path / "q4.el"
     assert run(["build", "--graph", "cube:4", "--k", "1",
                 "--out", str(el)]) == 0
-    capsys.readouterr()
-    assert run(["factor", "--in", str(el), "--max-nodes", "1"]) == 3
-    assert "refused" in capsys.readouterr().err
-    assert not (tmp_path / "q4.factor0.el").exists()
-    assert run(["factor", "--in", str(el), "--max-nodes", "5"]) == 0
+    written = []
+    for flags in ([], ["--max-nodes", "1"]):
+        prefix = tmp_path / f"q4{len(flags)}"
+        assert run(["factor", "--in", str(el), "--out", str(prefix)] + flags) == 0
+        written.append([(tmp_path / f"{prefix.name}.factor{i}.el").read_text()
+                        for i in range(4)])
+        assert not (tmp_path / f"{prefix.name}.factor4.el").exists()
+    assert written[0] == written[1]
+    assert "4 prime factor(s)" in capsys.readouterr().out
 
 
 def test_factor_rejects_disconnected(tmp_path, capsys):
@@ -489,6 +493,26 @@ def test_build_refuses_before_building_the_base_graph(monkeypatch, tmp_path,
     assert "3-token graph of kmn:2,1000000 has 166667166667000000 vertices" in err
     assert "2-token graph of star:99999 has 4999950000 vertices" in err
     assert "k=1000002 out of range 1..1000001 for kmn:2,1000000" in err
+    assert not out.exists()
+
+
+def test_edge_list_headers_are_guarded_before_any_graph_is_built(
+        monkeypatch, tmp_path, capsys):
+    # aut --in, factor --in and build --graph file: refuse from the
+    # header's vertex count; graph_from_edges would build every list.
+    def built(*args, **kwargs):
+        raise AssertionError("a graph was built before the guard refused")
+
+    monkeypatch.setattr(cli_module, "graph_from_edges", built)
+    big = tmp_path / "big.el"
+    big.write_text("n 10000000\n0 1\n")
+    out = tmp_path / "x.el"
+    for argv in (["aut", "--in", str(big)], ["factor", "--in", str(big)],
+                 ["build", "--graph", f"file:{big}", "--k", "1",
+                  "--out", str(out)]):
+        assert run(argv) == 3, argv
+    err = capsys.readouterr().err
+    assert err.count("big.el has 10000000 vertices") == 3
     assert not out.exists()
 
 

@@ -2,16 +2,14 @@
 
 import hashlib
 import itertools
-import os
 import random
-import subprocess
-import sys
 from math import comb
 
 import pytest
 
 from tokenaut import (
     BipartiteSpec,
+    CertificationError,
     Permutation,
     cartesian_product,
     automorphism_group,
@@ -39,6 +37,7 @@ from tokenaut import (
     star_graph,
     token_graph,
 )
+from tokenaut.search import certify
 
 # -- lifting base automorphisms -----------------------------------------
 
@@ -320,22 +319,20 @@ def test_bipartite_generator_lists_are_pinned():
         assert _digest(got) == want, m
 
 
-def test_k22_certificate_check_survives_optimize_flag():
-    # Under ``python -O`` an ``assert`` would vanish and a missing
-    # certificate would surface later as a TypeError.
-    code = ("from tokenaut import constructions\n"
-            "constructions.is_isomorphic = lambda g, h: None\n"
-            "try:\n"
-            "    constructions.bipartite_generators(2, 2, 2)\n"
-            "except AssertionError as exc:\n"
-            "    print('refused:', exc)\n")
-    import tokenaut
-    src = os.path.dirname(os.path.dirname(tokenaut.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
-                         capture_output=True, text=True, timeout=60)
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.startswith("refused: K_{2,2} 2-token graph"), out.stdout
+def test_k22_generators_are_written_down_and_certified():
+    # F2(K_{2,2}) is K_{2,4} with sides {0, 5} and {1, 2, 3, 4}; its
+    # generators are (0 5), (1 2) and (1 2 3 4) on those ranks.
+    gens = bipartite_generators(2, 2, 2)
+    assert [p.images for p in gens] == [(5, 1, 2, 3, 4, 0),
+                                        (0, 2, 1, 3, 4, 5),
+                                        (0, 2, 3, 4, 1, 5)]
+    graph = token_graph(complete_bipartite(2, 2), 2).graph
+    certify(gens, graph, "K_{2,2} generator")
+    # (0 5) with the images of 0 and 1 exchanged sends 0 to the large
+    # side and 1 to the small one
+    wrong = Permutation((1, 5, 2, 3, 4, 0))
+    with pytest.raises(CertificationError):
+        certify(gens[1:] + [wrong], graph, "K_{2,2} generator")
 
 
 # -- product coordinate swaps ------------------------------------------------

@@ -44,6 +44,7 @@ REFS = [
     ("P4", path_graph(4)),
     ("C5", cycle_graph(5)),
     ("C6", cycle_graph(6)),
+    ("K1,3", star_graph(3)),
 ]
 
 
@@ -223,6 +224,31 @@ def test_certifies_rejects_wrong_graph():
     assert not f.certifies(graph_from_edges(g.n, g.edges()[1:]))
 
 
+def test_read_off_witness_on_relabeled_products():
+    # The witness is read off the edge classes: vertex 0 is the origin of
+    # every layer, and a prime graph's one layer is the whole graph in
+    # ascending order.
+    primes = [("K2", complete_graph(2)), ("K3", complete_graph(3)),
+              ("P3", path_graph(3)), ("P4", path_graph(4)),
+              ("C5", cycle_graph(5)), ("K1,3", star_graph(3))]
+    rng = random.Random(30)
+    cases = [(["K2"] * 7, hypercube(7))]
+    for _ in range(40):
+        chosen = rng.choices(primes, k=rng.randrange(1, 4))
+        cases.append(([name for name, _ in chosen],
+                      cartesian_product([f for _, f in chosen])))
+    for types, g in cases:
+        images = list(range(g.n))
+        rng.shuffle(images)
+        h = g.relabel(images)
+        f = prime_factor_decomposition(h)
+        assert multiset_of_factor_types(f.factors, REFS) == sorted(types)
+        assert f.witness[0] == (0,) * len(types)
+        if len(types) == 1:
+            assert f.witness == tuple((v,) for v in range(h.n))
+        assert f.certifies(h), types
+
+
 def _digest(obj):
     return hashlib.sha256(repr(obj).encode()).hexdigest()[:16]
 
@@ -232,18 +258,18 @@ def _digest(obj):
 # factors' adjacency rows and of the witness).
 # Each factor is the layer through vertex 0 of one class of the product
 # relation, induced on its vertices in ascending order. The witness is
-# the first isomorphism the search finds onto the input, so it follows
-# the refinement's cell order.
+# read off the classes: each coordinate is a position in one of those
+# layers.
 FACTOR_PINS = [
     ("Q4", [complete_graph(2)] * 4, ["K2"] * 4,
-     [("035f52f58dee3fb0", "e3fdb23257ea1910"),
-      ("035f52f58dee3fb0", "cf724161f74d116f")]),
+     [("035f52f58dee3fb0", "50119db2a4500e4a"),
+      ("035f52f58dee3fb0", "1cb0464471131129")]),
     ("K2xP3xP3", [complete_graph(2), path_graph(3), path_graph(3)],
      ["K2", "P3", "P3"],
-     [("01433d021e55004c", "d5f20feed258b12d"),
-      ("5164b86e3bb77f02", "1d238290b9b091c3")]),
+     [("01433d021e55004c", "ac448ca751ef1423"),
+      ("5164b86e3bb77f02", "94c1e5f5a3d8c2c4")]),
     ("C4xC5", [cycle_graph(4), cycle_graph(5)], ["C5", "K2", "K2"],
-     [("5c6c854811e330de", "e61d4fb0930c85d6"),
+     [("5c6c854811e330de", "33ce43ebddc40c40"),
       ("23c153917c38016d", "dc4cbd45321c8cf2")]),
 ]
 
