@@ -19,10 +19,10 @@ import os
 import re
 import sys
 import time
+from collections.abc import Callable, Sequence
 from functools import lru_cache
 from itertools import product as iter_product
 from math import comb, prod
-from typing import Callable, Sequence
 
 from . import __version__
 from .constructions import singleton_swap_families

@@ -16,11 +16,10 @@ All indices are 0-based throughout: vertices and factor axes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from itertools import repeat
 from math import comb, factorial, prod
 from operator import add, or_, xor
-from typing import Iterable, Sequence
 
 from . import subsets
 from .factorization import is_prime
@@ -31,21 +30,33 @@ from .tokens import (TokenGraph, config_index, lift_masks, mask_ranks,
                      token_graph)
 
 
-@dataclass(frozen=True)
 class SwapFamily:
     """Parameter set for a swap automorphism.
 
     kind "bipartite": members are (k-1)-subsets of Y for a K_{2,n} base.
     kind "product": members are factor axes in {0..r-2} (never the last
-    factor) for an r-fold product base.
+    factor) for an r-fold product base. Two families are equal when their
+    kinds and members are.
     """
 
-    kind: str
-    members: frozenset
+    __slots__ = ("kind", "members")
 
-    def __post_init__(self):
-        if self.kind not in ("bipartite", "product"):
-            raise ValueError(f"unknown SwapFamily kind {self.kind!r}")
+    def __init__(self, kind: str, members: frozenset):
+        if kind not in ("bipartite", "product"):
+            raise ValueError(f"unknown SwapFamily kind {kind!r}")
+        self.kind = kind
+        self.members = members
+
+    def __repr__(self):
+        return f"SwapFamily(kind={self.kind!r}, members={self.members!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.kind == other.kind and self.members == other.members
+
+    def __hash__(self):
+        return hash((self.kind, self.members))
 
     def to_sorted_lists(self):
         """Canonical serialization: sorted list of sorted member lists."""
@@ -62,14 +73,17 @@ def product_family(axes: Iterable[int]) -> SwapFamily:
     return SwapFamily("product", frozenset(axes))
 
 
-@dataclass(frozen=True)
 class PredictedAut:
     """Closed-form predicted order with its structural classification."""
 
-    order: int
-    structure_tag: str
-    parameters: dict
-    note: str | None = None
+    __slots__ = ("order", "structure_tag", "parameters", "note")
+
+    def __init__(self, order: int, structure_tag: str, parameters: dict,
+                 note: str | None = None):
+        self.order = order
+        self.structure_tag = structure_tag
+        self.parameters = parameters
+        self.note = note
 
 
 def lift_to_token_graph(phi: Permutation, tg: TokenGraph) -> Permutation:

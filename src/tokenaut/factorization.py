@@ -36,13 +36,10 @@ reproduce g edge by edge.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .graphs import (Graph, cartesian_product, distance_matrix,
                      format_edge_list, mixed_radix_encode)
 
 
-@dataclass(frozen=True)
 class Factorization:
     """Prime factors together with a coordinate witness.
 
@@ -52,8 +49,12 @@ class Factorization:
     reproduce the graph edge-for-edge, which certifies() rechecks.
     """
 
-    factors: tuple[Graph, ...]
-    witness: tuple[tuple[int, ...], ...]
+    __slots__ = ("factors", "witness")
+
+    def __init__(self, factors: tuple[Graph, ...],
+                 witness: tuple[tuple[int, ...], ...]):
+        self.factors = factors
+        self.witness = witness
 
     def certifies(self, g: Graph) -> bool:
         sizes = [f.n for f in self.factors]

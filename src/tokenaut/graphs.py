@@ -10,36 +10,36 @@ every function here is pure.
 
 Cartesian products use a mixed-radix vertex encoding with the first factor
 most significant, so a product vertex is identified with its coordinate
-tuple via mixed_radix_encode / mixed_radix_decode. Distances use the
-per-graph sentinel value n (one past the largest possible distance) for
-unreachable pairs.
+tuple via mixed_radix_encode. Distances use the per-graph sentinel value n
+(one past the largest possible distance) for unreachable pairs.
 """
 
 from __future__ import annotations
 
+import re
 from bisect import bisect_right
 from collections import deque
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from itertools import compress, product, repeat
 from math import prod
 from operator import lt, ne, xor
-from typing import Iterable, Sequence
 
 
-@dataclass(frozen=True)
 class Graph:
     """Simple undirected graph on 0..n-1 in which vertex u has the
     neighbours ``nbrs[u]``, in ascending order; n is the number of lists.
 
     The constructor checks the lists once: each must be strictly
     ascending, within 0..n-1 and without u, and must equal u's column, the
-    vertices whose lists hold u. They are kept as a tuple of tuples."""
+    vertices whose lists hold u. They are kept as a tuple of tuples.
+    Assigning to an attribute raises ``AttributeError``; two graphs are
+    equal when their lists and labels are."""
 
-    nbrs: tuple[tuple[int, ...], ...]
-    label: str | None = None
+    __slots__ = ("nbrs", "label")
 
-    def __post_init__(self):
-        nbrs = tuple(map(tuple, self.nbrs))
+    def __init__(self, nbrs: Iterable[Iterable[int]],
+                 label: str | None = None):
+        nbrs = tuple(map(tuple, nbrs))
         n = len(nbrs)
         if n < 1:
             raise ValueError("graph needs at least one vertex")
@@ -56,6 +56,24 @@ class Graph:
         if any(map(ne, map(tuple, column), nbrs)):
             raise ValueError("adjacency must be symmetric")
         object.__setattr__(self, "nbrs", nbrs)
+        object.__setattr__(self, "label", label)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to Graph.{name}: graphs are immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete Graph.{name}: graphs are immutable")
+
+    def __reduce__(self):
+        return Graph, (self.nbrs, self.label)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.nbrs == other.nbrs and self.label == other.label
+
+    def __hash__(self):
+        return hash((self.nbrs, self.label))
 
     @property
     def n(self) -> int:
@@ -155,17 +173,28 @@ def graph_from_edges(n: int, edges: Iterable[tuple[int, int]], label: str | None
     return Graph([sorted(set(nb)) for nb in nbrs], label)
 
 
-@dataclass(frozen=True)
 class BipartiteSpec:
     """Complete bipartite instance K_{m,n} with the fixed vertex convention
     X = {0..m-1} on the small side and Y = {m..m+n-1} on the large side."""
 
-    m: int
-    n: int
+    __slots__ = ("m", "n")
 
-    def __post_init__(self):
-        if not (1 <= self.m <= self.n):
-            raise ValueError(f"need 1 <= m <= n, got m={self.m}, n={self.n}")
+    def __init__(self, m: int, n: int):
+        if not (1 <= m <= n):
+            raise ValueError(f"need 1 <= m <= n, got m={m}, n={n}")
+        self.m = m
+        self.n = n
+
+    def __repr__(self):
+        return f"BipartiteSpec(m={self.m}, n={self.n})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.m == other.m and self.n == other.n
+
+    def __hash__(self):
+        return hash((self.m, self.n))
 
     @property
     def order(self) -> int:
@@ -234,16 +263,6 @@ def mixed_radix_encode(coords: Sequence[int], sizes: Sequence[int]) -> int:
     return code
 
 
-def mixed_radix_decode(code: int, sizes: Sequence[int]) -> tuple[int, ...]:
-    coords = [0] * len(sizes)
-    for i in range(len(sizes) - 1, -1, -1):
-        coords[i] = code % sizes[i]
-        code //= sizes[i]
-    if code != 0:
-        raise ValueError("code out of range")
-    return tuple(coords)
-
-
 def cartesian_product(factors: Sequence[Graph]) -> Graph:
     """Cartesian product; vertices are mixed-radix codes of coordinate tuples.
 
@@ -287,15 +306,16 @@ def distance_matrix(g: Graph) -> list[list[int]]:
     """All-pairs hop distances; unreachable pairs get the sentinel value n."""
     out = []
     nbrs = g.nbrs
-    for src in range(g.n):
-        dist = [g.n] * g.n
+    n = len(nbrs)
+    for src in range(n):
+        dist = [n] * n
         dist[src] = 0
         q = deque([src])
         while q:
             u = q.popleft()
             du = dist[u]
             for v in nbrs[u]:
-                if dist[v] == g.n:
+                if dist[v] == n:
                     dist[v] = du + 1
                     q.append(v)
         out.append(dist)
@@ -314,8 +334,39 @@ def parse_edge_list(text: str) -> Graph:
     return graph_from_edges(*_edge_list(text))
 
 
+# An edge list whose first line is its header and each of whose other
+# lines holds two fields, with spaces and tabs around them and \n or \r\n
+# line ends. The quantifiers are possessive: none of them can give back,
+# so the match keeps no backtracking state per line.
+_PLAIN_EDGE_LIST = (r"[ \t]*n[ \t]++\S++[ \t]*+\r?\n"
+                    r"(?:[ \t]*+\S++[ \t]++\S++[ \t]*+(?:\r?\n|\Z))*+")
+
+
 def _edge_list(text: str) -> tuple[int, list[tuple[int, int]]]:
-    """The vertex count and the edges of an edge-list text."""
+    """The vertex count and the edges of an edge-list text.
+
+    A text of the plain shape is split once and its fields converted by
+    one ``map(int, ...)``. Any other text, or a field that is not an
+    integer, is read line by line, which names the first bad line."""
+    if re.fullmatch(_PLAIN_EDGE_LIST, text):
+        fields = text.split()
+        count = fields[1]
+        del fields[:2]
+        try:
+            n = int(count)
+            ends = map(int, fields)
+            edges = list(zip(ends, ends))
+        except ValueError:
+            pass
+        else:
+            if n >= 1:
+                return n, edges
+    return _edge_list_by_line(text)
+
+
+def _edge_list_by_line(text: str) -> tuple[int, list[tuple[int, int]]]:
+    """``_edge_list`` one line at a time: comments, blank lines and the
+    line-numbered errors."""
     n = None
     edges = []
     for lineno, raw in enumerate(text.splitlines(), start=1):

@@ -49,11 +49,10 @@ orbit and the orbit-length product never exceeds the group's order.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator, Sequence
 from functools import lru_cache
 from itertools import compress, count
 from operator import itemgetter, ne
-from typing import Iterable, Iterator, Sequence
 
 
 @lru_cache(maxsize=None)
@@ -70,23 +69,32 @@ def _invert(images: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(inv)
 
 
-@dataclass(frozen=True)
 class Permutation:
-    """Permutation of 0..n-1 stored as its image tuple."""
+    """Permutation of 0..n-1 stored as its image tuple. Two permutations
+    are equal when their image tuples are."""
 
-    images: tuple[int, ...]
+    __slots__ = ("images",)
 
-    def __post_init__(self):
-        if sorted(self.images) != list(range(len(self.images))):
-            raise ValueError(f"not a permutation: {self.images}")
+    def __init__(self, images: tuple[int, ...]):
+        if sorted(images) != list(range(len(images))):
+            raise ValueError(f"not a permutation: {images}")
+        self.images = images
 
     @classmethod
     def _raw(cls, images: tuple[int, ...]) -> "Permutation":
         """Skip validation; products and inverses of valid permutations
         are again valid, and chain construction does millions of them."""
         p = object.__new__(cls)
-        object.__setattr__(p, "images", images)
+        p.images = images
         return p
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.images == other.images
+
+    def __hash__(self):
+        return hash((self.images,))
 
     @staticmethod
     def identity(n: int) -> "Permutation":

@@ -245,11 +245,10 @@ independent count for fixtures with small groups.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator
 from functools import cached_property
 from itertools import accumulate
 from math import factorial, prod
-from typing import Iterable, Iterator
 
 from .errors import CertificationError, ScaleGuardExceeded
 from .graphs import Graph
@@ -261,16 +260,19 @@ from .refinement import Partition
 OrderedPartition = list[list[int]]
 
 
-@dataclass(frozen=True)
 class AutResult:
     """Automorphism group plus search telemetry. ``node_count`` counts the
     nodes of the search tree that was walked: g's own, or, when g has twins,
     that of its twin quotient. ``known_order`` is the order of the group
     the known automorphisms generate, 1 when there are none."""
 
-    group: PermGroup | TwinGroup
-    node_count: int
-    known_order: int = 1
+    __slots__ = ("group", "node_count", "known_order")
+
+    def __init__(self, group: PermGroup | TwinGroup, node_count: int,
+                 known_order: int = 1):
+        self.group = group
+        self.node_count = node_count
+        self.known_order = known_order
 
 
 def is_automorphism(g: Graph, p: Permutation) -> bool:

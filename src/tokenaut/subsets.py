@@ -8,8 +8,8 @@ the subset, not on n, so the same subset keeps its rank when n grows.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from math import comb
-from typing import Iterable, Iterator
 
 
 def rank(members: Iterable[int], n: int) -> int:

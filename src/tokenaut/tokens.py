@@ -19,26 +19,29 @@ validation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Sequence
 from functools import partial, reduce
 from operator import or_
-from typing import Iterable, Sequence
 
 from . import subsets
 from .graphs import Graph
 
 
-@dataclass(frozen=True)
 class TokenGraph:
     """A token graph together with its base graph and rank bookkeeping:
     configs[r] is the configuration at rank r, and rank_of_mask maps each
     configuration's bitmask to its rank."""
 
-    base: Graph
-    k: int
-    graph: Graph
-    configs: tuple[tuple[int, ...], ...]
-    rank_of_mask: dict[int, int] = field(repr=False, compare=False)
+    __slots__ = ("base", "k", "graph", "configs", "rank_of_mask")
+
+    def __init__(self, base: Graph, k: int, graph: Graph,
+                 configs: tuple[tuple[int, ...], ...],
+                 rank_of_mask: dict[int, int]):
+        self.base = base
+        self.k = k
+        self.graph = graph
+        self.configs = configs
+        self.rank_of_mask = rank_of_mask
 
     @property
     def n(self) -> int:

@@ -30,7 +30,6 @@ into refusals, not crashes. Outside its JSON form, a report carries what
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from math import comb, prod
 
 from .constructions import (PredictedAut, bipartite_generators,
@@ -45,13 +44,15 @@ from .search import _automorphism_group, automorphism_group
 from .tokens import token_graph
 
 
-@dataclass(frozen=True)
 class ScaleGuard:
     """Desk-scale limits: vertex count of the graph under search and the
     number of search-tree nodes the automorphism search may visit."""
 
-    max_vertices: int = 300
-    max_nodes: int = 10_000_000
+    __slots__ = ("max_vertices", "max_nodes")
+
+    def __init__(self, max_vertices: int = 300, max_nodes: int = 10_000_000):
+        self.max_vertices = max_vertices
+        self.max_nodes = max_nodes
 
     def require_vertices(self, count: int, what: str) -> None:
         if count > self.max_vertices:
@@ -66,23 +67,35 @@ class ScaleGuard:
 DEFAULT_GUARD = ScaleGuard()
 
 
-@dataclass(frozen=True)
 class VerificationReport:
-    instance: str
-    computed_order: str
-    predicted_order: str
-    generators_certified: bool
-    subgroup_certified: bool
-    equality: bool
-    conjecture_flag: bool | None
-    wall_time: float
-    node_count: int
-    # Left out of to_dict: the prediction's tag, the certified generators
-    # and the order they generate (both None when one failed the edge
-    # check).
-    structure_tag: str = ""
-    generators: tuple[Permutation, ...] | None = field(default=None, repr=False)
-    generated_order: int | None = None
+    """One pipeline run's orders, certificates and verdict. ``to_dict``
+    leaves out the prediction's tag, the certified generators and the
+    order they generate (both None when one failed the edge check)."""
+
+    __slots__ = ("instance", "computed_order", "predicted_order",
+                 "generators_certified", "subgroup_certified", "equality",
+                 "conjecture_flag", "wall_time", "node_count",
+                 "structure_tag", "generators", "generated_order")
+
+    def __init__(self, instance: str, computed_order: str,
+                 predicted_order: str, generators_certified: bool,
+                 subgroup_certified: bool, equality: bool,
+                 conjecture_flag: bool | None, wall_time: float,
+                 node_count: int, structure_tag: str = "",
+                 generators: tuple[Permutation, ...] | None = None,
+                 generated_order: int | None = None):
+        self.instance = instance
+        self.computed_order = computed_order
+        self.predicted_order = predicted_order
+        self.generators_certified = generators_certified
+        self.subgroup_certified = subgroup_certified
+        self.equality = equality
+        self.conjecture_flag = conjecture_flag
+        self.wall_time = wall_time
+        self.node_count = node_count
+        self.structure_tag = structure_tag
+        self.generators = generators
+        self.generated_order = generated_order
 
     @property
     def passed(self) -> bool:

@@ -478,10 +478,10 @@ def test_build_refuses_before_building_the_base_graph(monkeypatch, tmp_path,
                                                      capsys):
     # The base's vertex count comes from the spec, so a refused build
     # constructs no graph at all.
-    def built(self):
+    def built(self, *args, **kwargs):
         raise AssertionError("a graph was built before the guard refused")
 
-    monkeypatch.setattr(graphs.Graph, "__post_init__", built)
+    monkeypatch.setattr(graphs.Graph, "__init__", built)
     out = tmp_path / "x.el"
     for spec, k in (("kmn:2,1000000", 3), ("cube:14", 8000),
                     ("prod:path:1000+cycle:1000", 2), ("star:99999", 2)):
@@ -545,6 +545,20 @@ def run_fresh(*argv):
     return subprocess.run([sys.executable, "-m", "tokenaut.cli", *argv],
                           env=dict(os.environ, PYTHONPATH=src),
                           capture_output=True, text=True, timeout=60)
+
+
+def test_cli_import_loads_neither_dataclasses_nor_typing():
+    # Start-up is paid once per instance of a sweep: importing the CLI
+    # in a bare interpreter loads neither dataclasses nor typing.
+    import tokenaut
+    src = os.path.dirname(os.path.dirname(tokenaut.__file__))
+    probe = ("import sys; before = set(sys.modules); import tokenaut.cli; "
+             "print(sorted({'dataclasses', 'typing'} & (set(sys.modules) - before)))")
+    out = subprocess.run([sys.executable, "-S", "-c", probe],
+                         env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
 
 
 def test_module_entry_point_runs_as_a_process():

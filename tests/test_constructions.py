@@ -298,6 +298,16 @@ def test_generators_reuse_a_prebuilt_token_graph():
         bipartite_generators(2, 4, 2, token_graph(complete_bipartite(3, 3), 2))
 
 
+def test_swap_families_compare_by_kind_and_members():
+    fam = bipartite_family([(2, 3), (3, 4)])
+    assert fam == bipartite_family([[4, 3], [3, 2]])
+    assert fam != product_family([0]) and product_family([0]) == product_family([0])
+    assert hash(fam) == hash(("bipartite", fam.members))
+    assert fam != ("bipartite", fam.members)
+    with pytest.raises(ValueError, match="unknown SwapFamily kind 'x'"):
+        type(fam)("x", frozenset())
+
+
 def _digest(obj):
     return hashlib.sha256(repr(obj).encode()).hexdigest()[:16]
 

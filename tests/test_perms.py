@@ -23,6 +23,17 @@ from tokenaut import (
 )
 
 
+def test_permutations_compare_by_their_images():
+    p = Permutation((1, 2, 0))
+    assert p == Permutation.from_cycles(3, [(0, 1, 2)]) == p * p * p * p
+    assert p != Permutation((0, 1, 2)) and p != (1, 2, 0)
+    # the dataclass formula, hash((images,)), so set orders repeat
+    assert hash(p) == hash(((1, 2, 0),)) == hash(p.inverse().inverse())
+    assert len({p, p * p * p * p, p.inverse()}) == 2
+    with pytest.raises(ValueError, match="not a permutation"):
+        Permutation((0, 0, 1))
+
+
 def test_composition_convention_locked():
     # (p o q)(i) = p(q(i)); evaluating (0 1) o (1 2) on all points gives [1,2,0]
     p = Permutation.from_cycles(3, [(0, 1)])
