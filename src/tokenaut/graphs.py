@@ -16,7 +16,6 @@ tuple via mixed_radix_encode. Distances use the per-graph sentinel value n
 
 from __future__ import annotations
 
-import re
 from bisect import bisect_right
 from collections import deque
 from collections.abc import Iterable, Sequence
@@ -334,39 +333,8 @@ def parse_edge_list(text: str) -> Graph:
     return graph_from_edges(*_edge_list(text))
 
 
-# An edge list whose first line is its header and each of whose other
-# lines holds two fields, with spaces and tabs around them and \n or \r\n
-# line ends. The quantifiers are possessive: none of them can give back,
-# so the match keeps no backtracking state per line.
-_PLAIN_EDGE_LIST = (r"[ \t]*n[ \t]++\S++[ \t]*+\r?\n"
-                    r"(?:[ \t]*+\S++[ \t]++\S++[ \t]*+(?:\r?\n|\Z))*+")
-
-
 def _edge_list(text: str) -> tuple[int, list[tuple[int, int]]]:
-    """The vertex count and the edges of an edge-list text.
-
-    A text of the plain shape is split once and its fields converted by
-    one ``map(int, ...)``. Any other text, or a field that is not an
-    integer, is read line by line, which names the first bad line."""
-    if re.fullmatch(_PLAIN_EDGE_LIST, text):
-        fields = text.split()
-        count = fields[1]
-        del fields[:2]
-        try:
-            n = int(count)
-            ends = map(int, fields)
-            edges = list(zip(ends, ends))
-        except ValueError:
-            pass
-        else:
-            if n >= 1:
-                return n, edges
-    return _edge_list_by_line(text)
-
-
-def _edge_list_by_line(text: str) -> tuple[int, list[tuple[int, int]]]:
-    """``_edge_list`` one line at a time: comments, blank lines and the
-    line-numbered errors."""
+    """The vertex count and the edges of an edge-list text."""
     n = None
     edges = []
     for lineno, raw in enumerate(text.splitlines(), start=1):

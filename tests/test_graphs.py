@@ -23,7 +23,6 @@ from tokenaut import (
     path_graph,
     star_graph,
 )
-from tokenaut import graphs
 from tokenaut.graphs import mixed_radix_encode, product_label
 from tokenaut.tokens import token_graph
 
@@ -421,48 +420,6 @@ def test_edge_list_parsing_errors_and_comments():
         want = f"line {line}: non-integer vertex count in '{header}'"
         with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
             parse_edge_list(text)
-
-
-def _read_either_way(read, text):
-    try:
-        return read(text)
-    except ValueError as exc:
-        return f"ValueError: {exc}"
-
-
-def test_edge_list_reads_every_text_as_the_line_reader_does():
-    # Plain texts are split once; each variant below must give the edges,
-    # or the error message, of the line-by-line reader.
-    rng = random.Random(31)
-    variants = ["n 3\n", "n 3", "n 1\n", "n 0\n0 1\n", "n -2\n", "n x\n",
-                "n 3\n0 1\n1 2", "n 3\r\n0 1\r\n 1\t2 \r\n",
-                "n 3\n0 1\n\n1 2\n", "n 3\n0 1 2\n", "n 3\n0\n",
-                "n 3\n0 1\x0b1 2\n", "n 3\n0 1\r1 2\n", "n 3\n# c\n0 1\n",
-                "n 3\n# 1\n", "n 3\n1 #2\n", "n 3\n0 +1\n1_0 2\n",
-                "n\t3 \n0 1\n", "n 3 4\n0 1\n", "m 3\n0 1\n", " n 3\n",
-                "n 3\n0 1\u20281 2\n", "n 3\n0\xa01\n", "n 3\n0 1\n\n"]
-    for trial in range(300):
-        n = rng.randint(1, 9)
-        lines = [f"{u} {v}" for u, v in random_edge_list(rng, n)]
-        for _ in range(rng.randint(0, 2)):
-            i = rng.randrange(len(lines) + 1)
-            lines.insert(i, rng.choice(("", "# c", "1", "0 1 2", "0 y",
-                                        " 2\t1 ", "1 1", f"0 {n}")))
-        ending = rng.choice(("\n", "\r\n", "\n\n", ""))
-        variants.append("\n".join([f"n {n}"] + lines) + ending)
-    for text in variants:
-        assert (_read_either_way(graphs._edge_list, text)
-                == _read_either_way(graphs._edge_list_by_line, text)), text
-
-
-def test_written_edge_lists_are_read_without_the_line_reader(monkeypatch):
-    def by_line(text):
-        raise AssertionError("a written edge list was read line by line")
-
-    monkeypatch.setattr(graphs, "_edge_list_by_line", by_line)
-    for g in (complete_graph(1), path_graph(4), hypercube(4),
-              token_graph(complete_bipartite(2, 5), 3).graph):
-        assert parse_edge_list(format_edge_list(g)).nbrs == g.nbrs
 
 
 def test_graphs_are_immutable_values():
