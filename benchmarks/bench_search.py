@@ -443,7 +443,7 @@ def run_verify(case: str, vertices: int, pipeline, order: int) -> dict:
     grow_randomly = PermGroup._grow_randomly
     chain = 0.0
 
-    def timed(self, bound=None):
+    def timed(self, bound):
         nonlocal chain
         started = time.perf_counter()
         try:

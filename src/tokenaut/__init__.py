@@ -24,12 +24,11 @@ from .perms import (PermGroup, Permutation, bounded_order,
 from .refinement import available_backends, default_backend
 from .search import (AutResult, automorphism_group, count_automorphisms_brute,
                      is_automorphism, is_isomorphic, refine)
-from .constructions import (PredictedAut, SwapFamily, bipartite_family,
-                            bipartite_generators, complement_automorphism,
-                            coordinate_swap_product, lift_to_token_graph,
-                            predicted_order, predicted_order_cube,
-                            product_family, product_subgroup_generators,
-                            side_swap_bipartite, singleton_swap_families)
+from .constructions import (PredictedAut, bipartite_generators,
+                            complement_automorphism, coordinate_swap_product,
+                            lift_to_token_graph, predicted_order,
+                            predicted_order_cube, product_subgroup_generators,
+                            side_swap_bipartite, side_swap_subsets)
 from .factorization import (Factorization, is_prime,
                             prime_factor_decomposition)
 from .verify import (DEFAULT_GUARD, ScaleGuard, VerificationReport,
@@ -49,9 +48,9 @@ __all__ = [
     "available_backends", "default_backend",
     "AutResult", "refine", "automorphism_group", "is_automorphism",
     "is_isomorphic", "count_automorphisms_brute",
-    "SwapFamily", "PredictedAut", "bipartite_family", "product_family",
+    "PredictedAut",
     "lift_to_token_graph", "complement_automorphism", "side_swap_bipartite",
-    "bipartite_generators", "singleton_swap_families",
+    "bipartite_generators", "side_swap_subsets",
     "predicted_order", "coordinate_swap_product",
     "product_subgroup_generators", "predicted_order_cube",
     "Factorization", "is_prime", "prime_factor_decomposition",

@@ -25,7 +25,7 @@ from itertools import product as iter_product
 from math import comb, prod
 
 from . import __version__
-from .constructions import singleton_swap_families
+from .constructions import side_swap_subsets
 from .errors import CertificationError, ScaleGuardExceeded
 from .factorization import prime_factor_decomposition
 from .graphs import (BipartiteSpec, Graph, _edge_list, cartesian_product,
@@ -227,8 +227,7 @@ def cmd_generators(args) -> int:
         instance = report.instance
         families = []
         if m == 2 and n > 2:
-            families = [fam.to_sorted_lists()
-                        for fam in singleton_swap_families(BipartiteSpec(m, n), k)]
+            families = [[sorted(s)] for s in side_swap_subsets(BipartiteSpec(m, n), k)]
     elif modes[1]:
         r = _single(args.r, "--r")
         report = verify_cube(r, guard)

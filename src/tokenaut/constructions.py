@@ -5,8 +5,7 @@ constructs generator-by-generator:
 
 * complete bipartite bases K_{m,n} (X = {0..m-1}, Y = {m..m+n-1}): lifts
   of base automorphisms, the complement involution at the middle token
-  count, and, for m = 2, side swaps driven by a family of (k-1)-subsets
-  of Y;
+  count, and, for m = 2, side swaps driven by (k-1)-subsets of Y;
 * connected Cartesian products of r >= 2 primes: lifts of base
   automorphisms plus coordinate swaps between the two endpoints of a
   2-token configuration, driven by a set of factor axes.
@@ -28,49 +27,6 @@ from .perms import PermGroup, Permutation, _id_images
 from .search import automorphism_group, certify, is_automorphism
 from .tokens import (TokenGraph, config_index, lift_masks, mask_ranks,
                      token_graph)
-
-
-class SwapFamily:
-    """Parameter set for a swap automorphism.
-
-    kind "bipartite": members are (k-1)-subsets of Y for a K_{2,n} base.
-    kind "product": members are factor axes in {0..r-2} (never the last
-    factor) for an r-fold product base. Two families are equal when their
-    kinds and members are.
-    """
-
-    __slots__ = ("kind", "members")
-
-    def __init__(self, kind: str, members: frozenset):
-        if kind not in ("bipartite", "product"):
-            raise ValueError(f"unknown SwapFamily kind {kind!r}")
-        self.kind = kind
-        self.members = members
-
-    def __repr__(self):
-        return f"SwapFamily(kind={self.kind!r}, members={self.members!r})"
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.kind == other.kind and self.members == other.members
-
-    def __hash__(self):
-        return hash((self.kind, self.members))
-
-    def to_sorted_lists(self):
-        """Canonical serialization: sorted list of sorted member lists."""
-        if self.kind == "product":
-            return sorted(self.members)
-        return sorted(sorted(s) for s in self.members)
-
-
-def bipartite_family(members: Iterable[Iterable[int]]) -> SwapFamily:
-    return SwapFamily("bipartite", frozenset(frozenset(s) for s in members))
-
-
-def product_family(axes: Iterable[int]) -> SwapFamily:
-    return SwapFamily("product", frozenset(axes))
 
 
 class PredictedAut:
@@ -110,34 +66,31 @@ def complement_automorphism(tg: TokenGraph) -> Permutation:
                                   map(xor, tg.rank_of_mask, repeat(full))))
 
 
-def _validate_bipartite_family(spec: BipartiteSpec, k: int, family: SwapFamily):
-    if spec.m != 2:
-        raise ValueError("side swaps require the m = 2 bipartite side")
-    if family.kind != "bipartite":
-        raise ValueError("expected a bipartite swap family")
-    y = set(spec.y_vertices)
-    for s in family.members:
-        if len(s) != k - 1 or not s <= y:
-            raise ValueError(f"family member {sorted(s)} is not a (k-1)-subset of Y")
-
-
-def side_swap_bipartite(spec: BipartiteSpec, k: int, family: SwapFamily) -> Permutation:
+def side_swap_bipartite(spec: BipartiteSpec, k: int,
+                        members: Iterable[Iterable[int]]) -> Permutation:
     """Automorphism of the k-token graph of K_{2,n} that exchanges the two
     X-vertices inside every configuration holding exactly one of them whose
-    Y-part belongs to the family; all other configurations are fixed.
+    Y-part is one of ``members``; all other configurations are fixed.
 
-    Composing two side swaps gives the swap of the symmetric difference of
-    their families, so the swaps form an elementary abelian 2-group.
+    ``members`` is any iterable of (k-1)-subsets of Y, each an iterable of
+    vertices; a subset given twice is refused. Composing two side swaps
+    gives the swap of the symmetric difference of their members, so the
+    swaps form an elementary abelian 2-group.
     """
-    _validate_bipartite_family(spec, k, family)
+    if spec.m != 2:
+        raise ValueError("side swaps require the m = 2 bipartite side")
     total = spec.order
     if not (1 <= k <= total - 1):
         raise ValueError(f"need 1 <= k <= {total - 1}, got k={k}")
+    y = set(spec.y_vertices)
     # The cached identity's points are shared by every swap's tuple, so a
     # swap holds no int object of its own for a point above 256.
     images = list(_id_images(comb(total, k)))
     moved = []
-    for s in family.members:
+    for s in members:
+        s = frozenset(s)
+        if len(s) != k - 1 or not s <= y:
+            raise ValueError(f"member {sorted(s)} is not a (k-1)-subset of Y")
         a, b = subsets.rank(s | {0}, total), subsets.rank(s | {1}, total)
         images[a], images[b] = b, a
         moved += (a, b)
@@ -158,11 +111,11 @@ def _token_graph_of(base: Graph, k: int, tg: TokenGraph | None) -> TokenGraph:
     return tg
 
 
-def singleton_swap_families(spec: BipartiteSpec, k: int) -> list[SwapFamily]:
-    """One single-member family per (k-1)-subset of Y, in subset-rank
-    order; these generate the full elementary abelian swap group."""
+def side_swap_subsets(spec: BipartiteSpec, k: int) -> list[frozenset[int]]:
+    """The (k-1)-subsets of Y in subset-rank order; their single-member
+    side swaps generate the full elementary abelian swap group."""
     y0 = spec.m
-    return [bipartite_family([frozenset(v + y0 for v in s)])
+    return [frozenset(v + y0 for v in s)
             for s in subsets.ksubsets(spec.n, k - 1)]
 
 
@@ -192,8 +145,8 @@ def bipartite_generators(m: int, n: int, k: int,
                     for cycle in ((0, 5), (1, 2), (1, 2, 3, 4)))
     elif m == 2 and n > 2:
         y0 = spec.m
-        for fam in singleton_swap_families(spec, k):
-            gens.append(side_swap_bipartite(spec, k, fam))
+        for s in side_swap_subsets(spec, k):
+            gens.append(side_swap_bipartite(spec, k, [s]))
         for cycle in ((y0, y0 + 1), tuple(spec.y_vertices)):
             pi = Permutation.from_cycles(total, [cycle])
             gens.append(lift_to_token_graph(pi, tg))
@@ -244,22 +197,22 @@ def predicted_order(m: int, n: int, k: int) -> PredictedAut:
     return PredictedAut(order, "AUT_KMN", params)
 
 
-def coordinate_swap_product(factors: Sequence[Graph], family: SwapFamily,
+def coordinate_swap_product(factors: Sequence[Graph], axes: Iterable[int],
                             tg: TokenGraph | None = None) -> Permutation:
     """Automorphism of the 2-token graph of a Cartesian product that, on
     every pair of distinct product vertices, exchanges the coordinates at
-    the family's axes between the two endpoints; the last factor's axis is
-    excluded so the swaps form a group of rank r-1.
+    ``axes`` between the two endpoints.
 
-    Pass ``tg``, a 2-token graph on the product's vertex count, such as the
-    product's own, to reuse its configurations and rank index.
+    ``axes`` is any iterable of factor axes in 0..r-2, an axis given twice
+    counting once; the last factor's axis is excluded so the swaps form a
+    group of rank r-1. Pass ``tg``, a 2-token graph on the product's vertex
+    count, such as the product's own, to reuse its configurations and rank
+    index.
     """
     r = len(factors)
     if r < 2:
         raise ValueError("need at least two factors")
-    if family.kind != "product":
-        raise ValueError("expected a product swap family")
-    axes = family.members
+    axes = set(axes)
     if any(not 0 <= a <= r - 2 for a in axes):
         raise ValueError(f"axes {sorted(axes)} not within 0..{r - 2}")
     sizes = [g.n for g in factors]
@@ -322,7 +275,7 @@ def product_subgroup_generators(factors: Sequence[Graph],
         if not is_prime(f):
             raise ValueError(f"factor {i} is not prime with respect to the product")
     tg = _token_graph_of(cartesian_product(factors), 2, tg)
-    gens = [coordinate_swap_product(factors, product_family([ax]), tg=tg)
+    gens = [coordinate_swap_product(factors, [ax], tg=tg)
             for ax in range(r - 1)]
     if base_group is None:
         base_group = automorphism_group(tg.base).group

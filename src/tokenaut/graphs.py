@@ -45,7 +45,9 @@ class Graph:
         column: list[list[int]] = [[] for _ in range(n)]
         for u, nb in enumerate(nbrs):
             if nb and not (0 <= nb[0] and nb[-1] < n):
-                raise ValueError("adjacency bit out of range")
+                bad = nb[0] if nb[0] < 0 else nb[-1]
+                raise ValueError(f"vertex {u} has neighbour {bad} "
+                                 f"out of range 0..{n - 1}")
             if not all(map(lt, nb, nb[1:])):
                 raise ValueError("neighbour lists must be strictly ascending")
             if u in nb:

@@ -325,7 +325,7 @@ class PermGroup:
             lv.close_orbit()
         return True
 
-    def _grow_randomly(self, bound: int | None = None) -> bool:
+    def _grow_randomly(self, bound: int) -> bool:
         """Grow the chain by the generators, then by seeded
         product-replacement random elements of the group they generate
         (Seress 2003, section 4.3), until the orbit-length product reaches
@@ -333,7 +333,7 @@ class PermGroup:
         identity. Returns whether it stopped on such a stall."""
         for g in self.generators:
             self._grow(g.images)
-        if bound is not None and self.order() >= bound:
+        if self.order() >= bound:
             return False
         if self.degree < 2:  # no permutation but the identity to grow by
             return True
@@ -354,7 +354,7 @@ class PermGroup:
             stall = 0 if self._grow(acc) else stall + 1
             if stall == _STALL_SIFTS:
                 return True
-            if bound is not None and self.order() >= bound:
+            if self.order() >= bound:
                 return False
 
     def _complete(self) -> None:

@@ -12,7 +12,6 @@ from tokenaut import (
     BipartiteSpec,
     Permutation,
     automorphism_group,
-    bipartite_family,
     bipartite_generators,
     complement_automorphism,
     complete_bipartite,
@@ -28,7 +27,7 @@ from tokenaut import (
     product_subgroup_generators,
     schreier_sims,
     side_swap_bipartite,
-    singleton_swap_families,
+    side_swap_subsets,
     token_graph,
     verify_product,
 )
@@ -89,8 +88,8 @@ def test_criterion_3_middle_k_doubling():
     predicted = predicted_order(2, 4, 3).order
     assert computed == generated == predicted == 3072
 
-    swaps = [side_swap_bipartite(spec, k, fam)
-             for fam in singleton_swap_families(spec, k)]
+    swaps = [side_swap_bipartite(spec, k, [s])
+             for s in side_swap_subsets(spec, k)]
     y_gens = [lift_to_token_graph(Permutation.from_cycles(6, cyc), tg)
               for cyc in ([(2, 3)], [(2, 3, 4, 5)])]
     without_complement = schreier_sims(swaps + y_gens, degree=20)
@@ -210,8 +209,7 @@ def test_criterion_7_lemma_suites():
         members = [frozenset(s) for s in itertools.combinations(y, k - 1)]
         families = [frozenset(c) for r in range(len(members) + 1)
                     for c in itertools.combinations(members, r)]
-        swap = {f: side_swap_bipartite(spec, k, bipartite_family(f))
-                for f in families}
+        swap = {f: side_swap_bipartite(spec, k, f) for f in families}
         for f1 in families:
             for f2 in families:
                 assert swap[f1] * swap[f2] == swap[f1 ^ f2]

@@ -89,6 +89,14 @@ def test_build_k_out_of_range(tmp_path, capsys):
     assert "out of range" in capsys.readouterr().err
 
 
+def test_build_size_its_constructor_rejects(tmp_path, capsys):
+    rc = run(["build", "--graph", "cycle:2", "--k", "1",
+              "--out", str(tmp_path / "x.el")])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: cycle_graph needs n >= 3\n"
+    assert not (tmp_path / "x.el").exists()
+
+
 def test_build_scale_refusal(tmp_path, capsys):
     rc = run(["build", "--graph", "kmn:2,10", "--k", "6",
               "--out", str(tmp_path / "x.el")])

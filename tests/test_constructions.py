@@ -13,7 +13,6 @@ from tokenaut import (
     Permutation,
     cartesian_product,
     automorphism_group,
-    bipartite_family,
     bipartite_generators,
     complement_automorphism,
     complete_bipartite,
@@ -29,11 +28,10 @@ from tokenaut import (
     path_graph,
     predicted_order,
     predicted_order_cube,
-    product_family,
     product_subgroup_generators,
     schreier_sims,
     side_swap_bipartite,
-    singleton_swap_families,
+    side_swap_subsets,
     star_graph,
     token_graph,
 )
@@ -109,9 +107,8 @@ def test_complement_conjugates_swap_family_through_y_complement():
     commuting = 0
     for r in range(len(members) + 1):
         for combo in itertools.combinations(members, r):
-            phi = side_swap_bipartite(spec, k, bipartite_family(combo))
-            flipped = bipartite_family(y - s for s in combo)
-            expect = side_swap_bipartite(spec, k, flipped)
+            phi = side_swap_bipartite(spec, k, combo)
+            expect = side_swap_bipartite(spec, k, [y - s for s in combo])
             assert c * phi * c.inverse() == expect
             closed = {y - s for s in combo} == set(combo)
             assert (c * phi == phi * c) == closed
@@ -124,9 +121,9 @@ def test_complement_conjugates_swap_family_through_y_complement():
 
 def test_side_swap_identity_iff_empty_family():
     spec = BipartiteSpec(2, 3)
-    assert side_swap_bipartite(spec, 2, bipartite_family([])).is_identity()
-    for fam in singleton_swap_families(spec, 2):
-        assert not side_swap_bipartite(spec, 2, fam).is_identity()
+    assert side_swap_bipartite(spec, 2, []).is_identity()
+    for s in side_swap_subsets(spec, 2):
+        assert not side_swap_bipartite(spec, 2, [s]).is_identity()
 
 
 def test_side_swap_composition_is_symmetric_difference():
@@ -134,15 +131,14 @@ def test_side_swap_composition_is_symmetric_difference():
     k = 2
     subsets_of_y = [frozenset(s) for r in range(2)
                     for s in itertools.combinations(range(2, 5), 1)]
-    all_families = [bipartite_family(s)
+    all_families = [frozenset(s)
                     for r in range(4)
                     for s in itertools.combinations(subsets_of_y[:3], r)]
     assert len(all_families) == 8  # full power set of three (k-1)-subsets
-    swaps = {f.members: side_swap_bipartite(spec, k, f) for f in all_families}
+    swaps = {f: side_swap_bipartite(spec, k, f) for f in all_families}
     for f1 in all_families:
         for f2 in all_families:
-            assert swaps[f1.members] * swaps[f2.members] == \
-                swaps[f1.members ^ f2.members]
+            assert swaps[f1] * swaps[f2] == swaps[f1 ^ f2]
 
 
 def test_side_swap_composition_sampled_large():
@@ -151,10 +147,10 @@ def test_side_swap_composition_sampled_large():
     rng = random.Random(5)
     members = [frozenset(s) for s in itertools.combinations(range(2, 6), 2)]
     for _ in range(12):
-        f1 = bipartite_family(rng.sample(members, rng.randrange(len(members))))
-        f2 = bipartite_family(rng.sample(members, rng.randrange(len(members))))
+        f1 = rng.sample(members, rng.randrange(len(members)))
+        f2 = rng.sample(members, rng.randrange(len(members)))
         left = side_swap_bipartite(spec, k, f1) * side_swap_bipartite(spec, k, f2)
-        combined = bipartite_family(f1.members ^ f2.members)
+        combined = set(f1) ^ set(f2)
         assert left == side_swap_bipartite(spec, k, combined)
 
 
@@ -174,7 +170,7 @@ def test_side_swap_images_and_shared_points():
             want = [rank[tuple(sorted(set(c) ^ {0, 1}))]
                     if len({0, 1} & set(c)) == 1 and set(c) - {0, 1} in fam
                     else i for i, c in enumerate(configs)]
-            images = side_swap_bipartite(spec, k, bipartite_family(family)).images
+            images = side_swap_bipartite(spec, k, family).images
             assert list(images) == want
             ident = _id_images(len(configs))
             assert all(v is ident[i] for i, v in enumerate(images) if v == i)
@@ -186,11 +182,9 @@ def test_side_swap_conjugation_relabels_family():
         tg = token_graph(spec.graph(), k)
         pi = Permutation.from_cycles(spec.order, cycles)
         psi = lift_to_token_graph(pi, tg)
-        for fam in singleton_swap_families(spec, k):
-            phi = side_swap_bipartite(spec, k, fam)
-            mapped = bipartite_family(
-                frozenset(pi(v) for v in s) for s in fam.members)
-            expect = side_swap_bipartite(spec, k, mapped)
+        for s in side_swap_subsets(spec, k):
+            phi = side_swap_bipartite(spec, k, [s])
+            expect = side_swap_bipartite(spec, k, [[pi(v) for v in s]])
             assert psi * phi * psi.inverse() == expect
 
 
@@ -198,13 +192,10 @@ def test_swaps_meet_y_lifts_only_in_identity():
     spec = BipartiteSpec(2, 3)
     k = 2
     tg = token_graph(spec.graph(), k)
-    singles = [f.members for f in singleton_swap_families(spec, k)]
-    all_members = [frozenset().union(*c) if c else frozenset()
-                   for r in range(len(singles) + 1)
+    singles = side_swap_subsets(spec, k)
+    all_members = [c for r in range(len(singles) + 1)
                    for c in itertools.combinations(singles, r)]
-    swaps = {side_swap_bipartite(spec, k,
-                                 bipartite_family(m)).images
-             for m in all_members}
+    swaps = {side_swap_bipartite(spec, k, m).images for m in all_members}
     y_lifts = {lift_to_token_graph(Permutation(
         (0, 1) + tuple(v + 2 for v in perm)), tg).images
         for perm in itertools.permutations(range(3))}
@@ -220,8 +211,7 @@ def test_full_family_swap_is_the_lifted_side_exchange():
     for n, k in ((3, 2), (4, 3)):
         spec = BipartiteSpec(2, n)
         tg = token_graph(spec.graph(), k)
-        full = bipartite_family(
-            frozenset(s) for s in itertools.combinations(spec.y_vertices, k - 1))
+        full = itertools.combinations(spec.y_vertices, k - 1)
         lifted = lift_to_token_graph(
             Permutation.from_cycles(n + 2, [(0, 1)]), tg)
         assert side_swap_bipartite(spec, k, full) == lifted
@@ -230,14 +220,13 @@ def test_full_family_swap_is_the_lifted_side_exchange():
 def test_side_swap_input_validation():
     spec = BipartiteSpec(2, 3)
     with pytest.raises(ValueError):
-        side_swap_bipartite(BipartiteSpec(3, 3), 2,
-                            bipartite_family([[3]]))  # m != 2
+        side_swap_bipartite(BipartiteSpec(3, 3), 2, [[3]])  # m != 2
     with pytest.raises(ValueError):
-        side_swap_bipartite(spec, 2, product_family([0]))  # wrong kind
+        side_swap_bipartite(spec, 2, [[2, 3]])  # wrong size
     with pytest.raises(ValueError):
-        side_swap_bipartite(spec, 2, bipartite_family([[2, 3]]))  # wrong size
-    with pytest.raises(ValueError):
-        side_swap_bipartite(spec, 2, bipartite_family([[0]]))  # not in Y
+        side_swap_bipartite(spec, 2, [[0]])  # not in Y
+    with pytest.raises(ValueError, match="^side swap transpositions overlap$"):
+        side_swap_bipartite(spec, 2, [[2], [3], [2]])  # a subset twice
 
 
 # -- generator sets and predictions ---------------------------------------
@@ -298,16 +287,6 @@ def test_generators_reuse_a_prebuilt_token_graph():
         bipartite_generators(2, 4, 2, token_graph(complete_bipartite(3, 3), 2))
 
 
-def test_swap_families_compare_by_kind_and_members():
-    fam = bipartite_family([(2, 3), (3, 4)])
-    assert fam == bipartite_family([[4, 3], [3, 2]])
-    assert fam != product_family([0]) and product_family([0]) == product_family([0])
-    assert hash(fam) == hash(("bipartite", fam.members))
-    assert fam != ("bipartite", fam.members)
-    with pytest.raises(ValueError, match="unknown SwapFamily kind 'x'"):
-        type(fam)("x", frozenset())
-
-
 def _digest(obj):
     return hashlib.sha256(repr(obj).encode()).hexdigest()[:16]
 
@@ -352,8 +331,7 @@ def test_coordinate_swap_composition_and_normality():
     factors = [complete_graph(2)] * 3
     axes = [frozenset(c) for r in range(3)
             for c in itertools.combinations(range(2), r)]
-    swaps = {a: coordinate_swap_product(factors, product_family(a))
-             for a in axes}
+    swaps = {a: coordinate_swap_product(factors, a) for a in axes}
     for a in axes:
         for b in axes:
             assert swaps[a] * swaps[b] == swaps[a ^ b]
@@ -371,11 +349,9 @@ def test_coordinate_swap_composition_and_normality():
 def test_coordinate_swap_validation():
     factors = [complete_graph(2), path_graph(3)]
     with pytest.raises(ValueError):
-        coordinate_swap_product([complete_graph(2)], product_family([0]))
+        coordinate_swap_product([complete_graph(2)], [0])
     with pytest.raises(ValueError):
-        coordinate_swap_product(factors, product_family([1]))  # last axis
-    with pytest.raises(ValueError):
-        coordinate_swap_product(factors, bipartite_family([]))  # wrong kind
+        coordinate_swap_product(factors, [1])  # last axis
 
 
 def test_product_subgroup_generators_certified_orders():

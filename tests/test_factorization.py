@@ -224,6 +224,18 @@ def test_certifies_rejects_wrong_graph():
     assert not f.certifies(graph_from_edges(g.n, g.edges()[1:]))
 
 
+def test_certifies_rejects_malformed_witnesses():
+    g = cycle_graph(4)
+    f = prime_factor_decomposition(g)
+    assert f.certifies(g)
+    witness = list(f.witness)
+    for bad in (witness[:-1],                          # one vertex short
+                [witness[0][:1]] + witness[1:],        # one coordinate short
+                [(witness[0][0], 2)] + witness[1:],    # coordinate past 0..1
+                [witness[1]] + witness[1:]):           # two vertices coincide
+        assert not Factorization(f.factors, tuple(bad)).certifies(g), bad
+
+
 def test_read_off_witness_on_relabeled_products():
     # The witness is read off the edge classes: vertex 0 is the origin of
     # every layer, and a prime graph's one layer is the whole graph in

@@ -410,6 +410,10 @@ def test_edge_list_parsing_errors_and_comments():
     assert g.edges() == [(0, 1), (1, 2)]
     with pytest.raises(ValueError):
         parse_edge_list("0 1\n")  # missing header
+    with pytest.raises(ValueError, match="^missing 'n <N>' header line$"):
+        parse_edge_list("# only a comment\n\n  \n# and another\n")
+    with pytest.raises(ValueError, match="^line 1: vertex count must be >= 1$"):
+        parse_edge_list("n 0\n")
     with pytest.raises(ValueError):
         parse_edge_list("n 2\n0 5\n")
     with pytest.raises(ValueError):
@@ -499,8 +503,8 @@ def test_graph_checks_its_lists():
     with pytest.raises(ValueError, match="^graph needs at least one vertex$"):
         Graph([])
     for bad, message in (
-        ([[1], [0], [3]], "adjacency bit out of range"),     # past n - 1
-        ([[1], [-1, 0], []], "adjacency bit out of range"),  # negative
+        ([[1], [0], [3]], "vertex 2 has neighbour 3 out of range 0..2"),
+        ([[1], [-1, 0], []], "vertex 1 has neighbour -1 out of range 0..2"),
         ([[0, 1], [0], []], "loops are not allowed"),
         ([[1], [], []], "adjacency must be symmetric"),
         ([[2, 1], [0], [0]], "neighbour lists must be strictly ascending"),

@@ -59,14 +59,16 @@ def test_package_exports_resolve():
     for name in tokenaut.__all__:
         assert hasattr(tokenaut, name), name
     # p * q and p.inverse() are the only spellings of these operations;
-    # the rest had no caller but their own tests
+    # the rest had no caller but their own tests; swap generators take
+    # plain (k-1)-subsets of Y and factor axes, so no family type is left
     for gone in ("compose", "inverse", "is_subgroup", "x_layer_partition",
-                 "cube_slices", "twisted_subset_action", "y_permutation_lift"):
+                 "cube_slices", "twisted_subset_action", "y_permutation_lift",
+                 "SwapFamily", "bipartite_family", "product_family",
+                 "singleton_swap_families"):
         assert gone not in tokenaut.__all__
         assert not hasattr(tokenaut, gone)
         assert not any(hasattr(m, gone) for m in (perms, constructions))
     for cls, gone in ((perms.Permutation, "image_of_set"),
-                      (constructions.SwapFamily, "symmetric_difference"),
                       (tokens.TokenGraph, "rank_of")):
         assert not hasattr(cls, gone), gone
     # a graph is held as its neighbour lists alone
@@ -409,6 +411,8 @@ def test_generators_are_deduplicated_in_first_seen_order():
     assert PermGroup(4, listed).generators == (b, a, c)
     assert PermGroup._on_base(4, (0, 1, 2), listed).generators == (b, a, c)
     assert PermGroup(4, [ident, ident]).generators == ()
+    with pytest.raises(ValueError, match="^generator degree 2 != group degree 3$"):
+        PermGroup(3, [Permutation((1, 0))])
 
 
 def assert_schreier_tree(group):

@@ -724,7 +724,7 @@ def test_seeded_chains_stop_at_the_first_path_bound(monkeypatch, searches):
         grows.append(p)
         return grow(self, p)
 
-    def recorded(self, bound=None):
+    def recorded(self, bound):
         start = len(grows)
         stalled = grow_randomly(self, bound)
         drawn = len(grows) - start - len(self.generators)
@@ -868,6 +868,8 @@ def test_twin_group_rejects_a_class_sent_into_a_class_of_another_size():
         p = Permutation.from_cycles(5, cycles)
         assert group.class_image(p) is None, cycles
         assert not group.contains(p) and not is_automorphism(g, p), cycles
+    with pytest.raises(ValueError, match="^degree mismatch: 4 vs 5$"):
+        group.contains(Permutation.identity(4))
 
 
 def test_twin_group_rejects_a_class_split_across_classes_of_its_size():
