@@ -58,6 +58,17 @@ constructed generators, each order checked against its closed form:
 without the Y-cycle's lift, where the group, of order 2^(C(10,4)+1), stays
 below the bound and the grown chain is completed by Schreier-Sims.
 
+A short-seed table, ``run_short_seeds``, times ``automorphism_group``
+seeded with constructed generators less one, which generate a proper
+subgroup H of Aut: F3(K_{2,7}) and F5(K_{2,10}) less the Y-cycle's lift,
+and F2(Q5) and F2(Q6) less the first lift of a base generator (F5 and
+F6 left out by --skip-largest). The walk's chain of H stalls below the
+first path's bound and is completed, and the walk then finds generators
+of its own. It prints the search nodes, the calls of ``PermGroup._sift``
+(counted by a second, untimed call that must take as many nodes) and
+the seconds, and checks the group's order against its closed form and
+``known_order``, |H|, against ``bounded_order`` (untimed).
+
 A fifth table, ``run_builds``, times ``token_graph`` itself, best of
 three builds: F2(Q_6), F2(Q_7), F6(K_{2,12}), F7(K_{2,14}) and
 F8(K_{2,16}), the paper's next rung at 43,758 vertices (the last two left
@@ -127,6 +138,8 @@ CUBES = (5, 6)
 CUBIC_SEEDS = (13, 16, 133, 250)
 CHAIN_BIPARTITE = ((5, 3), (6, 3), (7, 3), (5, 4), (6, 4))
 CHAIN_CUBES = (5, 6, 7)
+SHORT_BIPARTITE = ((7, 3), (10, 5))
+SHORT_CUBES = (5, 6)
 BUILD_REPEATS = 3
 FACTOR_SEED = 7
 VERIFY_CUBES = (6, 7)
@@ -323,6 +336,65 @@ def run_chains(cases) -> list[dict]:
     return rows
 
 
+def short_seed_cases(bipartite, cubes) -> Iterator[tuple]:
+    """The rows of the short-seed table, as (case, graph, seed, order):
+    F_k(K_{2,n}) for (n, k) in ``bipartite`` less the Y-cycle's lift, then
+    F2(Q_r) for r in ``cubes`` less the first lift of a base generator."""
+    for n, k in bipartite:
+        tg = token_graph(complete_bipartite(2, n), k)
+        yield (f"F{k}(K2,{n}) - Y-cycle", tg.graph,
+               bipartite_generators(2, n, k, tg)[:-1], closed_form(n, k))
+    for r in cubes:
+        factors = [complete_graph(2)] * r
+        tg = token_graph(cartesian_product(factors), 2)
+        gens = product_subgroup_generators(factors, tg)
+        # The first r - 1 generators are the coordinate swaps.
+        yield (f"F2(Q{r}) - lift", tg.graph, gens[:r - 1] + gens[r:],
+               cube_order(r))
+
+
+def run_short_seed(case: str, g, seed, order: int) -> dict:
+    """Time ``automorphism_group(g, known=seed)``, then count its sifts,
+    and check the group's order and the seed's."""
+    started = time.perf_counter()
+    result = automorphism_group(g, known=seed)
+    seconds = time.perf_counter() - started
+    sift = PermGroup._sift
+    calls = 0
+
+    def counting(self, p, start=0):
+        nonlocal calls
+        calls += 1
+        return sift(self, p, start)
+
+    PermGroup._sift = counting
+    try:
+        counted = automorphism_group(g, known=seed)
+    finally:
+        PermGroup._sift = sift
+    if counted.node_count != result.node_count:
+        raise AssertionError(f"{case}: the counting walk took another path")
+    if result.group.order() != order:
+        raise AssertionError(f"{case}: order differs from the closed form")
+    if not result.known_order == bounded_order(seed, order) < order:
+        raise AssertionError(f"{case}: the seed's order differs")
+    return {"case": case, "vertices": g.n, "nodes": result.node_count,
+            "sifts": calls, "seconds": seconds}
+
+
+def run_short_seeds(cases) -> list[dict]:
+    """Print a row per short-seed case and return the rows."""
+    print(f"{'case':<21} {'vertices':>8} {'nodes':>6} {'sifts':>6} "
+          f"{'seconds':>7}")
+    rows = []
+    for case in cases:
+        row = run_short_seed(*case)
+        print(f"{row['case']:<21} {row['vertices']:>8} {row['nodes']:>6} "
+              f"{row['sifts']:>6} {row['seconds']:>7.3f}", flush=True)
+        rows.append(row)
+    return rows
+
+
 def build_cases() -> list[tuple]:
     """The rows of the build table, smallest token graph first, as
     (case, base, k)."""
@@ -482,8 +554,9 @@ def main() -> int:
         description="time automorphism_group on F_k(K_{2,n})")
     parser.add_argument("--skip-largest", action="store_true",
                         help="leave out F7(K2,14)'s search, build and "
-                             "read, F8(K2,16)'s build, and F2(Q7)'s chain "
-                             "and verify")
+                             "read, F8(K2,16)'s build, F2(Q7)'s chain "
+                             "and verify, and the F5(K2,10) and F2(Q6) "
+                             "short seeds")
     args = parser.parse_args()
     cases = CASES[:-1] if args.skip_largest else CASES
     print(f"{'case':<11} {'vertices':>8} {'quotient':>8} {'nodes':>6} "
@@ -507,6 +580,10 @@ def main() -> int:
     print()
     run_chains(chain_cases(CHAIN_CUBES[:-1] if args.skip_largest
                            else CHAIN_CUBES))
+    print()
+    run_short_seeds(short_seed_cases(
+        SHORT_BIPARTITE[:-1] if args.skip_largest else SHORT_BIPARTITE,
+        SHORT_CUBES[:-1] if args.skip_largest else SHORT_CUBES))
     print()
     builds, reads = build_cases(), read_cases()
     if args.skip_largest:

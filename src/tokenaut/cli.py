@@ -155,10 +155,17 @@ def _read_graph(path: str, guard: ScaleGuard) -> Graph:
 
 
 def _write_atomic(path: str, text: str) -> None:
+    """Write ``text`` to a temporary file beside ``path``, then rename it
+    to ``path``; on any failure the temporary file is removed."""
     tmp = f"{path}.tmp{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def _write_report(path: str, payload: dict) -> None:
@@ -178,10 +185,10 @@ def cmd_build(args) -> int:
     # The base graph is built only after the guard admits its token graph.
     n, build = _parse_spec(args.graph)
     spec = args.graph.strip()
-    guard = _guard(args)
     if not 1 <= args.k <= n - 1:
         raise UsageError(f"k={args.k} out of range 1..{n - 1} for {spec}")
-    guard.require_vertices(comb(n, args.k), f"{args.k}-token graph of {spec}")
+    ScaleGuard(args.max_vertices).require_vertices(
+        comb(n, args.k), f"{args.k}-token graph of {spec}")
     tg = token_graph(_built(build), args.k)
     _write_atomic(args.out, format_edge_list(tg.graph))
     mapping = [f"{r}: {{{','.join(str(v) for v in sub)}}}"
@@ -369,19 +376,23 @@ def build_parser() -> argparse.ArgumentParser:
                         version=f"tokenaut {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def vertices(p):
         p.add_argument("--max-vertices", type=int,
                        default=DEFAULT_GUARD.max_vertices,
                        help="scale guard: largest admissible vertex count")
+
+    def common(p):
+        vertices(p)
         p.add_argument("--max-nodes", type=int,
                        default=DEFAULT_GUARD.max_nodes,
                        help="scale guard: search-tree node budget")
 
+    # build runs no search, so it takes no node budget.
     p = sub.add_parser("build", help="write a token graph as an edge list")
     p.add_argument("--graph", required=True, help=f"graph spec: {GRAMMAR}")
     p.add_argument("--k", type=int, required=True, help="token count")
     p.add_argument("--out", required=True, help="output edge-list path")
-    common(p)
+    vertices(p)
     p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("aut", help="compute the automorphism group of an edge list")

@@ -32,14 +32,11 @@ from .tokens import (TokenGraph, config_index, lift_masks, mask_ranks,
 class PredictedAut:
     """Closed-form predicted order with its structural classification."""
 
-    __slots__ = ("order", "structure_tag", "parameters", "note")
+    __slots__ = ("order", "structure_tag")
 
-    def __init__(self, order: int, structure_tag: str, parameters: dict,
-                 note: str | None = None):
+    def __init__(self, order: int, structure_tag: str):
         self.order = order
         self.structure_tag = structure_tag
-        self.parameters = parameters
-        self.note = note
 
 
 def lift_to_token_graph(phi: Permutation, tg: TokenGraph) -> Permutation:
@@ -172,29 +169,26 @@ def predicted_order(m: int, n: int, k: int) -> PredictedAut:
     The closed forms cover 1 < k < m+n-1; the endpoints k = 1 and
     k = m+n-1 reduce to the base graph itself (1-token graphs are the base
     and the complement bijection pairs k with m+n-k), which is an
-    extension of the predicted range, flagged in the note.
+    extension of the predicted range.
     """
     spec = BipartiteSpec(m, n)
     total = m + n
     if not (1 <= k <= total - 1):
         raise ValueError(f"need 1 <= k <= {total - 1}, got k={k}")
-    params = {"m": m, "n": n, "k": k}
     if (m, n, k) == (2, 2, 2):
-        return PredictedAut(48, "K22_SPECIAL", params,
-                            "2-token graph of K_{2,2} is K_{2,4}")
+        # The 2-token graph of K_{2,2} is K_{2,4}.
+        return PredictedAut(48, "K22_SPECIAL")
     if k in (1, total - 1):
-        return PredictedAut(aut_complete_bipartite_order(m, n), "AUT_KMN", params,
-                            "endpoint reduction to the base graph; "
-                            "extension, not covered by the interior closed form")
+        return PredictedAut(aut_complete_bipartite_order(m, n), "AUT_KMN")
     if m == 2:
         order = (1 << comb(n, k - 1)) * factorial(n)
         if 2 * k == total:
-            return PredictedAut(2 * order, "WREATH_K2N_TIMES_Z2", params)
-        return PredictedAut(order, "WREATH_K2N", params)
+            return PredictedAut(2 * order, "WREATH_K2N_TIMES_Z2")
+        return PredictedAut(order, "WREATH_K2N")
     order = aut_complete_bipartite_order(m, n)
     if 2 * k == total:
-        return PredictedAut(2 * order, "AUT_KMN_TIMES_Z2", params)
-    return PredictedAut(order, "AUT_KMN", params)
+        return PredictedAut(2 * order, "AUT_KMN_TIMES_Z2")
+    return PredictedAut(order, "AUT_KMN")
 
 
 def coordinate_swap_product(factors: Sequence[Graph], axes: Iterable[int],
@@ -289,7 +283,7 @@ def predicted_order_cube(r: int) -> PredictedAut:
     if r < 3:
         raise ValueError(f"prediction needs r >= 3, got r={r}")
     order = (1 << (r - 1)) * (1 << r) * factorial(r)
-    return PredictedAut(order, "CUBE", {"r": r})
+    return PredictedAut(order, "CUBE")
 
 
 def predicted_order_product(factors: Sequence[Graph],
@@ -297,6 +291,5 @@ def predicted_order_product(factors: Sequence[Graph],
     """Predicted order of the swap-plus-lift subgroup of Aut of the 2-token
     graph of a product of r primes: 2^(r-1) * |Aut(base)|, where
     ``base_group`` is the product's automorphism group."""
-    r = len(factors)
-    return PredictedAut((1 << (r - 1)) * base_group.order(),
-                        "Z2POW_SEMIDIRECT", {"r": r})
+    return PredictedAut((1 << (len(factors) - 1)) * base_group.order(),
+                        "Z2POW_SEMIDIRECT")

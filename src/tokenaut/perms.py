@@ -28,17 +28,20 @@ orbits. The step is used three ways:
   through the deeper levels once, and a residue joins the chain where it
   stopped. Transversals only grow, so a Schreier generator that sifted
   once keeps sifting.
-* ``bounded_order(generators, bound)`` returns the order of a group whose
-  order is known to be at most ``bound``. It grows the chain by the
-  generators and then by seeded random elements (``_grow_randomly``), and
-  stops as soon as the orbit-length product, a lower bound on the order,
-  reaches ``bound`` (Seress 2003, section 4.3). If the group turns out
-  smaller, it completes the chain it has grown.
+* ``_grow_randomly(bound)`` grows the chain by the generators and then by
+  seeded random elements, and stops as soon as the orbit-length product, a
+  lower bound on the order, reaches ``bound``, an upper bound on it
+  (Seress 2003, section 4.3). If the group turns out smaller, a run of
+  random elements that sift to the identity stops the growth, and the
+  chain grown so far is completed. Either way the chain's order is the
+  group's.
+  ``bounded_order(generators, bound)`` is this growth on a chain with no
+  levels.
 * An automorphism search (``tokenaut.search``) opens one level per point
   of its first-leaf path, a base of the graph's group (``_on_base``), so no
   level is ever opened at a first moved point. A seeded search grows that
-  chain by its known automorphisms and the same random elements, up to a
-  bound its first path proves; then each automorphism the search finds is
+  chain randomly under a bound its first path proves, which gives the
+  known automorphisms' order; then each automorphism the search finds is
   grown in.
 
 In every chain each level's generators lie in the pointwise stabilizer of
@@ -330,7 +333,9 @@ class PermGroup:
         product-replacement random elements of the group they generate
         (Seress 2003, section 4.3), until the orbit-length product reaches
         ``bound`` or ``_STALL_SIFTS`` elements in a row sift to the
-        identity. Returns whether it stopped on such a stall."""
+        identity. On such a stall it completes the chain by Schreier-Sims,
+        so the chain is that of the group, and returns True; it returns
+        False when the orbit-length product reached ``bound``."""
         for g in self.generators:
             self._grow(g.images)
         if self.order() >= bound:
@@ -353,6 +358,7 @@ class PermGroup:
                 continue
             stall = 0 if self._grow(acc) else stall + 1
             if stall == _STALL_SIFTS:
+                self._complete()
                 return True
             if self.order() >= bound:
                 return False
@@ -482,8 +488,8 @@ def schreier_sims(generators: Iterable[Permutation], degree: int | None = None) 
 # the least number of slots of the product-replacement state (there is one
 # slot per generator when there are more), the warm-up steps per _SLOTS
 # slots before the first element is used, and the run of consecutive random
-# elements sifting to the identity after which growth stops (and
-# bounded_order completes the chain). A uniformly random element sifts
+# elements sifting to the identity after which growth stops and the
+# chain is completed. A uniformly random element sifts
 # through an incomplete chain with probability at most 1/2, so a stall on a
 # group of order ``bound`` is rare, and it costs only time. The warm-up
 # grows with the slots because a slot holding the only generator outside a
@@ -522,8 +528,8 @@ def bounded_order(generators: Iterable[Permutation], bound: int,
     random elements. Every level's generators fix the earlier base points,
     so the orbit-length product is a lower bound on the order, and the
     routine returns ``bound`` as soon as the product reaches it. After
-    ``_STALL_SIFTS`` consecutive random elements sift to the identity, it
-    completes the chain by Schreier-Sims, so a group smaller than
+    ``_STALL_SIFTS`` consecutive random elements sift to the identity, the
+    chain is completed by Schreier-Sims, so a group smaller than
     ``bound`` still gets its exact order: the levels' generators are
     products of the generators, each of which was grown in first. Raises
     ValueError when the order passes ``bound``, which is then not an upper
@@ -534,8 +540,7 @@ def bounded_order(generators: Iterable[Permutation], bound: int,
     if bound < 1:
         raise ValueError(f"bound must be a positive order, got {bound}")
     group = PermGroup._on_base(degree, (), gens)
-    if group._grow_randomly(bound):
-        group._complete()
+    group._grow_randomly(bound)
     order = group.order()
     if order > bound:
         raise ValueError(f"bound {bound} is below the group order")

@@ -114,13 +114,18 @@ group the known automorphisms generate, on its levels fixed in advance: by
 the known automorphisms, then by seeded random elements of H (Seress 2003,
 section 4.3; ``PermGroup._grow_randomly``) until its orbit-length product
 reaches the product of the first path's target-cell sizes, or
-``_STALL_SIFTS`` elements in a row sift to the identity. An automorphism
-fixing b_0..b_{i-1} keeps the depth-i equitable partition, so level i's
-orbit lies in b_i's target cell; at that product every level's orbit is its
-whole cell, and so Aut's basic orbit. A generator the walk finds later
-joins the same chain, on levels 0..i for its fork depth i. Back on the
-first path, the node at depth i skips every candidate in the orbit of b_i
-on level i, as an unseeded walk's node does.
+``_STALL_SIFTS`` elements in a row sift to the identity, after which it is
+completed by Schreier-Sims. An automorphism fixing b_0..b_{i-1} keeps the
+depth-i equitable partition, so level i's orbit lies in b_i's target cell;
+at that product every level's orbit is its whole cell, and so Aut's basic
+orbit. Either way the chain's order is now |H|, which the walk records as
+``AutResult.known_order`` before any generator of its own joins: a
+completed chain is H's, and its levels sit on a base of Aut, which
+contains H, so completing it never opens a level; a chain that reached
+the product has |H| at least that product, which is at least |Aut|. A
+generator the walk finds later joins the same chain, on levels 0..i for
+its fork depth i. Back on the first path, the node at depth i skips every
+candidate in the orbit of b_i on level i, as an unseeded walk's node does.
 
 Why the answer stays exact. Each level-i element lies in Aut and fixes
 b_0..b_{i-1}, so it maps the subtree of b_i, which was walked first, onto
@@ -131,16 +136,13 @@ therefore either explored, and then yields a generator that joins level
 i, or pruned, and then is already in the level's orbit (an image under
 found generators that fix the prefix, which joined level i too, or a
 skipped candidate). So each level's orbit is the whole basic orbit of
-Aut, whether or not H's random chain was complete, and |Aut| is the
-product of the orbit lengths. Each orbit point's transversal element lies
-in the stabilizer, so sifting decides membership as in any chain. The
-levels' groups are nested, and each acts on its orbit, so the level-0
-group has at least that order: the known and the found automorphisms,
-which generate it, generate Aut. If the walk found no generator, every
-level's group lies in H, so H = Aut, and ``AutResult.known_order``, |H|,
-is |Aut| with no ``bounded_order`` run; otherwise ``bounded_order`` takes
-|H| under the bound |Aut|. Isomorphism walks grow no chain; a graph with
-twins grows it in its quotient's walk (below).
+Aut, and |Aut| is the product of the orbit lengths. Each orbit point's
+transversal element lies in the stabilizer, so sifting decides membership
+as in any chain. The levels' groups are nested, and each acts on its
+orbit, so the level-0 group has at least that order: the known and the
+found automorphisms, which generate it, generate Aut. If the walk found
+no generator, every level's group lies in H, so H = Aut. Isomorphism walks
+grow no chain; a graph with twins grows it in its quotient's walk (below).
 
 Graphs with twins are searched in their twin quotient (Anders, Schweitzer &
 Stiess, "Engineering a Preprocessor for Symmetry Detection", SEA 2023). Two
@@ -189,12 +191,12 @@ generate each stabilizer. When the known twin transpositions (a known
 automorphism that moves two points, keeping every class in place) connect
 every class, they generate T, so the group H of the known automorphisms
 contains T, the kernel of its action on the classes, and |H| = |T| times
-the order of the group I its class images generate. If the walk found no
-generator of its own, I = Aut(Q) and H = Aut(g), with no ``bounded_order``
-run; otherwise ``bounded_order`` takes |I| at the quotient's degree under
-the bound |Aut(Q)|. If some class is not connected, H may still be
-Aut(g), but the walk cannot tell, and ``bounded_order`` takes |H| at g's
-degree under the bound |Aut(g)|.
+the order of the group I its class images generate, which the quotient's
+walk records as a twin-free walk records |H|. If the walk found no
+generator of its own, I = Aut(Q) and H = Aut(g). If some class is not
+connected, H may still be Aut(g), but the walk cannot tell, and
+``bounded_order`` takes |H| at g's degree under the bound |Aut(g)|: the
+one case that grows a second chain.
 
 The base and strong generators that ``aut`` reports list are read off the
 classes and the quotient's chain. The strong generators are the lifts of
@@ -363,8 +365,10 @@ class _Search:
         self.mapping: list[int] | None = None
         self.known = known
         # An automorphism walk's chain of <known, gens> on the first-leaf
-        # path, once that path is known.
+        # path, once that path is known, and |<known>|, read off it before
+        # any found generator joins.
         self.chain: PermGroup | None = None
+        self.known_order = 1
 
     def run(self) -> None:
         self.traces.append(self.ref.refine(self.starts))
@@ -498,7 +502,8 @@ class _Search:
                 # docstring).
                 bound = prod(self.target_sizes)
                 self.chain._grow_randomly(bound)
-                assert self.chain.order() <= bound
+                self.known_order = self.chain.order()
+                assert self.known_order <= bound
             return None
         return self._accept(self.first_leaf, leaf)
 
@@ -785,11 +790,8 @@ def _automorphism_group(g: Graph, max_nodes: int | None,
     if len(classes) == g.n:
         search = _Search(g, max_nodes, known=known)
         search.run()
-        group = search.group()
-        # With no generator of its own, the walk proved <known> = Aut.
-        known_order = (group.order() if not search.gens
-                       else _generated(known, group.order(), g.n))
-        return AutResult(group, search.node_count, known_order)
+        return AutResult(search.group(), search.node_count,
+                         search.known_order)
     # An automorphism of g maps each class onto a class, so its class image
     # is a coloured automorphism of the quotient; the identity images and
     # repeats are dropped, and the rest seed the quotient's walk.
@@ -802,18 +804,11 @@ def _automorphism_group(g: Graph, max_nodes: int | None,
     # Twin transpositions that connect each class give T, the kernel, so
     # |<known>| is |T| times the order of the class images' group.
     if _twins_spanned(classes, pairs):
-        known_order = group.twin_order() * (
-            quotient.order() if not search.gens
-            else _generated(seeds, quotient.order(), len(classes)))
+        known_order = group.twin_order() * search.known_order
     else:
-        known_order = _generated(known, group.order(), g.n)
+        known_order = (bounded_order(known, group.order(), g.n)
+                       if known else 1)
     return AutResult(group, search.node_count, known_order)
-
-
-def _generated(gens: tuple[Permutation, ...], bound: int, degree: int) -> int:
-    """The order of the group ``gens`` generate, which ``bound`` bounds; no
-    chain is grown for no generators."""
-    return bounded_order(gens, bound, degree=degree) if gens else 1
 
 
 def is_isomorphic(g: Graph, h: Graph,

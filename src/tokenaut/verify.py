@@ -8,8 +8,9 @@ body, ``_automorphism_group``, which does not check them again); on a
 graph with twins, as every bipartite instance's token graph is, their
 class images seed the twin quotient's walk. The search's result carries
 the order the generators generate (``AutResult.known_order``), read off
-the walk's own chain where that proves it and taken by ``bounded_order``
-otherwise, so nothing here sifts or counts again. The report's fields:
+the walk's own chain (times the twins' factorials), or taken by
+``bounded_order`` when the twin transpositions leave a class unjoined, so
+nothing here sifts or counts again. The report's fields:
 
 * generators_certified: every constructed generator passed the edge check;
   when one fails, the report fails and the other certificates are false;
@@ -164,11 +165,14 @@ def verify_bipartite(m: int, n: int, k: int,
     spec = BipartiteSpec(m, n)
     guard.require_vertices(comb(m + n, k), f"{k}-token graph of K{m},{n}")
     started = time.perf_counter()
+    # The prediction refuses a k out of range before anything is built. It
+    # runs after the guard: for m = 2 its order has over C(n, k-1) bits.
+    pred = predicted_order(m, n, k)
     tg = token_graph(spec.graph(), k)
     gens = _constructed(bipartite_generators, m, n, k, tg)
     aut = _automorphism_group(tg.graph, guard.max_nodes, tuple(gens or ()))
-    return _finish(f"bipartite(m={m},n={n},k={k})", gens,
-                   predicted_order(m, n, k), False, started, aut)
+    return _finish(f"bipartite(m={m},n={n},k={k})", gens, pred, False,
+                   started, aut)
 
 
 def verify_cube(r: int, guard: ScaleGuard = DEFAULT_GUARD) -> VerificationReport:

@@ -73,6 +73,20 @@ def test_bench_search_chain_rows():
     assert [row["degree"] for row in rows] == [35, 56, 84, 35, 70, 28]
 
 
+def test_bench_search_short_seed_row():
+    # run_short_seed raises unless the group has its closed-form order and
+    # known_order, below it, is bounded_order's. F3(K_{2,7}) less the
+    # Y-cycle's lift is the smallest row: the seeded quotient walk takes
+    # 12 nodes, and its chain, completed after a stall, 36 sifts.
+    bench_search = load("bench_search")
+    cases = bench_search.short_seed_cases(bench_search.SHORT_BIPARTITE,
+                                          bench_search.SHORT_CUBES)
+    (row,) = bench_search.run_short_seeds(islice(cases, 1))
+    assert (row["case"], row["vertices"], row["nodes"], row["sifts"]) == (
+        "F3(K2,7) - Y-cycle", 84, 12, 36)
+    assert row["seconds"] > 0
+
+
 def test_bench_search_build_row():
     # run_build raises when the token graph's size differs from the
     # edge-count law: F2(Q4) has C(16,2) = 120 vertices and C(14,1) = 14

@@ -97,6 +97,15 @@ def test_build_size_its_constructor_rejects(tmp_path, capsys):
     assert not (tmp_path / "x.el").exists()
 
 
+def test_build_takes_no_node_budget(tmp_path, capsys):
+    # build runs no search, so --max-nodes is not one of its options.
+    rc = run(["build", "--graph", "k4", "--k", "2", "--max-nodes", "1",
+              "--out", str(tmp_path / "x.el")])
+    assert rc == 2
+    assert "--max-nodes" in capsys.readouterr().err
+    assert not (tmp_path / "x.el").exists()
+
+
 def test_build_scale_refusal(tmp_path, capsys):
     rc = run(["build", "--graph", "kmn:2,10", "--k", "6",
               "--out", str(tmp_path / "x.el")])
@@ -446,6 +455,16 @@ def test_failed_generator_certificate_is_a_fail_report(monkeypatch, capsys,
     assert "failed the edge check" in capsys.readouterr().err
 
 
+def test_bipartite_token_count_out_of_range_names_its_bound(capsys):
+    # The prediction checks k against m + n - 1, not the base's vertex
+    # count, before the token graph is built.
+    argv = ["--m", "2", "--n", "3", "--k", "5"]
+    assert run(["verify", "bipartite"] + argv) == 2
+    assert "ERROR (need 1 <= k <= 4, got k=5)" in capsys.readouterr().err
+    assert run(["generators"] + argv) == 2
+    assert capsys.readouterr().err == "error: need 1 <= k <= 4, got k=5\n"
+
+
 def test_verify_usage_errors(capsys):
     assert run(["verify", "bipartite", "--m", "2"]) == 2
     assert run(["verify", "cube"]) == 2
@@ -642,5 +661,11 @@ def test_no_tmp_files_left_behind(tmp_path):
     run(["build", "--graph", "kmn:2,3", "--k", "2", "--out", str(el)])
     run(["verify", "bipartite", "--m", "2", "--n", "3", "--k", "2",
          "--report", str(tmp_path / "r.json")])
+    # An output path that is a directory fails the final rename, and the
+    # temporary file written beside it is removed too.
+    out = tmp_path / "out"
+    out.mkdir()
+    assert run(["build", "--graph", "k4", "--k", "2", "--out", str(out)]) == 2
+    assert run(["verify", "cube", "--r", "3", "--report", str(out)]) == 2
     leftovers = [p for p in os.listdir(tmp_path) if ".tmp" in p]
-    assert leftovers == []
+    assert leftovers == [] and os.listdir(out) == []
