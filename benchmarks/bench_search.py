@@ -130,8 +130,8 @@ from tokenaut import (
 )
 from tokenaut.cli import _read_graph
 from tokenaut.refinement import Partition
-from tokenaut.search import (TwinGroup, _lift, _quotient_search, _Search,
-                             _twin_classes)
+from tokenaut.search import (TwinGroup, _class_of, _lift, _quotient_search,
+                             _Search, _twin_classes)
 
 CASES = ((10, 5), (12, 6), (14, 7))
 CUBES = (5, 6)
@@ -176,7 +176,8 @@ def run_case(n: int, k: int) -> dict:
     quotient = timed("chain", search.group)
     seconds["total"] = sum(seconds.values()) - seconds["build"]
     rss = peak_rss_mb()
-    group = TwinGroup(g, classes, search.base, quotient, lifted)
+    group = TwinGroup(g, classes, _class_of(g.n, classes), search.base,
+                      quotient, search.gens, lifted)
     if group.order() != closed_form(n, k):
         raise AssertionError(f"F{k}(K2,{n}): order differs from the closed form")
     base, _ = timed("full", lambda: (group.base, group.generators))
@@ -300,7 +301,7 @@ def chain_cases(cubes) -> Iterator[tuple]:
         factors = [complete_graph(2)] * r
         tg = token_graph(cartesian_product(factors), 2)
         yield (f"F2(Q{r})", "bounded_order",
-               product_subgroup_generators(factors, tg), cube_order(r),
+               product_subgroup_generators(factors), cube_order(r),
                cube_order(r))
     gens = bipartite_generators(2, 10, 5)
     bound = closed_form(10, 5)
@@ -343,11 +344,11 @@ def short_seed_cases(bipartite, cubes) -> Iterator[tuple]:
     for n, k in bipartite:
         tg = token_graph(complete_bipartite(2, n), k)
         yield (f"F{k}(K2,{n}) - Y-cycle", tg.graph,
-               bipartite_generators(2, n, k, tg)[:-1], closed_form(n, k))
+               bipartite_generators(2, n, k)[:-1], closed_form(n, k))
     for r in cubes:
         factors = [complete_graph(2)] * r
         tg = token_graph(cartesian_product(factors), 2)
-        gens = product_subgroup_generators(factors, tg)
+        gens = product_subgroup_generators(factors)
         # The first r - 1 generators are the coordinate swaps.
         yield (f"F2(Q{r}) - lift", tg.graph, gens[:r - 1] + gens[r:],
                cube_order(r))

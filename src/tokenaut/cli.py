@@ -381,11 +381,10 @@ def build_parser() -> argparse.ArgumentParser:
                        default=DEFAULT_GUARD.max_vertices,
                        help="scale guard: largest admissible vertex count")
 
-    def common(p):
+    def common(p, nodes_help="scale guard: search-tree node budget"):
         vertices(p)
         p.add_argument("--max-nodes", type=int,
-                       default=DEFAULT_GUARD.max_nodes,
-                       help="scale guard: search-tree node budget")
+                       default=DEFAULT_GUARD.max_nodes, help=nodes_help)
 
     # build runs no search, so it takes no node budget.
     p = sub.add_parser("build", help="write a token graph as an edge list")
@@ -415,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("factor", help="prime factor decomposition of an edge list")
     p.add_argument("--in", dest="inp", required=True, help="edge-list path")
     p.add_argument("--out", help="output prefix for factor edge lists")
-    common(p)
+    common(p, "accepted and ignored; factor runs no search")
     p.set_defaults(func=cmd_factor)
 
     p = sub.add_parser("verify", help="run a verification pipeline")

@@ -15,7 +15,7 @@ All indices are 0-based throughout: vertices and factor axes.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Collection, Iterable, Sequence
 from itertools import repeat
 from math import comb, factorial, prod
 from operator import add, or_, xor
@@ -98,16 +98,6 @@ def side_swap_bipartite(spec: BipartiteSpec, k: int,
     return Permutation._raw(tuple(images))
 
 
-def _token_graph_of(base: Graph, k: int, tg: TokenGraph | None) -> TokenGraph:
-    """``tg`` when it is the k-token graph of ``base``, else a new build."""
-    if tg is None:
-        return token_graph(base, k)
-    if tg.k != k or tg.base.nbrs != base.nbrs:
-        raise ValueError(f"token graph {tg.graph.label!r} is not the "
-                         f"{k}-token graph of {base.label or 'the base'}")
-    return tg
-
-
 def side_swap_subsets(spec: BipartiteSpec, k: int) -> list[frozenset[int]]:
     """The (k-1)-subsets of Y in subset-rank order; their single-member
     side swaps generate the full elementary abelian swap group."""
@@ -116,11 +106,9 @@ def side_swap_subsets(spec: BipartiteSpec, k: int) -> list[frozenset[int]]:
             for s in subsets.ksubsets(spec.n, k - 1)]
 
 
-def bipartite_generators(m: int, n: int, k: int,
-                         tg: TokenGraph | None = None) -> list[Permutation]:
+def bipartite_generators(m: int, n: int, k: int) -> list[Permutation]:
     """Generator list for the predicted automorphism group of the k-token
     graph of K_{m,n}; every returned permutation is certified edge-by-edge.
-    Pass ``tg``, the k-token graph of K_{m,n}, to reuse one already built.
 
     For m = 2 with n > 2 the set is one side swap per (k-1)-subset of Y
     plus lifts of a transposition and an n-cycle on Y; every other shape
@@ -132,27 +120,29 @@ def bipartite_generators(m: int, n: int, k: int,
     side, written down on those ranks.
     """
     spec = BipartiteSpec(m, n)
-    total = m + n
-    if not (1 <= k <= total - 1):
-        raise ValueError(f"need 1 <= k <= {total - 1}, got k={k}")
-    tg = _token_graph_of(spec.graph(), k, tg)
-    gens: list[Permutation] = []
+    if not (1 <= k <= m + n - 1):
+        raise ValueError(f"need 1 <= k <= {m + n - 1}, got k={k}")
+    return _bipartite_generators(spec, token_graph(spec.graph(), k))
+
+
+def _bipartite_generators(spec: BipartiteSpec,
+                          tg: TokenGraph) -> list[Permutation]:
+    """``bipartite_generators`` on ``tg``, the k-token graph of K_{m,n}."""
+    m, n, k = spec.m, spec.n, tg.k
     if (m, n, k) == (2, 2, 2):
-        gens.extend(Permutation.from_cycles(6, [cycle])
-                    for cycle in ((0, 5), (1, 2), (1, 2, 3, 4)))
-    elif m == 2 and n > 2:
-        y0 = spec.m
-        for s in side_swap_subsets(spec, k):
-            gens.append(side_swap_bipartite(spec, k, [s]))
-        for cycle in ((y0, y0 + 1), tuple(spec.y_vertices)):
-            pi = Permutation.from_cycles(total, [cycle])
-            gens.append(lift_to_token_graph(pi, tg))
-        if 2 * k == total:
-            gens.append(complement_automorphism(tg))
+        gens = [Permutation.from_cycles(6, [cycle])
+                for cycle in ((0, 5), (1, 2), (1, 2, 3, 4))]
     else:
-        base_aut = automorphism_group(spec.graph()).group
-        gens.extend(lift_to_token_graph(p, tg) for p in base_aut.generators)
-        if 2 * k == total:
+        if m == 2 and n > 2:
+            gens = [side_swap_bipartite(spec, k, [s])
+                    for s in side_swap_subsets(spec, k)]
+            base_gens = [Permutation.from_cycles(m + n, [cycle])
+                         for cycle in ((m, m + 1), tuple(spec.y_vertices))]
+        else:
+            gens = []
+            base_gens = automorphism_group(tg.base).group.generators
+        gens.extend(lift_to_token_graph(p, tg) for p in base_gens)
+        if 2 * k == m + n:
             gens.append(complement_automorphism(tg))
     certify(gens, tg.graph, "constructed bipartite generator")
     return gens
@@ -191,17 +181,15 @@ def predicted_order(m: int, n: int, k: int) -> PredictedAut:
     return PredictedAut(order, "AUT_KMN")
 
 
-def coordinate_swap_product(factors: Sequence[Graph], axes: Iterable[int],
-                            tg: TokenGraph | None = None) -> Permutation:
+def coordinate_swap_product(factors: Sequence[Graph],
+                            axes: Iterable[int]) -> Permutation:
     """Automorphism of the 2-token graph of a Cartesian product that, on
     every pair of distinct product vertices, exchanges the coordinates at
     ``axes`` between the two endpoints.
 
     ``axes`` is any iterable of factor axes in 0..r-2, an axis given twice
     counting once; the last factor's axis is excluded so the swaps form a
-    group of rank r-1. Pass ``tg``, a 2-token graph on the product's vertex
-    count, such as the product's own, to reuse its configurations and rank
-    index.
+    group of rank r-1.
     """
     r = len(factors)
     if r < 2:
@@ -209,22 +197,24 @@ def coordinate_swap_product(factors: Sequence[Graph], axes: Iterable[int],
     axes = set(axes)
     if any(not 0 <= a <= r - 2 for a in axes):
         raise ValueError(f"axes {sorted(axes)} not within 0..{r - 2}")
+    return _coordinate_swap(factors, axes, *config_index(
+        prod(g.n for g in factors), 2))
+
+
+def _coordinate_swap(factors: Sequence[Graph], axes: Collection[int],
+                     configs: Sequence[tuple[int, ...]],
+                     rank_of_mask: dict[int, int]) -> Permutation:
+    """``coordinate_swap_product`` on the configurations and rank index of
+    a 2-token graph on the product's vertex count."""
     sizes = [g.n for g in factors]
     total = prod(sizes)
     # A vertex's code is the sum of its coordinates times their place
     # values; ``part`` is the share of the swapped axes and ``keep`` the
     # rest, so swapping those axes between a and b gives keep + part.
-    place = [prod(sizes[ax + 1:]) for ax in range(r)]
+    place = [prod(sizes[ax + 1:]) for ax in range(len(sizes))]
     part = [sum(v // place[ax] % sizes[ax] * place[ax] for ax in axes)
             for v in range(total)]
     keep = [v - p for v, p in enumerate(part)]
-    if tg is None:
-        configs, rank_of_mask = config_index(total, 2)
-    elif (tg.k, tg.n) != (2, total):
-        raise ValueError(f"token graph {tg.graph.label!r} is not a 2-token "
-                         f"graph on {total} vertices")
-    else:
-        configs, rank_of_mask = tg.configs, tg.rank_of_mask
     # {a, b} goes to {keep[a] + part[b], keep[b] + part[a]}: one column of
     # image points per token, each point read as its bit.
     bit = [1 << v for v in range(total)]
@@ -251,28 +241,31 @@ def check_factors(factors: Sequence[Graph]) -> None:
             raise ValueError(f"factor {i} is disconnected")
 
 
-def product_subgroup_generators(factors: Sequence[Graph],
-                                tg: TokenGraph | None = None,
-                                base_group: PermGroup | None = None
-                                ) -> list[Permutation]:
-    """Generators of the predicted subgroup of Aut of the 2-token graph of
-    a connected Cartesian product of primes: one coordinate swap per axis
-    in 0..r-2 plus lifts of the base product's automorphism generators.
-
-    Pass ``tg``, the 2-token graph of the product, and ``base_group``, the
-    product's automorphism group, to reuse ones already computed; every
-    lifted generator is still checked against the base graph.
-    """
-    check_factors(factors)
-    r = len(factors)
+def check_primes(factors: Sequence[Graph]) -> None:
+    """Reject a factor list unless every factor is prime with respect to
+    the Cartesian product."""
     for i, f in enumerate(factors):
         if not is_prime(f):
             raise ValueError(f"factor {i} is not prime with respect to the product")
-    tg = _token_graph_of(cartesian_product(factors), 2, tg)
-    gens = [coordinate_swap_product(factors, [ax], tg=tg)
-            for ax in range(r - 1)]
-    if base_group is None:
-        base_group = automorphism_group(tg.base).group
+
+
+def product_subgroup_generators(factors: Sequence[Graph]) -> list[Permutation]:
+    """Generators of the predicted subgroup of Aut of the 2-token graph of
+    a connected Cartesian product of primes: one coordinate swap per axis
+    in 0..r-2 plus lifts of the base product's automorphism generators."""
+    check_factors(factors)
+    check_primes(factors)
+    tg = token_graph(cartesian_product(factors), 2)
+    return _product_generators(factors, tg,
+                               automorphism_group(tg.base).group)
+
+
+def _product_generators(factors: Sequence[Graph], tg: TokenGraph,
+                        base_group: PermGroup) -> list[Permutation]:
+    """``product_subgroup_generators`` on ``tg``, the 2-token graph of the
+    product, and ``base_group``, the product's automorphism group."""
+    gens = [_coordinate_swap(factors, [ax], tg.configs, tg.rank_of_mask)
+            for ax in range(len(factors) - 1)]
     gens.extend(lift_to_token_graph(p, tg) for p in base_group.generators)
     certify(gens, tg.graph, "constructed product generator")
     return gens

@@ -653,19 +653,22 @@ class TwinGroup:
     quotient group (see the module docstring): the twin classes and the
     quotient's chain, at the quotient's degree. ``order``, ``contains``,
     ``orbit``, ``base`` and ``generator_count`` need nothing more; the
-    strong generators the reports list are built on first use. ``path`` is
-    the quotient's search path, and ``lifted`` are the certified lifts of
-    the generators its walk found."""
+    strong generators the reports list are built on first use.
+    ``class_of`` is each vertex's class index (``_class_of``), ``path`` is
+    the quotient's search path, ``found`` are the generators its walk
+    found, and ``lifted`` are their certified lifts, in the same order."""
 
-    def __init__(self, g: Graph, classes: list[list[int]], path: list[int],
-                 quotient: PermGroup, lifted: list[Permutation]):
+    def __init__(self, g: Graph, classes: list[list[int]],
+                 class_of: list[int], path: list[int], quotient: PermGroup,
+                 found: list[Permutation], lifted: list[Permutation]):
         self.degree = g.n
         self.classes = classes
         self.quotient = quotient
-        self.class_of = _class_of(g.n, classes)
+        self.class_of = class_of
         # What the base and generators are read from.
         self._g = g
         self._path = path
+        self._found = found
         self._lifted = lifted
 
     def twin_order(self) -> int:
@@ -695,7 +698,7 @@ class TwinGroup:
         levels = self.quotient._levels
         strong = [Permutation._raw(s)
                   for s in (levels[0].gens if levels else ())]
-        lifts = {self.class_image(p).images: p for p in self._lifted}
+        lifts = {q.images: p for q, p in zip(self._found, self._lifted)}
         rest = [q for q in strong if q.images not in lifts]
         lifts.update(zip((q.images for q in rest),
                          _lift(self._g, self.classes, rest)))
@@ -795,12 +798,14 @@ def _automorphism_group(g: Graph, max_nodes: int | None,
     # An automorphism of g maps each class onto a class, so its class image
     # is a coloured automorphism of the quotient; the identity images and
     # repeats are dropped, and the rest seed the quotient's walk.
-    images, pairs = _class_images(classes, _class_of(g.n, classes), known)
+    class_of = _class_of(g.n, classes)
+    images, pairs = _class_images(classes, class_of, known)
     seeds = _distinct(len(classes), images)
     search = _quotient_search(g, classes, max_nodes, seeds)
     quotient = search.group()
     lifted = _lift(g, classes, search.gens)
-    group = TwinGroup(g, classes, search.base, quotient, lifted)
+    group = TwinGroup(g, classes, class_of, search.base, quotient,
+                      search.gens, lifted)
     # Twin transpositions that connect each class give T, the kernel, so
     # |<known>| is |T| times the order of the class images' group.
     if _twins_spanned(classes, pairs):

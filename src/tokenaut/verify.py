@@ -1,11 +1,14 @@
 """Verification pipelines comparing computed and predicted groups.
 
-Each pipeline builds a token graph, builds the matching explicit
-generators, computes the token graph's automorphism group with the search
-oracle, and reports. The generators, certified edge by edge by their
-construction, seed the token graph's search (``automorphism_group``'s
-body, ``_automorphism_group``, which does not check them again); on a
-graph with twins, as every bipartite instance's token graph is, their
+Each pipeline builds a token graph (and, for products, the base's
+automorphism group), builds the matching explicit generators on them
+with the constructions' cores (``_bipartite_generators``,
+``_product_generators``), which rebuild nothing and re-check no factor,
+computes the token graph's automorphism group with the search oracle, and
+reports. The generators, certified edge by edge by their construction,
+seed the token graph's search (``automorphism_group``'s body,
+``_automorphism_group``, which does not check them again); on a graph
+with twins, as every bipartite instance's token graph is, their
 class images seed the twin quotient's walk. The search's result carries
 the order the generators generate (``AutResult.known_order``), read off
 the walk's own chain (times the twins' factorials), or taken by
@@ -33,10 +36,10 @@ from __future__ import annotations
 import time
 from math import comb, prod
 
-from .constructions import (PredictedAut, bipartite_generators,
-                            check_factors, predicted_order,
-                            predicted_order_cube, predicted_order_product,
-                            product_subgroup_generators)
+from .constructions import (PredictedAut, _bipartite_generators,
+                            _product_generators, check_factors, check_primes,
+                            predicted_order, predicted_order_cube,
+                            predicted_order_product)
 from .errors import CertificationError, ScaleGuardExceeded
 from .graphs import (BipartiteSpec, Graph, cartesian_product, complete_graph,
                      product_label)
@@ -121,11 +124,11 @@ class VerificationReport:
         }
 
 
-def _constructed(build, *args, **kwargs):
+def _constructed(build, *args):
     """The generators a construction certified edge by edge, or None when
     one of them failed the check."""
     try:
-        return build(*args, **kwargs)
+        return build(*args)
     except CertificationError:
         return None
 
@@ -169,7 +172,7 @@ def verify_bipartite(m: int, n: int, k: int,
     # runs after the guard: for m = 2 its order has over C(n, k-1) bits.
     pred = predicted_order(m, n, k)
     tg = token_graph(spec.graph(), k)
-    gens = _constructed(bipartite_generators, m, n, k, tg)
+    gens = _constructed(_bipartite_generators, spec, tg)
     aut = _automorphism_group(tg.graph, guard.max_nodes, tuple(gens or ()))
     return _finish(f"bipartite(m={m},n={n},k={k})", gens, pred, False,
                    started, aut)
@@ -182,6 +185,7 @@ def verify_cube(r: int, guard: ScaleGuard = DEFAULT_GUARD) -> VerificationReport
     if r < 3:
         raise ValueError(f"prediction needs r >= 3, got r={r}")
     guard.require_vertices(comb(1 << r, 2), f"2-token graph of Q{r}")
+    # r copies of K2 are connected primes, so no factor check runs.
     factors = [complete_graph(2) for _ in range(r)]
     return _verify_2_token(factors, cartesian_product(factors),
                            f"cube(r={r})", guard, predicted_order_cube(r))
@@ -192,11 +196,13 @@ def verify_product(factors: list[Graph],
     """Certify the swap-plus-lift subgroup of the 2-token graph of a
     product of primes at order exactly 2^(r-1) * |Aut(base)|; whether it
     is the whole group is recorded as the conjecture observation. The
-    factors are checked, and the guard run, before the product is built."""
+    factors are checked, and the guard run, before the product is built;
+    the primality checks, which cost more, run after the guard."""
     check_factors(factors)
     name = product_label(factors)
     guard.require_vertices(comb(prod(f.n for f in factors), 2),
                            f"2-token graph of {name}")
+    check_primes(factors)
     return _verify_2_token(factors, cartesian_product(factors),
                            f"product({name})", guard)
 
@@ -212,8 +218,7 @@ def _verify_2_token(factors: list[Graph], product: Graph, instance: str,
     started = time.perf_counter()
     tg = token_graph(product, 2)
     base_group = automorphism_group(product, max_nodes=guard.max_nodes).group
-    gens = _constructed(product_subgroup_generators, factors, tg=tg,
-                        base_group=base_group)
+    gens = _constructed(_product_generators, factors, tg, base_group)
     aut = _automorphism_group(tg.graph, guard.max_nodes, tuple(gens or ()))
     pred = closed_form or predicted_order_product(factors, base_group)
     return _finish(instance, gens, pred, closed_form is None, started, aut)

@@ -2,6 +2,8 @@
 against the package."""
 
 import importlib.util
+import os
+import subprocess
 import sys
 from itertools import islice
 from pathlib import Path
@@ -11,6 +13,11 @@ from tokenaut import complete_graph, hypercube
 ROOT = Path(__file__).resolve().parent.parent
 BENCHMARKS = ROOT / "benchmarks"
 PERFBENCH = ROOT / "perfbench"
+# The last line of benchmarks/digest_outputs.py: one sha256 over every
+# CLI output it digests. A change that means to move an output updates
+# this pin and says why in CHANGES.md.
+OUTPUT_DIGEST = ("2d547d25202d7e9f8c57af6ffe3f3384d4ab7a69b54ffc4277b3c532e1e16de0"
+                 "  total of 59 runs")
 
 
 def load(name, where=BENCHMARKS, monkeypatch=None):
@@ -170,3 +177,11 @@ def test_perfbench_workloads_run_and_check(tmp_path, monkeypatch):
         assert not [(i.label, i.problems) for i in instances if i.problems]
     probe = sweep.probe(str(ROOT / "src"))
     assert probe["default_backend"] in probe["available_backends"]
+
+
+def test_cli_outputs_match_the_pinned_digest():
+    # COLUMNS fixes the width argparse wraps usage errors to.
+    run = subprocess.run([sys.executable, str(BENCHMARKS / "digest_outputs.py")],
+                         env=dict(os.environ, COLUMNS="80"),
+                         capture_output=True, text=True, check=True)
+    assert run.stdout.splitlines()[-1] == OUTPUT_DIGEST

@@ -106,6 +106,15 @@ def test_build_takes_no_node_budget(tmp_path, capsys):
     assert not (tmp_path / "x.el").exists()
 
 
+def test_factor_help_says_its_node_budget_is_ignored(monkeypatch, capsys):
+    # factor runs no search; it keeps --max-nodes, which it ignores.
+    monkeypatch.setenv("COLUMNS", "200")
+    assert run(["factor", "--help"]) == 0
+    out = capsys.readouterr().out
+    assert "accepted and ignored; factor runs no search" in out
+    assert "search-tree node budget" not in out
+
+
 def test_build_scale_refusal(tmp_path, capsys):
     rc = run(["build", "--graph", "kmn:2,10", "--k", "6",
               "--out", str(tmp_path / "x.el")])
@@ -440,8 +449,8 @@ def test_failed_generator_certificate_is_a_fail_report(monkeypatch, capsys,
     u = degree.index(min(degree))
     w = degree.index(max(degree))
     bad = Permutation.from_cycles(tg.graph.n, [(u, w)])
-    monkeypatch.setattr(constructions, "coordinate_swap_product",
-                        lambda factors, family, tg=None: bad)
+    monkeypatch.setattr(constructions, "_coordinate_swap",
+                        lambda factors, axes, configs, rank_of_mask: bad)
     report = tmp_path / "cube.json"
     assert run(["verify", "cube", "--r", "3", "--report", str(report)]) == 4
     assert "FAIL" in capsys.readouterr().out

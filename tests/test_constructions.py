@@ -11,7 +11,6 @@ from tokenaut import (
     BipartiteSpec,
     CertificationError,
     Permutation,
-    cartesian_product,
     automorphism_group,
     bipartite_generators,
     complement_automorphism,
@@ -227,6 +226,9 @@ def test_side_swap_input_validation():
         side_swap_bipartite(spec, 2, [[0]])  # not in Y
     with pytest.raises(ValueError, match="^side swap transpositions overlap$"):
         side_swap_bipartite(spec, 2, [[2], [3], [2]])  # a subset twice
+    for k in (0, 5):
+        with pytest.raises(ValueError, match=f"^need 1 <= k <= 4, got k={k}$"):
+            side_swap_bipartite(spec, k, [])
 
 
 # -- generator sets and predictions ---------------------------------------
@@ -272,16 +274,6 @@ def test_generators_rejects_bad_k():
         bipartite_generators(2, 3, 0)
     with pytest.raises(ValueError):
         bipartite_generators(2, 3, 5)
-
-
-def test_generators_reuse_a_prebuilt_token_graph():
-    for m, n, k in ((2, 2, 2), (2, 4, 2), (3, 3, 3)):
-        tg = token_graph(complete_bipartite(m, n), k)
-        assert bipartite_generators(m, n, k, tg) == bipartite_generators(m, n, k)
-    with pytest.raises(ValueError):
-        bipartite_generators(2, 4, 2, token_graph(complete_bipartite(2, 4), 3))
-    with pytest.raises(ValueError):
-        bipartite_generators(2, 4, 2, token_graph(complete_bipartite(3, 3), 2))
 
 
 def _digest(obj):
@@ -391,22 +383,6 @@ def test_product_generator_lists_are_pinned():
     for label, factors, want in PRODUCT_GENERATOR_PINS:
         got = [p.images for p in product_subgroup_generators(factors)]
         assert _digest(got) == want, label
-
-
-def test_product_generators_reuse_prebuilt_artifacts():
-    factors = [complete_graph(2), cycle_graph(5)]
-    product = cartesian_product(factors)
-    tg = token_graph(product, 2)
-    base_group = automorphism_group(product).group
-    fresh = product_subgroup_generators(factors)
-    assert product_subgroup_generators(factors, tg=tg) == fresh
-    assert product_subgroup_generators(
-        factors, tg=tg, base_group=base_group) == fresh
-    with pytest.raises(ValueError):
-        product_subgroup_generators(factors, tg=token_graph(product, 3))
-    with pytest.raises(ValueError):
-        product_subgroup_generators(
-            factors, tg=token_graph(cartesian_product(factors[::-1]), 2))
 
 
 def test_predicted_order_cube_values():

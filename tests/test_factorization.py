@@ -299,3 +299,13 @@ def test_factors_and_witnesses_are_pinned():
             assert got == want, label
             assert multiset_of_factor_types(f.factors, REFS) == types, label
             assert f.certifies(h), label
+
+
+def test_a_decomposition_that_fails_its_certificate_is_refused(monkeypatch):
+    from tokenaut import factorization
+
+    monkeypatch.setattr(factorization.Factorization, "certifies",
+                        lambda self, g: False)
+    with pytest.raises(AssertionError,
+                       match="^decomposition failed its own certificate$"):
+        prime_factor_decomposition(hypercube(2))

@@ -512,3 +512,22 @@ def test_graph_checks_its_lists():
     ):
         with pytest.raises(ValueError, match=f"^{message}$"):
             Graph(bad)
+
+
+def test_constructors_refuse_empty_sizes():
+    for build, message in (
+            (lambda: complete_graph(0), "complete_graph needs n >= 1"),
+            (lambda: complete_bipartite(0, 1),
+             "complete_bipartite needs m, n >= 1"),
+            (lambda: path_graph(0), "path_graph needs n >= 1"),
+            (lambda: star_graph(0), "star_graph needs n >= 1 leaves"),
+            (lambda: hypercube(0), "hypercube needs r >= 1"),
+            (lambda: cartesian_product([]),
+             "cartesian_product needs at least one factor")):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build()
+
+
+def test_graph_repr_names_its_label_and_sizes():
+    assert repr(complete_graph(3)) == "<K3: n=3, m=3>"
+    assert repr(Graph([[1], [0]])) == "<Graph: n=2, m=1>"

@@ -415,6 +415,14 @@ def test_generators_are_deduplicated_in_first_seen_order():
         PermGroup(3, [Permutation((1, 0))])
 
 
+def test_a_chain_base_with_a_repeated_or_outside_point_is_refused():
+    gens = [Permutation.from_cycles(4, [(0, 1)])]
+    for base in ((0, 1, 0), (0, 4)):
+        with pytest.raises(ValueError, match="^base points must be distinct "
+                           r"points of 0\.\.degree-1$"):
+            PermGroup._on_base(4, base, gens)
+
+
 def assert_schreier_tree(group):
     """Each level stores g^-1 beside every strong generator g, and each
     orbit point x but the base point was reached from an earlier orbit
@@ -446,3 +454,16 @@ def test_transversals_are_products_with_stored_inverses():
     assert_schreier_tree(schreier_sims(bipartite_generators(2, 5, 3)))
     assert_schreier_tree(schreier_sims(
         product_subgroup_generators([complete_graph(2)] * 3)))
+
+
+def test_malformed_permutation_text_is_refused():
+    with pytest.raises(ValueError,
+                       match=r"^expected '\[i0,i1,\.\.\.\]', got '1,2'$"):
+        permutation_from_str("1,2")
+
+
+def test_reprs_show_cycles_and_orders():
+    assert repr(Permutation.identity(3)) == "<id on 3>"
+    assert repr(Permutation((1, 2, 0, 3))) == "(0 1 2)"
+    assert repr(PermGroup(3, [Permutation((1, 2, 0))])) \
+        == "<PermGroup degree=3 order=3>"

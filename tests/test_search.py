@@ -6,6 +6,7 @@ from math import factorial, prod
 import pytest
 
 from tokenaut import (
+    CertificationError,
     Permutation,
     ScaleGuardExceeded,
     automorphism_group,
@@ -601,7 +602,7 @@ def twin_seed_cases():
         for k in range(2, n + 1):
             tg = token_graph(complete_bipartite(2, n), k)
             cases.append((f"F{k}(K2,{n})", tg.graph,
-                          bipartite_generators(2, n, k, tg)))
+                          bipartite_generators(2, n, k)))
     return cases
 
 
@@ -712,10 +713,10 @@ def test_seeded_chains_stop_at_the_first_path_bound(monkeypatch, searches):
             ("F2(Q4)", [complete_graph(2)] * 4, 3072, 5),
             ("F2(P3xC5)", [path_graph(3), cycle_graph(5)], 40, 0)):
         tg = token_graph(cartesian_product(factors), 2)
-        cases.append((name, tg, product_subgroup_generators(factors, tg),
+        cases.append((name, tg, product_subgroup_generators(factors),
                       order, drawn))
     tg = token_graph(complete_bipartite(2, 5), 3)
-    cases.append(("F3(K2,5)", tg, bipartite_generators(2, 5, 3, tg), 120, 3))
+    cases.append(("F3(K2,5)", tg, bipartite_generators(2, 5, 3), 120, 3))
     grows = []
     stops = []
     grow, grow_randomly = PermGroup._grow, PermGroup._grow_randomly
@@ -908,3 +909,15 @@ def test_twin_group_generators_are_lifts_and_twin_transpositions():
         a, b = p.moved_points()
         assert group.class_of[a] == group.class_of[b]
         assert g.maps_edges_into(p.images, g) and group.contains(p)
+
+
+def test_twin_group_repr_and_a_false_twin_class():
+    g = token_graph(complete_bipartite(2, 3), 2).graph
+    assert repr(automorphism_group(g).group) == "<TwinGroup degree=10 order=48>"
+    # P3's ends 0 and 2 are twins, but 0 and 1 are not: a class {0, 1}
+    # fails its transposition's edge check when the generators are built.
+    g = path_graph(3)
+    group = TwinGroup(g, [[0, 1], [2]], [0, 0, 1], [], PermGroup(2), [], [])
+    with pytest.raises(CertificationError,
+                       match="^a twin transposition failed the edge check$"):
+        group.generators

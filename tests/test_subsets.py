@@ -55,3 +55,10 @@ def test_rank_accepts_any_order_and_validates():
         unrank(6, 4, 2)
     with pytest.raises(ValueError):
         unrank(-1, 4, 2)
+
+
+def test_sizes_out_of_range_are_refused():
+    with pytest.raises(ValueError, match="^need 0 <= k <= n, got k=3, n=2$"):
+        unrank(0, 2, 3)
+    with pytest.raises(ValueError, match="^need k >= 0, got k=-1$"):
+        ksubsets(3, -1)

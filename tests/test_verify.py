@@ -135,29 +135,48 @@ def test_determinism():
 
 
 def test_pipelines_build_each_artifact_once(monkeypatch):
-    from tokenaut import constructions, verify
+    from tokenaut import constructions, graphs, search, verify
 
     calls = Counter()
     # verify hands its certified generators to the search's body, which
-    # counts as a search.
+    # counts as a search. Each name is counted wherever a pipeline can
+    # reach it; a counted call runs the original, so none counts twice.
     for module, names in ((verify, ("token_graph", "automorphism_group",
-                                    "_automorphism_group")),
-                          (constructions, ("token_graph", "automorphism_group"))):
+                                    "_automorphism_group",
+                                    "cartesian_product", "check_factors")),
+                          (constructions, ("token_graph", "automorphism_group",
+                                           "cartesian_product",
+                                           "check_factors", "is_prime")),
+                          (graphs, ("complete_bipartite",)),
+                          (search, ("_class_of",))):
         for name in names:
             def counted(*args, _real=getattr(module, name),
                         _name=name.lstrip("_"), **kw):
                 calls[_name] += 1
                 return _real(*args, **kw)
             monkeypatch.setattr(module, name, counted)
-    # one token graph; the token-graph search plus one base search
+    # one product, checked once, and each factor proved prime once; one
+    # token graph; the token-graph search plus one base search
     verify_product([complete_graph(2), path_graph(3)])
-    assert calls == {"token_graph": 1, "automorphism_group": 2}
+    assert calls == {"token_graph": 1, "automorphism_group": 2,
+                     "cartesian_product": 1, "check_factors": 1,
+                     "is_prime": 2}
     calls.clear()
+    # the cube's K2 factors are connected primes, so nothing checks them
     verify_cube(3)
-    assert calls == {"token_graph": 1, "automorphism_group": 2}
+    assert calls == {"token_graph": 1, "automorphism_group": 2,
+                     "cartesian_product": 1}
     calls.clear()
+    # one base graph, also for m = 3, whose generators lift its group;
+    # one twin walk, on F2(K_{2,4}) and on K_{3,3} (F2(K_{3,3}) has no
+    # twins), which indexes its classes once
     verify_bipartite(2, 4, 2)
-    assert calls == {"token_graph": 1, "automorphism_group": 1}
+    assert calls == {"token_graph": 1, "automorphism_group": 1,
+                     "complete_bipartite": 1, "class_of": 1}
+    calls.clear()
+    verify_bipartite(3, 3, 2)
+    assert calls == {"token_graph": 1, "automorphism_group": 2,
+                     "complete_bipartite": 1, "class_of": 1}
 
 
 def test_a_seed_short_of_aut_keeps_the_verdict_and_orders(monkeypatch):
@@ -171,11 +190,11 @@ def test_a_seed_short_of_aut_keeps_the_verdict_and_orders(monkeypatch):
     degrees = order_route(monkeypatch)
     full = constructions.product_subgroup_generators([complete_graph(2)] * 4)
     for drop, want, calls in ((0, 3072, []), (3, 128, [])):
-        def fewer(*args, _drop=drop, **kwargs):
-            gens = constructions.product_subgroup_generators(*args, **kwargs)
+        def fewer(*args, _drop=drop):
+            gens = constructions._product_generators(*args)
             return gens[:_drop] + gens[_drop + 1:]
 
-        monkeypatch.setattr(verify, "product_subgroup_generators", fewer)
+        monkeypatch.setattr(verify, "_product_generators", fewer)
         rest = full[:drop] + full[drop + 1:]
         assert schreier_sims(rest).order() == want
         rep = verify_cube(4)
@@ -238,11 +257,11 @@ def test_a_bipartite_seed_short_of_aut_keeps_the_verdict_and_orders(
 
     degrees = order_route(monkeypatch)
     for drop, want, calls in ((0, 122880, [35]), (11, 2048, [])):
-        def fewer(*args, _drop=drop, **kwargs):
-            gens = constructions.bipartite_generators(*args, **kwargs)
+        def fewer(*args, _drop=drop):
+            gens = constructions._bipartite_generators(*args)
             return gens[:_drop] + gens[_drop + 1:]
 
-        monkeypatch.setattr(verify, "bipartite_generators", fewer)
+        monkeypatch.setattr(verify, "_bipartite_generators", fewer)
         rep = verify_bipartite(2, 5, 3)
         assert (rep.computed_order, rep.predicted_order) == ("122880", "122880")
         assert rep.generated_order == want
@@ -279,7 +298,7 @@ def test_class_image_orders_match_schreier_sims(monkeypatch):
     degrees = order_route(monkeypatch)
     for n, k in ((5, 3), (6, 4)):
         tg = token_graph(complete_bipartite(2, n), k)
-        gens = bipartite_generators(2, n, k, tg)
+        gens = bipartite_generators(2, n, k)
         quotient = len(automorphism_group(tg.graph).group.classes)
         assert quotient < tg.graph.n
         for seed, calls in ((gens, []), (gens[:-1], []),
@@ -295,7 +314,7 @@ def test_dropping_a_side_swap_takes_the_full_degree_fallback(monkeypatch):
     # remaining swaps onto the dropped one, so the order is unchanged.
     degrees = order_route(monkeypatch)
     tg = token_graph(complete_bipartite(2, 10), 5)
-    gens = bipartite_generators(2, 10, 5, tg)
+    gens = bipartite_generators(2, 10, 5)
     res = automorphism_group(tg.graph, known=gens[1:])
     assert res.known_order == res.group.order() \
         == predicted_order(2, 10, 5).order
@@ -320,3 +339,20 @@ def test_disconnected_transpositions_take_the_fallback(monkeypatch):
     outside = pieces + [Permutation.from_cycles(7, [(2, 3)])]
     with pytest.raises(CertificationError):
         automorphism_group(g, known=outside)
+
+
+def test_a_generated_order_that_does_not_divide_is_refused(monkeypatch):
+    # The search's result carries the generated order; one that does not
+    # divide the computed order breaks Lagrange's theorem, so the report
+    # refuses it instead of recording it.
+    from tokenaut import verify
+    from tokenaut.search import AutResult
+
+    def skewed(*args, _real=verify._automorphism_group):
+        res = _real(*args)
+        return AutResult(res.group, res.node_count, 5 * res.known_order)
+
+    monkeypatch.setattr(verify, "_automorphism_group", skewed)
+    with pytest.raises(AssertionError,
+                       match="^subgroup order fails Lagrange divisibility$"):
+        verify_bipartite(2, 3, 2)
